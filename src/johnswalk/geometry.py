@@ -14,6 +14,7 @@ analytic center) raise when they run into an unbounded direction.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,10 +154,33 @@ class Ellipsoid:
                 f"ellipsoid factor is not positive definite "
                 f"(min eigenvalue {eigvals[0]:.3e})"
             )
+        self._set(mat, center, eigvals)
+
+    def _set(self, mat: np.ndarray, center: np.ndarray, eigvals: np.ndarray) -> None:
         object.__setattr__(self, "mat", np.ascontiguousarray(mat))
         object.__setattr__(self, "center", np.ascontiguousarray(center))
         object.__setattr__(self, "logdet", float(np.sum(np.log(eigvals))))
-        object.__setattr__(self, "_cond", float(eigvals[-1] / eigvals[0]))
+        object.__setattr__(self, "_cond", float(eigvals.max() / eigvals.min()))
+
+    @classmethod
+    def from_eigh(
+        cls, radii: np.ndarray, axes: np.ndarray, center: np.ndarray
+    ) -> "Ellipsoid":
+        """Ellipsoid with factor axes @ diag(radii) @ axes.T, for positive
+        radii and orthonormal axes from a symmetric eigendecomposition.
+        Log det and condition number are read off the radii, so no second
+        eigendecomposition runs."""
+        mat = (axes * radii) @ axes.T
+        ell = object.__new__(cls)
+        ell._set(0.5 * (mat + mat.T), center, radii)
+        return ell
+
+    def recentered(self, center: np.ndarray) -> "Ellipsoid":
+        """The same ellipsoid moved to ``center``, without validating the
+        factor again."""
+        ell = copy.copy(self)
+        object.__setattr__(ell, "center", np.ascontiguousarray(center, dtype=float))
+        return ell
 
     @property
     def n(self) -> int:

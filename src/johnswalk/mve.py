@@ -19,7 +19,11 @@ can cross-check the other:
   triangle with off-diagonal entries scaled by sqrt(2), so the Frobenius
   inner product of matrices equals the dot product of their vectors.
 
-Both routes return a strictly feasible ellipsoid together with an upper
+Both routes solve on one row per direction (:func:`_distinct_rows`): a row
+and its negation give the same constraint, and of exactly parallel rows only
+the longest binds, so boxes and other bodies with parallel facets shrink to
+half their rows or fewer. Both return an ellipsoid checked against every row
+of the body, shrunk if rounding left it outside one, together with an upper
 bound ``logdet_gap`` on how far its log volume can sit below the optimum.
 """
 
@@ -37,6 +41,12 @@ from .errors import GeometryError, NumericalError, SolverError, UnboundedPolytop
 from .geometry import Ellipsoid, SymmetricPolytope
 
 _ASCENT_MAX_ITER = 500_000
+_EPS = float(np.finfo(float).eps)
+
+# Sign-normalised unit rows that differ by at most this much in every
+# component count as parallel; normalising the same row at two scales
+# differs by at most 2 ulp.
+_PARALLEL_TOL = 8.0 * _EPS
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +91,36 @@ def sqrt_spd(mat: np.ndarray) -> np.ndarray:
             f"matrix is not positive definite (min eigenvalue {vals[0]:.3e})"
         )
     return (vecs * np.sqrt(vals)) @ vecs.T
+
+
+@lru_cache(maxsize=None)
+def _generic_direction(n: int) -> np.ndarray:
+    return np.cos(np.arange(1.0, n + 1.0))
+
+
+def _distinct_rows(body: SymmetricPolytope) -> np.ndarray:
+    """One row per direction of the symmetric body {y : |a_i . y| <= 1}.
+
+    Keeps the first half of the rows, since a row and its negation give the
+    same constraint and the same dyad a a^T, and cuts each class of exactly
+    parallel rows down to its longest row, whose constraint implies the
+    others'. Symmetrizing a body with parallel facets, a box for one, yields
+    such classes. Both solver routes run on these rows; they give the same
+    optimum as all rows.
+    """
+    half = body.A[: body.rows // 2]
+    norms = np.sqrt(np.einsum("ij,ij->i", half, half))
+    # Parallel rows have equal |cosine| with a fixed generic direction, so
+    # sorted by it they are neighbours; the cosine's sign also orients them.
+    key = (half @ _generic_direction(body.n)) / norms
+    order = np.argsort(np.abs(key))
+    units = half[order] * (np.sign(key[order]) / norms[order])[:, None]
+    first = np.ones(order.size, dtype=bool)  # first of its class in `order`
+    first[1:] = (np.abs(units[1:] - units[:-1]) > _PARALLEL_TOL).any(axis=1)
+    if first.all():
+        return half
+    longest_first = np.lexsort((-norms[order], np.cumsum(first)))
+    return half[np.sort(order[longest_first[first]])]
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +197,10 @@ def _khachiyan_ascent(points: np.ndarray, tol: float, max_iter: int = _ASCENT_MA
     """
     pts = np.asarray(points, dtype=float)
     m, n = pts.shape
-    if np.linalg.matrix_rank(pts) < n:
-        raise UnboundedPolytopeError(
-            "point set does not span; the polar body is unbounded"
-        )
     u = np.full(m, 1.0 / m)
+    mat = pts.T @ (pts * u[:, None])
+    _check_spans(mat, m)
     for _ in range(max_iter):
-        mat = pts.T @ (pts * u[:, None])
         try:
             sol = np.linalg.solve(mat, pts.T)
         except np.linalg.LinAlgError:
@@ -192,10 +229,25 @@ def _khachiyan_ascent(points: np.ndarray, tol: float, max_iter: int = _ASCENT_MA
         u[j] += beta
         np.clip(u, 0.0, None, out=u)
         u /= u.sum()
+        mat = pts.T @ (pts * u[:, None])
     raise SolverError(
         f"ellipsoid weight ascent did not certify tolerance {tol:.3e} within "
         f"{max_iter} iterations",
         best=None,
+    )
+
+
+def _check_spans(mat: np.ndarray, m: int) -> None:
+    """Raise when the m points whose uniform moment matrix is ``mat`` do not
+    span R^n. The test runs on the matrix rescaled to unit diagonal, so a
+    body that is merely thin along a coordinate axis passes; what it flags
+    is rank deficiency up to the rounding of an m-term sum."""
+    diag = np.sqrt(np.diagonal(mat))
+    if m >= diag.size and diag.min() > 0.0:
+        if np.linalg.eigvalsh(mat / np.outer(diag, diag))[0] > m * _EPS:
+            return
+    raise UnboundedPolytopeError(
+        "point set does not span; the polar body is unbounded"
     )
 
 
@@ -220,19 +272,42 @@ def solve_mvee_polar(points: np.ndarray, tol: float = 1e-9) -> Ellipsoid:
     return Ellipsoid(sqrt_spd(g_max * mat), np.zeros(pts.shape[1]))
 
 
+def _fit_inside(
+    body: SymmetricPolytope, radii: np.ndarray, axes: np.ndarray
+) -> Ellipsoid:
+    """Origin-centered ellipsoid with the given semi-axes, shrunk until
+    max_i |E a_i| <= 1 holds as computed over every row of the body.
+
+    A certificate places the factor inside only up to rounding, and rows the
+    solver never saw (see :func:`_distinct_rows`) are implied only up to
+    rounding; either can leave |E a_i| a few ulp above 1.
+    """
+    origin = np.zeros(body.n)
+    while True:
+        ell = Ellipsoid.from_eigh(radii, axes, origin)
+        images = body.A @ ell.mat
+        reach_sq = float((images * images).sum(axis=1).max())
+        if reach_sq <= 1.0:
+            return ell
+        if not np.isfinite(reach_sq):
+            raise NumericalError("inscribed ellipsoid factor is not finite")
+        radii = radii / (np.sqrt(reach_sq) * (1.0 + 4.0 * _EPS))
+
+
 def _solve_mve_oracle(body: SymmetricPolytope, gap: float) -> JohnSolution:
     n = body.n
     tol = gap / (2.0 * n)
-    _, mat, g_max = _khachiyan_ascent(body.A, tol)
+    _, mat, g_max = _khachiyan_ascent(_distinct_rows(body), tol)
     # Polar conversion: the unscaled inscribed factor is (n M)^(-1/2); the
     # certificate scale sqrt(g_max / n) shrinks it onto the feasible side.
     vals, vecs = np.linalg.eigh(n * mat)
     if vals[0] <= 0.0:
         raise NumericalError("moment matrix lost positive definiteness")
-    scale = np.sqrt(g_max / n)
-    factor = (vecs * (1.0 / (np.sqrt(vals) * scale))) @ vecs.T
-    ell = Ellipsoid(factor, np.zeros(n))
-    gap_bound = max(0.0, 0.5 * n * np.log(g_max / n))
+    radii = 1.0 / (np.sqrt(vals) * np.sqrt(g_max / n))
+    ell = _fit_inside(body, radii, vecs)
+    # Any shrink _fit_inside applied widens the gap by the log det it cost.
+    shrink = float(np.sum(np.log(radii))) - ell.logdet
+    gap_bound = max(0.0, 0.5 * n * np.log(g_max / n)) + shrink
     return JohnSolution(ellipsoid=ell, logdet_gap=gap_bound, solver_tag="oracle")
 
 
@@ -241,7 +316,7 @@ def dual_logdet_bound(body: SymmetricPolytope, tol: float = 1e-9) -> float:
     obtained from any simplex weights w via weak duality:
     opt <= -1/2 log det(n sum_i w_i a_i a_i^T). A short weight ascent makes
     the bound tight to about n * tol / 2."""
-    _, mat, _ = _khachiyan_ascent(body.A, tol)
+    _, mat, _ = _khachiyan_ascent(_distinct_rows(body), tol)
     sign, logdet = np.linalg.slogdet(body.n * mat)
     if sign <= 0:
         raise NumericalError("dual moment matrix is singular")
@@ -318,7 +393,9 @@ def separation_oracle_mve(x_mat: np.ndarray, body: SymmetricPolytope) -> OracleA
 
 def _solve_mve_vaidya(body: SymmetricPolytope, gap: float, mode: str) -> JohnSolution:
     n = body.n
-    t_mat, image = dikin_precondition(body)
+    rows = _distinct_rows(body)
+    reduced = SymmetricPolytope(np.vstack([rows, -rows]), body.anchor)
+    t_mat, image = dikin_precondition(reduced)
     d = sym_dim(n)
     rho = float(image.rows)  # any feasible X has spectral norm <= row count
     level = np.log2(4.0 / gap) + 1.0
@@ -350,7 +427,10 @@ def _solve_mve_vaidya(body: SymmetricPolytope, gap: float, mode: str) -> JohnSol
     x_hat = vec_to_sym(result.point, n)
     inv_sqrt_h = np.linalg.inv(t_mat)
     shape = inv_sqrt_h @ x_hat @ inv_sqrt_h
-    ell = Ellipsoid(sqrt_spd(0.5 * (shape + shape.T)), np.zeros(n))
+    vals, vecs = np.linalg.eigh(0.5 * (shape + shape.T))
+    if vals[0] <= 0.0:
+        raise NumericalError("cutting-plane matrix is not positive definite")
+    ell = _fit_inside(body, np.sqrt(vals), vecs)
     bound = dual_logdet_bound(body, tol=gap / (2.0 * n))
     gap_bound = max(0.0, bound - ell.logdet)
     if mode == "paper":

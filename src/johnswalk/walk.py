@@ -98,7 +98,7 @@ def _effective_gap(config: WalkConfig, n: int) -> float:
 def _ellipsoid_at(poly: Polytope, point: np.ndarray, config: WalkConfig) -> Ellipsoid:
     body = symmetrize(poly, point)
     sol = solve_mve(body, method=config.solver, gap=_effective_gap(config, poly.n))
-    return Ellipsoid(sol.ellipsoid.mat, np.asarray(point, dtype=float))
+    return sol.ellipsoid.recentered(point)
 
 
 def init_state(

@@ -6,10 +6,17 @@ from johnswalk.errors import (
     NumericalError,
     UnboundedPolytopeError,
 )
-from johnswalk.geometry import Ellipsoid, SymmetricPolytope, sphere_points, symmetrize
+from johnswalk.geometry import (
+    Ellipsoid,
+    Polytope,
+    SymmetricPolytope,
+    sphere_points,
+    symmetrize,
+)
 from johnswalk.mve import (
     ContactSet,
     JohnConditions,
+    _distinct_rows,
     dikin_precondition,
     dual_logdet_bound,
     extract_contacts,
@@ -22,7 +29,7 @@ from johnswalk.mve import (
     verify_john_conditions,
 )
 
-from conftest import cross_polytope, cube, random_symmetric_polytope
+from conftest import box, cross_polytope, cube, random_polytope, random_symmetric_polytope
 
 
 def centered_body(poly):
@@ -90,8 +97,6 @@ class TestSolveMveClosedForms:
             assert np.allclose(sol.ellipsoid.mat, np.eye(n), atol=1e-7)
 
     def test_box_axis_scaling(self):
-        from conftest import box
-
         sol = solve_mve(centered_body(box([2.0, 1.0])), gap=1e-10)
         assert abs(sol.ellipsoid.logdet - np.log(2.0)) <= 1e-8
         assert np.allclose(sol.ellipsoid.mat, np.diag([2.0, 1.0]), atol=1e-7)
@@ -125,6 +130,28 @@ class TestSolveMveProperties:
             norms = np.linalg.norm(body.A @ sol.ellipsoid.mat, axis=1)
             assert norms.max() <= 1.0 + 1e-9
             assert 0.0 <= sol.logdet_gap <= 1e-8
+
+    def test_factor_inside_every_row(self):
+        # Rounding used to leave max_i |E a_i| a few ulp above 1 on half of
+        # these bodies (seeds 0, 1, 4, 6 and 8).
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            normals = rng.standard_normal((9, 3))
+            normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+            body = centered_body(Polytope(normals, np.ones(9)))
+            sol = solve_mve(body, gap=1e-5)
+            assert np.linalg.norm(body.A @ sol.ellipsoid.mat, axis=1).max() <= 1.0
+            assert 0.0 <= sol.logdet_gap <= 1e-5
+
+    def test_cross_solver_agreement_on_symmetrized_cube(self):
+        # Before rows were merged the cutting-plane engine left its
+        # localization polytope on the 3-cube's duplicate cuts.
+        for x in (np.zeros(3), np.full(3, 0.1)):
+            body = symmetrize(cube(3), x)
+            a = solve_mve(body, method="oracle", gap=1e-6)
+            b = solve_mve(body, method="vaidya", gap=1e-5)
+            diff = abs(a.ellipsoid.logdet - b.ellipsoid.logdet)
+            assert diff <= a.logdet_gap + b.logdet_gap + 1e-14
 
     def test_cross_solver_agreement_sample(self, rng):
         for trial in range(3):
@@ -166,6 +193,58 @@ class TestSolveMveProperties:
         a = np.array([[1.0, 0.0], [-1.0, 0.0]])
         with pytest.raises(UnboundedPolytopeError):
             solve_mve(SymmetricPolytope(a, np.zeros(2)))
+
+
+class TestDistinctRows:
+    def test_mapped_box_keeps_one_row_per_axis(self, rng):
+        # Under a linear map the rows a/s_i and -a/s_j of each axis stay
+        # parallel only up to rounding; the merge must still find them.
+        for n in (2, 5, 10):
+            lin = rng.normal(size=(n, n)) + 2.0 * np.eye(n)
+            poly = box(rng.uniform(0.01, 2.0, n))
+            mapped = Polytope(poly.A @ np.linalg.inv(lin), poly.b)
+            x = lin @ (0.8 * poly.b[:n] * rng.uniform(-1.0, 1.0, n))
+            body = symmetrize(mapped, x)
+            rows = _distinct_rows(body)
+            assert rows.shape == (n, n)
+            # the kept row of each axis is the tighter of its two facets
+            norms = np.linalg.norm(body.A[:n], axis=1)
+            norms_neg = np.linalg.norm(body.A[n : 2 * n], axis=1)
+            kept = np.sort(np.linalg.norm(rows, axis=1))
+            assert np.array_equal(kept, np.sort(np.maximum(norms, norms_neg)))
+
+    def test_nearly_parallel_rows_stay(self):
+        angle = 1e-9
+        a = np.array([[1.0, 0.0], [np.cos(angle), np.sin(angle)], [0.0, 1.0]])
+        body = SymmetricPolytope(np.vstack([a, -a]), np.zeros(2))
+        assert _distinct_rows(body).shape == (3, 2)
+
+    def test_no_parallel_rows_keeps_half(self, rng):
+        normals = rng.standard_normal((10, 4))
+        body = centered_body(Polytope(normals, np.ones(10)))
+        assert np.array_equal(_distinct_rows(body), body.A[: body.rows // 2])
+
+    def test_reduced_solve_matches_full_ascent(self, rng):
+        # solve_mvee_polar runs the ascent on every row; the polar of its
+        # enclosing ellipsoid is the inscribed one. Both log-dets are
+        # certified, so they agree within the sum of the two gaps.
+        parallel = random_polytope(3, 4, rng)
+        parallel = Polytope(
+            np.vstack([parallel.A, 2.0 * parallel.A[-1]]),
+            np.concatenate([parallel.b, [1.5 * parallel.b[-1]]]),
+        )
+        for poly, x in (
+            (cube(10), rng.uniform(-0.5, 0.5, 10)),
+            (box([1.0, 1.0, 1.0, 1.0, 0.01]), np.array([0.2, -0.3, 0.1, 0.4, 0.003])),
+            (parallel, np.zeros(3)),
+        ):
+            body = symmetrize(poly, x)
+            assert _distinct_rows(body).shape[0] < body.rows // 2
+            gap, tol = 1e-9, 1e-10
+            reduced = solve_mve(body, gap=gap)
+            full = -solve_mvee_polar(body.A, tol=tol).logdet
+            allowed = reduced.logdet_gap + 0.5 * poly.n * np.log1p(tol) + 1e-12
+            assert abs(reduced.ellipsoid.logdet - full) <= allowed
 
 
 class TestDikinPrecondition:

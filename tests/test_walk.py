@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from johnswalk.errors import GeometryError
-from johnswalk.geometry import Ellipsoid, Polytope, contains, symmetrize
+from johnswalk.geometry import Ellipsoid, Polytope, contains, local_norm, symmetrize
 from johnswalk.mve import solve_mve
 from johnswalk.walk import (
     Tallies,
@@ -20,7 +20,7 @@ from johnswalk.walk import (
     transition_density,
 )
 
-from conftest import cube, random_polytope
+from conftest import box, cube, random_polytope
 
 
 def interval() -> Polytope:
@@ -139,6 +139,16 @@ class TestRunChain:
         assert tallies.total == 400
         assert all(contains(cube(2), s) for s in samples)
 
+    def test_chains_from_box_centers_complete(self):
+        # Near the center each pair of opposite facets nearly ties; the ascent
+        # used to spin through its iteration cap on them and raise SolverError.
+        for n, seed in ((5, 3111615831), (10, 1468060454)):
+            samples, tallies = run_chain(
+                cube(n), np.zeros(n), 20, WalkConfig(seed=seed)
+            )
+            assert tallies.total == 20
+            assert all(np.all(cube(n).slacks(s) > 0.0) for s in samples)
+
     def test_non_interior_start_raises(self):
         with pytest.raises(GeometryError):
             run_chain(cube(2), np.array([1.0, 0.0]), 10, WalkConfig())
@@ -149,6 +159,34 @@ class TestRunChain:
         _, tallies = run_chain(cube(2), np.zeros(2), steps, WalkConfig(seed=11))
         se = np.sqrt(0.25 / steps)
         assert abs(tallies.lazy_hold / steps - 0.5) <= 4.0 * se
+
+
+class TestAffineInvariance:
+    def test_step_decision_invariant(self, rng):
+        # Under y = T x + t the walk's ellipsoid at T z + t is T E_z, so the
+        # reversibility norm and the filter's log-det difference of every
+        # step are unchanged.
+        config = WalkConfig(gap=1e-10)
+        for poly in (box([1.0, 2.0, 0.5]), random_polytope(3, 5, rng)):
+            n = poly.n
+            lin = rng.normal(size=(n, n)) + 2.0 * np.eye(n)
+            shift = rng.normal(size=n)
+            inv = np.linalg.inv(lin)
+            mapped = Polytope(poly.A @ inv, poly.b + poly.A @ inv @ shift)
+            r = radius(n, config.c)
+            for _ in range(5):
+                x = 0.5 * rng.uniform(-0.5, 0.5, n)
+                z = x + r * rng.uniform(-0.5, 0.5, n)
+                e_x = init_state(poly, x, config).ellipsoid
+                e_z = init_state(poly, z, config).ellipsoid
+                f_x = init_state(mapped, lin @ x + shift, config).ellipsoid
+                f_z = init_state(mapped, lin @ z + shift, config).ellipsoid
+                assert abs(
+                    local_norm(f_z, lin @ x + shift) - local_norm(e_z, x)
+                ) <= 1e-9
+                assert abs(
+                    (f_x.logdet - f_z.logdet) - (e_x.logdet - e_z.logdet)
+                ) <= 1e-9
 
 
 class TestTransitionDensity:
