@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -82,15 +82,31 @@ class RunManifest:
             json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
+    @classmethod
+    def read(cls, path: str) -> "RunManifest":
+        """Load a manifest written by ``write``. A missing or unknown field
+        raises InputDataError naming it."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                spec = json.load(fh)
+        except OSError as exc:
+            raise InputDataError(f"cannot read manifest {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise InputDataError(f"manifest {path} is not valid JSON: {exc}") from exc
+        if not isinstance(spec, dict):
+            raise InputDataError(f"manifest {path} must hold a JSON object")
+        names = {f.name for f in fields(cls)}
+        for name in sorted(names ^ spec.keys()):
+            kind = "missing" if name in names else "unknown"
+            raise InputDataError(f"manifest {path}: {kind} field {name!r}")
+        # Annotations are strings here; cast the scalar fields by type name.
+        cast = {"int": int, "float": float, "bool": bool}
+        return cls(**{f.name: cast.get(f.type, lambda v: v)(spec[f.name])
+                      for f in fields(cls)})
 
-def _read_manifest(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputDataError(f"cannot read manifest {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputDataError(f"manifest {path} is not valid JSON: {exc}") from exc
+    def walk_config(self) -> WalkConfig:
+        return WalkConfig(c=self.c, lazy=self.lazy, solver=self.solver,
+                          gap=self.gap, seed=self.seed)
 
 
 def _parse_vector(text: str, n: int) -> np.ndarray:
@@ -104,63 +120,52 @@ def _parse_vector(text: str, n: int) -> np.ndarray:
 
 
 def _cmd_sample(args) -> int:
+    outputs = dict(artifact_version=__version__, command="sample",
+                   samples_path=f"{args.out}.samples.csv",
+                   manifest_path=f"{args.out}.manifest.json")
     if args.manifest:
-        spec = _read_manifest(args.manifest)
-        poly = load_polytope(spec["polytope_path"])
-        walk_kind = spec["walk"]
-        steps, seed = int(spec["steps"]), int(spec["seed"])
-        c, lazy = float(spec["c"]), bool(spec["lazy"])
-        solver, gap = spec["solver"], spec["gap"]
-        delta = float(spec["delta"])
-        start = np.asarray(spec["start"], dtype=float)
-        polytope_path = spec["polytope_path"]
+        manifest = replace(RunManifest.read(args.manifest), **outputs)
+        poly = load_polytope(manifest.polytope_path)
     else:
         if not args.polytope:
             raise InputDataError("either --polytope or --manifest is required")
         poly = load_polytope(args.polytope)
-        walk_kind = args.walk
-        steps, seed = args.steps, args.seed
-        c, lazy, solver, gap, delta = args.c, args.lazy, args.solver, args.gap, args.delta
         start = (
             _parse_vector(args.start, poly.n)
             if args.start
             else analytic_center(poly)
         )
-        polytope_path = args.polytope
-    manifest = RunManifest(
-        artifact_version=__version__,
-        command="sample",
-        polytope_path=polytope_path,
-        walk=walk_kind,
-        steps=steps,
-        seed=seed,
-        c=c,
-        lazy=lazy,
-        solver=solver,
-        gap=gap,
-        delta=delta,
-        start=[float(v) for v in start],
-        samples_path=f"{args.out}.samples.csv",
-        manifest_path=f"{args.out}.manifest.json",
-    )
+        manifest = RunManifest(
+            polytope_path=args.polytope,
+            walk=args.walk,
+            steps=args.steps,
+            seed=args.seed,
+            c=args.c,
+            lazy=args.lazy,
+            solver=args.solver,
+            gap=args.gap,
+            delta=args.delta,
+            start=[float(v) for v in start],
+            **outputs,
+        )
     manifest.write()
-    if walk_kind == "john":
-        config = WalkConfig(c=c, lazy=lazy, solver=solver, gap=gap, seed=seed)
-        samples, tallies = run_chain(poly, start, steps, config)
+    start = np.asarray(manifest.start, dtype=float)
+    if manifest.walk == "john":
+        samples, tallies = run_chain(poly, start, manifest.steps, manifest.walk_config())
         summary = (
             f"accept={tallies.accept} lazy_hold={tallies.lazy_hold} "
             f"reject_outside={tallies.reject_outside} "
             f"reject_reversibility={tallies.reject_reversibility} "
             f"reject_filter={tallies.reject_filter}"
         )
-    elif walk_kind == "ball":
-        samples = run_ball_walk(poly, start, steps, delta, seed=seed)
-        summary = f"delta={delta}"
-    elif walk_kind == "hitrun":
-        samples = run_hit_and_run(poly, start, steps, seed=seed)
+    elif manifest.walk == "ball":
+        samples = run_ball_walk(poly, start, manifest.steps, manifest.delta, seed=manifest.seed)
+        summary = f"delta={manifest.delta}"
+    elif manifest.walk == "hitrun":
+        samples = run_hit_and_run(poly, start, manifest.steps, seed=manifest.seed)
         summary = ""
     else:
-        raise InputDataError(f"unknown walk {walk_kind!r}")
+        raise InputDataError(f"unknown walk {manifest.walk!r}")
     emit_samples(samples, manifest.samples_path)
     print(f"wrote {manifest.manifest_path} and {manifest.samples_path}")
     if summary:

@@ -293,53 +293,72 @@ def ball_points(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return u * radii[:, None]
 
 
+def _log_barrier(A: np.ndarray, b: np.ndarray):
+    """(newton, value) of the log barrier -sum_i log(b_i - a_i.x) for
+    ``_damped_newton``: the Newton step with its decrement, and the barrier
+    value, +inf outside the open polytope."""
+
+    def newton(x: np.ndarray):
+        w = A / (b - A @ x)[:, None]
+        grad = w.sum(axis=0)
+        try:
+            step = -np.linalg.solve(w.T @ w, grad)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("log-barrier Hessian is singular; polytope "
+                                 "rows do not span (body is unbounded)") from exc
+        return step, -float(grad @ step)
+
+    def value(x: np.ndarray) -> float:
+        s = b - A @ x
+        return -float(np.sum(np.log(s))) if np.all(s > 0.0) else np.inf
+
+    return newton, value
+
+
+def _damped_newton(x: np.ndarray, newton, value, tol: float, max_steps: int):
+    """Damped Newton descent from the interior point x: ``newton(x)`` gives
+    the step and its decrement, ``value(x)`` the barrier (+inf outside its
+    domain). A step halves up to 60 times until the value falls by a quarter
+    of the decrement times its length. Returns (x, converged), converged once
+    the decrement falls below ``tol`` and is not negative."""
+    for _ in range(max_steps):
+        step, decrement = newton(x)
+        if decrement < tol:
+            return x, decrement >= 0.0
+        base = value(x)
+        t = 1.0
+        for _ in range(60):
+            trial = x + t * step
+            if value(trial) <= base - 0.25 * t * decrement:
+                break
+            t *= 0.5
+        else:
+            return x, False
+        x = trial
+    return x, False
+
+
 def analytic_center(
     poly: Polytope, tol: float = 1e-12, max_iter: int = 200
 ) -> np.ndarray:
     """Analytic center of the polytope: the minimizer of the log barrier
-    -sum_i log(b_i - a_i.x), found by damped Newton iteration.
+    -sum_i log(b_i - a_i.x), found by damped Newton iteration until half
+    the Newton decrement falls below ``tol``.
 
     A phase-1 LP supplies the strictly interior starting point when the
     origin is not interior. Raises NumericalError when Newton fails to
     converge (for example on an unbounded body, where no center exists).
     """
-    n = poly.n
-    x = np.zeros(n)
+    x = np.zeros(poly.n)
     if np.any(poly.slacks(x) <= 0.0):
         x = _interior_point_lp(poly)
-    for _ in range(max_iter):
-        s = poly.slacks(x)
-        w = poly.A / s[:, None]
-        grad = w.sum(axis=0)
-        hess = w.T @ w
-        try:
-            dx = -np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                "log-barrier Hessian is singular; polytope rows do not span "
-                "(body is unbounded)"
-            ) from exc
-        decrement = -float(grad @ dx)
-        if decrement < 0.0:
-            raise NumericalError("analytic center Newton lost descent")
-        if 0.5 * decrement < tol:
-            return x
-        t = 1.0
-        base = -float(np.sum(np.log(s)))
-        for _ in range(60):
-            trial = x + t * dx
-            st = poly.slacks(trial)
-            if np.all(st > 0.0):
-                val = -float(np.sum(np.log(st)))
-                if val <= base - 0.25 * t * decrement:
-                    break
-            t *= 0.5
-        else:
-            raise NumericalError("analytic center line search stalled")
-        x = trial
-    raise NumericalError(
-        "analytic center failed to converge; polytope may be unbounded"
-    )
+    newton, value = _log_barrier(poly.A, poly.b)
+    x, converged = _damped_newton(x, newton, value, 2.0 * tol, max_iter)
+    if not converged:
+        raise NumericalError(
+            "analytic center failed to converge; polytope may be unbounded"
+        )
+    return x
 
 
 def _interior_point_lp(poly: Polytope) -> np.ndarray:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.optimize import nnls
@@ -163,26 +163,13 @@ class JohnSolution:
     contacts: Optional[ContactSet] = None
 
 
-class JohnConditions(tuple):
+class JohnConditions(NamedTuple):
     """Residual triple (frobenius, weight_sum, balance) of the decomposition
     conditions sum c_i u_i u_i^T = I, sum c_i = n, sum c_i u_i = 0."""
 
-    __slots__ = ()
-
-    def __new__(cls, frobenius, weight_sum, balance):
-        return super().__new__(cls, (float(frobenius), float(weight_sum), float(balance)))
-
-    @property
-    def frobenius(self) -> float:
-        return self[0]
-
-    @property
-    def weight_sum(self) -> float:
-        return self[1]
-
-    @property
-    def balance(self) -> float:
-        return self[2]
+    frobenius: float
+    weight_sum: float
+    balance: float
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,27 @@ class TestSampleCommand:
         assert (tmp_path / "run.manifest.json").exists()
         assert not (tmp_path / "run.samples.csv").exists()
 
+    @pytest.mark.parametrize("field, change, message", [
+        ("c", None, "missing field 'c'"),
+        ("speed", 2, "unknown field 'speed'"),
+    ])
+    def test_manifest_field_errors_exit_two(self, square, tmp_path, capsys,
+                                            field, change, message):
+        first = str(tmp_path / "a")
+        assert main(["sample", "--polytope", square, "--steps", "5",
+                     "--out", first]) == 0
+        path = tmp_path / "a.manifest.json"
+        spec = json.loads(path.read_text())
+        if change is None:
+            del spec[field]
+        else:
+            spec[field] = change
+        path.write_text(json.dumps(spec))
+        capsys.readouterr()
+        code = main(["sample", "--manifest", str(path), "--out", str(tmp_path / "b")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_ball_and_hitrun_walks(self, square, tmp_path):
         for walk in ("ball", "hitrun"):
             out = str(tmp_path / walk)

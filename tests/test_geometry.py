@@ -10,6 +10,8 @@ from johnswalk.geometry import (
     Ellipsoid,
     Polytope,
     SymmetricPolytope,
+    _damped_newton,
+    _log_barrier,
     analytic_center,
     ball_points,
     chord,
@@ -283,3 +285,33 @@ class TestAnalyticCenter:
         p = Polytope(np.array([[1.0, 0.0]]), np.ones(1))
         with pytest.raises(NumericalError):
             analytic_center(p)
+
+
+# The log barrier of the interval [0, 4], minimized at x = 2.
+INTERVAL_NEWTON, INTERVAL_VALUE = _log_barrier(
+    np.array([[1.0], [-1.0]]), np.array([4.0, 0.0])
+)
+
+
+class TestDampedNewton:
+
+    def test_converges_on_interval(self):
+        x, converged = _damped_newton(np.array([0.5]), INTERVAL_NEWTON, INTERVAL_VALUE, 1e-20, 50)
+        assert converged
+        assert np.isclose(x[0], 2.0, atol=1e-10)
+
+    def test_step_cap_runs_out(self):
+        x, converged = _damped_newton(np.array([0.5]), INTERVAL_NEWTON, INTERVAL_VALUE, 1e-20, 1)
+        assert not converged
+        assert 0.5 < x[0] < 4.0
+
+    def test_stalled_line_search(self):
+        # A value that never decreases rejects every trial step.
+        start = np.array([0.5])
+        x, converged = _damped_newton(start, INTERVAL_NEWTON, lambda _: 0.0, 1e-20, 50)
+        assert not converged
+        assert np.array_equal(x, start)
+
+    def test_value_is_infinite_outside(self):
+        assert INTERVAL_VALUE(np.array([4.0])) == np.inf
+        assert np.isfinite(INTERVAL_VALUE(np.array([3.9])))

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from johnswalk.errors import OracleInconsistencyError, SolverError
+from johnswalk.errors import NumericalError, OracleInconsistencyError, SolverError
 from johnswalk.vaidya import (
     VaidyaParams,
+    _IterateOutside,
     iteration_bound,
     vaidya_feasibility,
     vaidya_minimize,
@@ -138,6 +139,34 @@ class TestMinimize:
         assert res.status == "optimal_subgradient"
         assert np.allclose(res.point, np.zeros(2), atol=1e-12)
         assert res.oracle_calls == 1
+
+    def test_iterate_without_slack_ends_practical_run(self):
+        # The engine signals an iterate with no strict slack by type. A
+        # practical run then stops with its best feasible point; paper mode
+        # raises.
+        target = np.array([0.3, -0.2])
+
+        def f(x):
+            return float((x - target) @ (x - target))
+
+        def sg(x):
+            return 2.0 * (x - target)
+
+        def feas(x):
+            if len(seen) == 5:
+                raise _IterateOutside("iterate left the localization polytope")
+            seen.append(x)
+            return None
+
+        params = VaidyaParams(level=12.0, rho=1.0)
+        seen = []
+        res = vaidya_minimize(f, sg, feas, 2, params=params)
+        assert res.status == "stagnated"
+        assert res.oracle_calls == 5
+        assert res.value == min(f(x) for x in seen)
+        seen.clear()
+        with pytest.raises(NumericalError, match="left the localization"):
+            vaidya_minimize(f, sg, feas, 2, params=params, mode="paper")
 
     def test_quadratic_over_box(self):
         def f(x):
