@@ -33,7 +33,7 @@ from .geometry import (
     symmetrize,
 )
 from .mve import solve_mve
-from .walk import radius
+from .walk import _effective_gap, radius
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def check_step_lemmas(
     if n_trials < 1:
         raise GeometryError("need at least one trial")
     n = poly.n
-    eff_gap = gap if gap is not None else 2.0 * float(n) ** -10
+    eff_gap = _effective_gap(gap, n)
     base = np.asarray(x, dtype=float) if x is not None else analytic_center(poly)
     sol = solve_mve(symmetrize(poly, base), gap=eff_gap)
     e_mat = sol.ellipsoid.mat

@@ -2,10 +2,11 @@
 
 A polytope is stored in inequality form {x : Ax <= b}. Symmetrizing at an
 interior point x intersects the body with its point reflection through x,
-which yields an origin-symmetric body in coordinates centered at x whose
-constraint rows are slack-scaled to right-hand side 1. Ellipsoids are stored
-by their positive definite linear factor: the point set {mat @ u + center
-for |u| <= 1}.
+which yields an origin-symmetric body {y : |Ay| <= 1} in coordinates
+centered at x, stored with one slack-scaled row per constraint pair; only
+``SymmetricPolytope.as_polytope`` spells out the two half-spaces of a row.
+Ellipsoids are stored by their positive definite linear factor: the point
+set {mat @ u + center for |u| <= 1}.
 
 Boundedness of a polytope is never verified up front. Operations that would
 be meaningless on an unbounded body (chords, inscribed ellipsoids, the
@@ -15,6 +16,7 @@ analytic center) raise when they run into an unbounded direction.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,11 +89,13 @@ class Polytope:
 
 @dataclass(frozen=True)
 class SymmetricPolytope:
-    """Origin-symmetric body {y : Ay <= 1}.
+    """Origin-symmetric body {y : |Ay| <= 1}.
 
-    Rows come in negated pairs (row i + m equals -row i), so membership of y
-    and -y always coincide. ``anchor`` records the center of symmetry in the
-    original coordinates of the body this was derived from.
+    Each row a_i stands for the constraint pair -1 <= a_i . y <= 1, so
+    membership of y and -y always coincide. A row listed with its negation
+    describes the same body, only redundantly. ``anchor`` records the center
+    of symmetry in the original coordinates of the body this was derived
+    from.
     """
 
     A: np.ndarray
@@ -102,13 +106,6 @@ class SymmetricPolytope:
         anchor = _as_float_array(self.anchor, "anchor")
         if A.ndim != 2 or anchor.ndim != 1 or A.shape[1] != anchor.shape[0]:
             raise GeometryError("row matrix and anchor dimensions disagree")
-        rows = A.shape[0]
-        if rows % 2 != 0:
-            raise GeometryError("symmetric body needs an even number of rows")
-        half = rows // 2
-        scale = 1.0 + np.abs(A[:half]).max(initial=0.0)
-        if np.abs(A[half:] + A[:half]).max(initial=0.0) > 1e-12 * scale:
-            raise GeometryError("rows are not negated pairs: A[m:] != -A[:m]")
         object.__setattr__(self, "A", np.ascontiguousarray(A))
         object.__setattr__(self, "anchor", np.ascontiguousarray(anchor))
 
@@ -121,7 +118,8 @@ class SymmetricPolytope:
         return self.A.shape[0]
 
     def as_polytope(self) -> Polytope:
-        return Polytope(self.A, np.ones(self.rows))
+        """The body in inequality form, both half-spaces of every row."""
+        return Polytope(np.vstack([self.A, -self.A]), np.ones(2 * self.rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,9 +196,9 @@ def symmetrize(poly: Polytope, x: np.ndarray) -> SymmetricPolytope:
     """Intersect the body with its reflection through the interior point x.
 
     The result is expressed in coordinates centered at x: each original row
-    a_i is divided by its slack b_i - a_i.x and paired with its negation.
-    Raises GeometryError naming the violated row when x is not strictly
-    interior.
+    a_i, divided by its slack s_i = b_i - a_i.x, becomes the constraint pair
+    |a_i . y| <= s_i. Raises GeometryError naming the violated row when x is
+    not strictly interior.
     """
     x = np.asarray(x, dtype=float)
     s = poly.slacks(x)
@@ -209,8 +207,7 @@ def symmetrize(poly: Polytope, x: np.ndarray) -> SymmetricPolytope:
         raise GeometryError(
             f"point is not strictly interior: row {row} has slack {s[row]:.6e}"
         )
-    scaled = poly.A / s[:, None]
-    return SymmetricPolytope(np.vstack([scaled, -scaled]), x.copy())
+    return SymmetricPolytope(poly.A / s[:, None], x.copy())
 
 
 def local_norm(ell: Ellipsoid, y: np.ndarray) -> float:
@@ -291,6 +288,11 @@ def ball_points(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     u = sphere_points(n, count, rng)
     radii = rng.random(count) ** (1.0 / n)
     return u * radii[:, None]
+
+
+def _log_unit_ball_volume(n: int) -> float:
+    """Natural log of the volume of the unit ball in R^n."""
+    return 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0)
 
 
 def _log_barrier(A: np.ndarray, b: np.ndarray):

@@ -19,12 +19,15 @@ can cross-check the other:
   triangle with off-diagonal entries scaled by sqrt(2), so the Frobenius
   inner product of matrices equals the dot product of their vectors.
 
-Both routes solve on one row per direction (:func:`_distinct_rows`): a row
-and its negation give the same constraint, and of exactly parallel rows only
-the longest binds, so boxes and other bodies with parallel facets shrink to
-half their rows or fewer. Both return an ellipsoid checked against every row
-of the body, shrunk if rounding left it outside one, together with an upper
-bound ``logdet_gap`` on how far its log volume can sit below the optimum.
+A symmetric body holds one row per constraint pair (see
+:class:`~johnswalk.geometry.SymmetricPolytope`); only
+:func:`dikin_precondition`, whose barrier sums over half-spaces, spells out
+both halves. Both routes solve on one row per direction
+(:func:`_distinct_rows`): of exactly parallel rows only the longest binds,
+so boxes and other bodies with parallel facets shrink to fewer rows. Both
+return an ellipsoid checked against every row of the body, shrunk if
+rounding left it outside one, together with an upper bound ``logdet_gap`` on
+how far its log volume can sit below the optimum.
 """
 
 from __future__ import annotations
@@ -101,26 +104,26 @@ def _generic_direction(n: int) -> np.ndarray:
 def _distinct_rows(body: SymmetricPolytope) -> np.ndarray:
     """One row per direction of the symmetric body {y : |a_i . y| <= 1}.
 
-    Keeps the first half of the rows, since a row and its negation give the
-    same constraint and the same dyad a a^T, and cuts each class of exactly
-    parallel rows down to its longest row, whose constraint implies the
-    others'. Symmetrizing a body with parallel facets, a box for one, yields
-    such classes. Both solver routes run on these rows; they give the same
-    optimum as all rows.
+    Cuts each class of exactly parallel rows, of either sign, down to its
+    longest row, the first of them on a tie; that row's constraint implies
+    the others'. Symmetrizing a body with parallel facets, a box for one,
+    yields such classes, and so does a body that lists a row with both
+    signs. Both solver routes run on these rows, in the body's order; they
+    give the same optimum as all rows.
     """
-    half = body.A[: body.rows // 2]
-    norms = np.sqrt(np.einsum("ij,ij->i", half, half))
+    a = body.A
+    norms = np.sqrt(np.einsum("ij,ij->i", a, a))
     # Parallel rows have equal |cosine| with a fixed generic direction, so
     # sorted by it they are neighbours; the cosine's sign also orients them.
-    key = (half @ _generic_direction(body.n)) / norms
+    key = (a @ _generic_direction(body.n)) / norms
     order = np.argsort(np.abs(key))
-    units = half[order] * (np.sign(key[order]) / norms[order])[:, None]
+    units = a[order] * (np.sign(key[order]) / norms[order])[:, None]
     first = np.ones(order.size, dtype=bool)  # first of its class in `order`
     first[1:] = (np.abs(units[1:] - units[:-1]) > _PARALLEL_TOL).any(axis=1)
     if first.all():
-        return half
-    longest_first = np.lexsort((-norms[order], np.cumsum(first)))
-    return half[np.sort(order[longest_first[first]])]
+        return a
+    longest_first = np.lexsort((order, -norms[order], np.cumsum(first)))
+    return a[np.sort(order[longest_first[first]])]
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +318,17 @@ def dual_logdet_bound(body: SymmetricPolytope, tol: float = 1e-9) -> float:
 
 
 def dikin_precondition(body: SymmetricPolytope):
-    """Map the body by T(y) = H^(1/2) y with H = A^T A, the log-barrier
-    Hessian at the origin.
+    """Map the body by T(y) = H^(1/2) y with H the log-barrier Hessian at
+    the origin, summed over both half-spaces of every row: H = 2 A^T A.
 
     In the image the radius-1 Dikin ellipsoid at the origin is the unit
-    ball, so unit ball <= image <= sqrt(rows) * unit ball. Returns
+    ball, so unit ball <= image <= sqrt(2 rows) * unit ball. Returns
     (t_mat, image) with t_mat = H^(1/2).
     """
     a = body.A
-    hess = a.T @ a
+    # Summed over the half-spaces themselves: 2 A^T A rounds differently.
+    halves = np.vstack([a, -a])
+    hess = halves.T @ halves
     vals, vecs = np.linalg.eigh(hess)
     if vals[0] <= 1e-14 * max(vals[-1], 1.0):
         raise NumericalError(
@@ -380,11 +385,11 @@ def separation_oracle_mve(x_mat: np.ndarray, body: SymmetricPolytope) -> OracleA
 
 def _solve_mve_vaidya(body: SymmetricPolytope, gap: float, mode: str) -> JohnSolution:
     n = body.n
-    rows = _distinct_rows(body)
-    reduced = SymmetricPolytope(np.vstack([rows, -rows]), body.anchor)
+    reduced = SymmetricPolytope(_distinct_rows(body), body.anchor)
     t_mat, image = dikin_precondition(reduced)
     d = sym_dim(n)
-    rho = float(image.rows)  # any feasible X has spectral norm <= row count
+    # Any feasible X has spectral norm <= the image's half-space count.
+    rho = float(2 * image.rows)
     level = np.log2(4.0 / gap) + 1.0
     params = _vaidya.VaidyaParams(level=level, rho=rho)
 
@@ -470,57 +475,35 @@ def extract_contacts(
     """Contact directions of the inscribed ellipsoid with the body and their
     John weights.
 
-    Rows with 1 - |E a_i| <= slack_tol are treated as touching; their touch
-    points E a_i are normalized to unit vectors and exact duplicates are
-    merged (a symmetrization repeats rows the original body already paired).
-    Weights solve the nonnegative least-squares system
-    sum_i c_i u_i u_i^T = I. The rows of a symmetric body touch in negated
-    pairs whose dyads coincide, so the system is solved once per dyad and
-    the weight is split evenly across the pair, which keeps sum c_i u_i at
-    exactly zero.
+    Rows with 1 - |E a_i| <= slack_tol are treated as touching at the unit
+    points +-u_i, u_i = E a_i / |E a_i|. Touch points that coincide up to
+    sign share one dyad u u^T, whichever rows they come from.
+    Weights solve the nonnegative least-squares system sum_k c_k u_k u_k^T = I
+    once per dyad, and each dyad's weight is split evenly between +u and -u,
+    which keeps sum c_i u_i at exactly zero.
     """
     e_mat = solution.ellipsoid.mat
     images = body.A @ e_mat  # row i is (E a_i)^T since E is symmetric
     norms = np.linalg.norm(images, axis=1)
     tight = np.nonzero(1.0 - norms <= slack_tol)[0]
-    if tight.size < body.n:
+    # The first touching row of each direction up to sign stands for it.
+    dyads: dict[tuple, np.ndarray] = {}
+    for u in images[tight] / norms[tight, None]:
+        canon = u if u[int(np.argmax(np.abs(u)))] > 0.0 else -u
+        dyads.setdefault(tuple(np.round(canon, 7)), u)
+    if len(dyads) < body.n:
         raise NumericalError(
-            f"contact set rank-deficient: only {tight.size} touching rows "
+            f"contact set rank-deficient: only {len(dyads)} touch directions "
             f"within slack {slack_tol:.1e} (need at least {body.n})"
         )
-    units = images[tight] / norms[tight, None]
-
-    # Merge rows with the same touch point, then group points that coincide
-    # up to sign: they share one dyad in the NNLS design.
-    unique: dict[tuple, np.ndarray] = {}
-    for u in units:
-        unique.setdefault(tuple(np.round(u, 7)), u)
-    groups: dict[tuple, list[np.ndarray]] = {}
-    reps: dict[tuple, np.ndarray] = {}
-    for u in unique.values():
-        canon = u if u[int(np.argmax(np.abs(u)))] > 0.0 else -u
-        key = tuple(np.round(canon, 7))
-        groups.setdefault(key, []).append(u)
-        reps.setdefault(key, canon)
-    keys = list(groups)
-    design = np.column_stack(
-        [sym_to_vec(np.outer(reps[k], reps[k])) for k in keys]
-    )
-    target = sym_to_vec(np.eye(body.n))
-    dyad_weights, _ = nnls(design, target)
-
-    points, weights = [], []
-    for k, w in zip(keys, dyad_weights):
-        members = groups[k]
-        share = w / len(members)
-        if share <= 0.0:
-            continue
-        for u in members:
-            points.append(u)
-            weights.append(share)
-    if not points:
+    units = np.array(list(dyads.values()))
+    design = np.column_stack([sym_to_vec(np.outer(u, u)) for u in units])
+    dyad_weights, _ = nnls(design, sym_to_vec(np.eye(body.n)))
+    kept = dyad_weights > 0.0
+    if not kept.any():
         raise NumericalError("all contact weights vanished in NNLS")
-    return ContactSet(np.asarray(points), np.asarray(weights))
+    points = np.stack([units[kept], -units[kept]], axis=1).reshape(-1, body.n)
+    return ContactSet(points, np.repeat(0.5 * dyad_weights[kept], 2))
 
 
 def verify_john_conditions(contacts: ContactSet, n: int) -> JohnConditions:

@@ -38,7 +38,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError, OracleInconsistencyError, SolverError
-from .geometry import _damped_newton, _log_barrier
+from .geometry import _damped_newton, _log_barrier, _log_unit_ball_volume
 
 _NEWTON_TOL = 1e-9
 _NEWTON_MAX_STEPS = 60
@@ -257,13 +257,12 @@ class _Engine:
         if sign <= 0:
             raise NumericalError("analytic-center Hessian not PD")
         d = self.d
-        log_unit_ball = 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
-        return d * math.log(2.0 * rows.shape[0]) - 0.5 * float(logdet) + log_unit_ball
+        return (d * math.log(2.0 * rows.shape[0]) - 0.5 * float(logdet)
+                + _log_unit_ball_volume(d))
 
     def log_threshold(self) -> float:
         d = self.d
-        log_unit_ball = 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
-        return -self.params.level * d * math.log(2.0) + log_unit_ball
+        return -self.params.level * d * math.log(2.0) + _log_unit_ball_volume(d)
 
 
 def _run_cutting_plane(
@@ -271,7 +270,6 @@ def _run_cutting_plane(
     d: int,
     params: VaidyaParams,
     mode: str,
-    max_oracle_calls: Optional[int],
 ):
     """Shared driver. ``query(x)`` returns ("accept", payload) to stop,
     ("cut", direction) to cut. Returns (engine, calls, outcome, payload)
@@ -281,9 +279,7 @@ def _run_cutting_plane(
     engine = _Engine(d, params)
     budget = iteration_bound(d, params=params)
     if mode == "practical":
-        budget = min(budget, max_oracle_calls or _PRACTICAL_CALL_CAP)
-    elif max_oracle_calls is not None:
-        budget = min(budget, max_oracle_calls)
+        budget = min(budget, _PRACTICAL_CALL_CAP)
     calls = 0
     barrier_trace: deque = deque(maxlen=_STAGNATION_WINDOW + 1)
     try:
@@ -335,7 +331,6 @@ def vaidya_feasibility(
     d: int,
     params: Optional[VaidyaParams] = None,
     mode: str = "practical",
-    max_oracle_calls: Optional[int] = None,
 ) -> FeasibilityResult:
     """Find a point of the target set or certify that its volume is below
     that of the 2^-level ball.
@@ -351,9 +346,7 @@ def vaidya_feasibility(
             return ("accept", x)
         return ("cut", np.asarray(ans, dtype=float))
 
-    engine, calls, outcome, payload = _run_cutting_plane(
-        query, d, params, mode, max_oracle_calls
-    )
+    engine, calls, outcome, payload = _run_cutting_plane(query, d, params, mode)
     if outcome == "accept":
         return FeasibilityResult(payload, None, calls, "point", engine.state)
     # The paper's budget is itself the certificate; otherwise the bound must
@@ -375,7 +368,6 @@ def vaidya_minimize(
     d: int,
     params: Optional[VaidyaParams] = None,
     mode: str = "practical",
-    max_oracle_calls: Optional[int] = None,
 ) -> MinimizeResult:
     """Minimize a convex function over the target set described by
     ``feas_oracle`` (None = point is in the set, else a separating cut).
@@ -418,9 +410,7 @@ def vaidya_minimize(
             return ("accept", None)
         return ("cut", g)
 
-    engine, calls, outcome, payload = _run_cutting_plane(
-        query, d, params, mode, max_oracle_calls
-    )
+    engine, calls, outcome, payload = _run_cutting_plane(query, d, params, mode)
     if outcome == "accept" and payload is not None:
         # zero subgradient: this iterate is optimal over the target set
         return MinimizeResult(payload, float(objective(payload)), history, calls,

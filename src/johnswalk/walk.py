@@ -30,6 +30,7 @@ from .errors import GeometryError
 from .geometry import (
     Ellipsoid,
     Polytope,
+    _log_unit_ball_volume,
     ball_points,
     chord,
     contains,
@@ -91,13 +92,14 @@ class WalkState:
     tallies: Tallies = field(default_factory=Tallies)
 
 
-def _effective_gap(config: WalkConfig, n: int) -> float:
-    return config.gap if config.gap is not None else 2.0 * float(n) ** -10
+def _effective_gap(gap: Optional[float], n: int) -> float:
+    """The requested gap, or the default 2 n^-10 when it is None."""
+    return gap if gap is not None else 2.0 * float(n) ** -10
 
 
 def _ellipsoid_at(poly: Polytope, point: np.ndarray, config: WalkConfig) -> Ellipsoid:
     body = symmetrize(poly, point)
-    sol = solve_mve(body, method=config.solver, gap=_effective_gap(config, poly.n))
+    sol = solve_mve(body, method=config.solver, gap=_effective_gap(config.gap, poly.n))
     return sol.ellipsoid.recentered(point)
 
 
@@ -193,8 +195,7 @@ def transition_density(
     if local_norm(ell_x, y) > r or local_norm(ell_y, x) > r:
         return 0.0
     n = poly.n
-    log_unit_ball = 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0)
-    log_vol = n * math.log(r) + log_unit_ball + max(ell_x.logdet, ell_y.logdet)
+    log_vol = n * math.log(r) + _log_unit_ball_volume(n) + max(ell_x.logdet, ell_y.logdet)
     return math.exp(-log_vol)
 
 

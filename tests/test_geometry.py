@@ -9,7 +9,6 @@ from johnswalk.errors import (
 from johnswalk.geometry import (
     Ellipsoid,
     Polytope,
-    SymmetricPolytope,
     _damped_newton,
     _log_barrier,
     analytic_center,
@@ -71,7 +70,7 @@ class TestSymmetrize:
         p = Polytope(np.array([[1.0], [-1.0]]), np.array([3.0, 1.0]))
         s = symmetrize(p, np.array([1.0]))
         widths = np.sort(1.0 / np.abs(s.A[:, 0]))
-        assert np.allclose(widths, [2.0, 2.0, 2.0, 2.0])
+        assert np.allclose(widths, [2.0, 2.0])
 
     def test_interval_off_center(self):
         # [-1, 3] about x = 0 intersects with [-3, 1], giving [-1, 1].
@@ -92,8 +91,10 @@ class TestSymmetrize:
         x = interior_points(p, 1, rng)[0]
         s = symmetrize(p, x)
         m = p.m
-        assert s.rows == 2 * m
-        assert np.allclose(s.A[m:], -s.A[:m])
+        assert s.rows == m
+        halves = s.as_polytope()
+        assert np.array_equal(halves.A[m:], -halves.A[:m])
+        assert np.array_equal(halves.b, np.ones(2 * m))
         assert np.allclose(s.anchor, x)
 
     def test_scaling_matches_slacks(self, rng):
@@ -109,23 +110,12 @@ class TestSymmetrize:
 
     def test_involution_at_origin(self, rng):
         # Symmetrizing an already symmetric body at its center reproduces
-        # the same row set (each row twice).
+        # the same row set, each row once per half-space it bounds.
         s = symmetrize(cube(2), np.zeros(2))
-        p2 = Polytope(s.A, np.ones(s.rows))
-        s2 = symmetrize(p2, np.zeros(2))
-        rows1 = sorted(map(tuple, np.round(np.vstack([s.A, s.A]), 12)))
+        s2 = symmetrize(s.as_polytope(), np.zeros(2))
+        rows1 = sorted(map(tuple, np.round(np.vstack([s.A, -s.A]), 12)))
         rows2 = sorted(map(tuple, np.round(s2.A, 12)))
         assert rows1 == rows2
-
-
-class TestSymmetricPolytope:
-    def test_unpaired_rows_rejected(self):
-        with pytest.raises(GeometryError):
-            SymmetricPolytope(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2))
-
-    def test_odd_row_count_rejected(self):
-        with pytest.raises(GeometryError):
-            SymmetricPolytope(np.array([[1.0, 0.0]]), np.zeros(2))
 
 
 class TestEllipsoid:

@@ -29,7 +29,14 @@ from johnswalk.mve import (
     verify_john_conditions,
 )
 
-from conftest import box, cross_polytope, cube, random_polytope, random_symmetric_polytope
+from conftest import (
+    box,
+    cross_polytope,
+    cube,
+    interior_points,
+    random_polytope,
+    random_symmetric_polytope,
+)
 
 
 def centered_body(poly):
@@ -156,6 +163,22 @@ class TestSolveMveProperties:
             diff = abs(a.ellipsoid.logdet - b.ellipsoid.logdet)
             assert diff <= a.logdet_gap + b.logdet_gap + 1e-14
 
+    def test_both_signs_form_matches_one_row_per_pair(self, rng):
+        # Listing every row next to its negation describes the same body;
+        # both routes must certify the same log det within their gaps.
+        general = random_polytope(2, 3, rng)
+        for body in (
+            symmetrize(general, interior_points(general, 1, rng)[0]),
+            centered_body(random_symmetric_polytope(2, 3, rng)),
+            symmetrize(box([2.0, 0.5]), np.array([0.3, -0.1])),
+        ):
+            both = SymmetricPolytope(np.vstack([body.A, -body.A]), body.anchor)
+            for method, gap in (("oracle", 1e-9), ("vaidya", 1e-5)):
+                a = solve_mve(body, method=method, gap=gap)
+                b = solve_mve(both, method=method, gap=gap)
+                diff = abs(a.ellipsoid.logdet - b.ellipsoid.logdet)
+                assert diff <= a.logdet_gap + b.logdet_gap
+
     def test_cross_solver_agreement_sample(self, rng):
         for trial in range(3):
             poly = random_symmetric_polytope(3, 6, rng)
@@ -225,7 +248,7 @@ class TestDistinctRows:
     def test_no_parallel_rows_keeps_half(self, rng):
         normals = rng.standard_normal((10, 4))
         body = centered_body(Polytope(normals, np.ones(10)))
-        assert np.array_equal(_distinct_rows(body), body.A[: body.rows // 2])
+        assert np.array_equal(_distinct_rows(body), body.A)
 
     def test_reduced_solve_matches_full_ascent(self, rng):
         # solve_mvee_polar runs the ascent on every row; the polar of its
@@ -242,7 +265,7 @@ class TestDistinctRows:
             (parallel, np.zeros(3)),
         ):
             body = symmetrize(poly, x)
-            assert _distinct_rows(body).shape[0] < body.rows // 2
+            assert _distinct_rows(body).shape[0] < body.rows
             gap, tol = 1e-9, 1e-10
             reduced = solve_mve(body, gap=gap)
             full = -solve_mvee_polar(body.A, tol=tol).logdet
@@ -254,9 +277,10 @@ class TestDikinPrecondition:
     def test_cube_rows(self):
         body = centered_body(cube(2))
         t_mat, image = dikin_precondition(body)
-        # H = 2I for the 2-cube symmetrization (each +-e_i twice gives 4I;
-        # rows of the image are +-e_i / 2, so the image box is |v_i| <= 2)
-        assert np.allclose(t_mat @ t_mat, body.A.T @ body.A)
+        # The 2-cube symmetrization lists +-e_i, and each row bounds two
+        # half-spaces, so H = 2 A^T A = 4I; rows of the image are +-e_i / 2,
+        # so the image box is |v_i| <= 2.
+        assert np.allclose(t_mat @ t_mat, 2.0 * body.A.T @ body.A)
         widths = 1.0 / np.abs(image.A).max(axis=1)
         assert np.allclose(widths, 2.0)
 
@@ -274,7 +298,7 @@ class TestDikinPrecondition:
         t = 1.0 / np.max(image.A @ dirs.T, axis=0)
         boundary = dirs * t[:, None]
         assert np.all(
-            np.linalg.norm(boundary, axis=1) <= np.sqrt(image.rows) + 1e-9
+            np.linalg.norm(boundary, axis=1) <= np.sqrt(2 * image.rows) + 1e-9
         )
 
     def test_singular_hessian_raises(self):

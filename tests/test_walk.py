@@ -188,6 +188,22 @@ class TestAffineInvariance:
                     (f_x.logdet - f_z.logdet) - (e_x.logdet - e_z.logdet)
                 ) <= 1e-9
 
+    def test_chain_commutes_with_scale_and_shift(self, rng):
+        # For T(y) = s y + t the ellipsoid at T z is s E_z moved to T z, so
+        # the chain on (TP, T x0) with the same seed makes every decision of
+        # the chain on (P, x0) and visits the images of its points.
+        config = WalkConfig(c=2.0, seed=5)
+        for n, extra in ((3, 2), (5, 4)):
+            poly = random_polytope(n, extra, rng)
+            scale, shift = 3.0, rng.normal(size=n)
+            mapped = Polytope(poly.A / scale, poly.b + poly.A @ shift / scale)
+            x0 = 0.3 * rng.uniform(-1.0, 1.0, n)
+            samples, tallies = run_chain(poly, x0, 150, config)
+            images, image_tallies = run_chain(mapped, scale * x0 + shift, 150, config)
+            assert tallies.reject_reversibility > 0 and tallies.reject_filter > 0
+            assert image_tallies == tallies
+            assert np.abs(images - (scale * samples + shift)).max() <= 1e-12
+
 
 class TestTransitionDensity:
     def test_symmetric_in_arguments(self, rng):
