@@ -6,18 +6,13 @@ around that point. Two independent solvers compute that ellipsoid (a
 multiplicative-weights ascent on the polar problem, and a cutting-plane
 method over the semidefinite formulation), and the diagnostics module
 checks the geometric facts the step size relies on.
+
+The package root re-exports the entry points, the types they take and
+return, and the errors. Everything else is imported from its module:
+``johnswalk.geometry``, ``johnswalk.mve``, ``johnswalk.vaidya``,
+``johnswalk.walk``, ``johnswalk.diagnostics`` and ``johnswalk.cli``.
 """
 
-from .diagnostics import (
-    CapVolume,
-    LemmaReport,
-    TvEstimate,
-    cap_volume_check,
-    check_step_lemmas,
-    ess,
-    estimate_tv_overlap,
-    uniformity_chi_square,
-)
 from .errors import (
     GeometryError,
     InputDataError,
@@ -32,117 +27,34 @@ from .geometry import (
     Polytope,
     SymmetricPolytope,
     analytic_center,
-    ball_points,
-    chord,
     contains,
-    cross_ratio,
-    local_norm,
-    sphere_points,
     symmetrize,
 )
-from .mve import (
-    ContactSet,
-    JohnConditions,
-    JohnSolution,
-    OracleAnswer,
-    dikin_precondition,
-    dual_logdet_bound,
-    extract_contacts,
-    separation_oracle_mve,
-    solve_mve,
-    solve_mvee_polar,
-    sym_dim,
-    sym_to_vec,
-    vec_to_sym,
-    verify_john_conditions,
-)
-from .vaidya import (
-    FeasibilityResult,
-    MinimizeResult,
-    SmallVolumeCertificate,
-    VaidyaParams,
-    iteration_bound,
-    vaidya_feasibility,
-    vaidya_minimize,
-)
-from .walk import (
-    Tallies,
-    WalkConfig,
-    WalkState,
-    ball_walk_step,
-    hit_and_run_step,
-    init_state,
-    john_step,
-    propose,
-    radius,
-    run_ball_walk,
-    run_chain,
-    run_hit_and_run,
-    transition_density,
-)
+from .mve import ContactSet, JohnSolution, extract_contacts, solve_mve
+from .walk import Tallies, WalkConfig, run_chain
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapVolume",
     "ContactSet",
     "Ellipsoid",
-    "FeasibilityResult",
     "GeometryError",
     "InputDataError",
-    "JohnConditions",
     "JohnSolution",
     "JohnsWalkError",
-    "LemmaReport",
-    "MinimizeResult",
     "NumericalError",
-    "OracleAnswer",
     "OracleInconsistencyError",
     "Polytope",
-    "SmallVolumeCertificate",
     "SolverError",
     "SymmetricPolytope",
     "Tallies",
-    "TvEstimate",
     "UnboundedPolytopeError",
-    "VaidyaParams",
     "WalkConfig",
-    "WalkState",
     "analytic_center",
-    "ball_points",
-    "ball_walk_step",
-    "cap_volume_check",
-    "check_step_lemmas",
-    "chord",
     "contains",
-    "cross_ratio",
-    "dikin_precondition",
-    "dual_logdet_bound",
-    "ess",
-    "estimate_tv_overlap",
     "extract_contacts",
-    "hit_and_run_step",
-    "init_state",
-    "iteration_bound",
-    "john_step",
-    "local_norm",
-    "propose",
-    "radius",
-    "run_ball_walk",
     "run_chain",
-    "run_hit_and_run",
-    "separation_oracle_mve",
     "solve_mve",
-    "solve_mvee_polar",
-    "sphere_points",
-    "sym_dim",
-    "sym_to_vec",
     "symmetrize",
-    "transition_density",
-    "uniformity_chi_square",
-    "vaidya_feasibility",
-    "vaidya_minimize",
-    "vec_to_sym",
-    "verify_john_conditions",
     "__version__",
 ]

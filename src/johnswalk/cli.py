@@ -45,17 +45,25 @@ def load_polytope(path: str) -> Polytope:
         raise InputDataError(f"polytope file {path} is invalid: {exc}") from exc
 
 
-def emit_samples(samples: np.ndarray, path: str, format: str = "csv") -> None:
+def emit_samples(samples: np.ndarray, path: str) -> None:
     """Write samples as CSV with header x1..xn and 17-significant-digit
-    floats (exact binary64 round trip). Only the "csv" format exists."""
-    if format != "csv":
-        raise InputDataError(f"unknown sample format {format!r}")
+    floats (exact binary64 round trip)."""
     samples = np.asarray(samples, dtype=float)
     n = samples.shape[1]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(f"x{j + 1}" for j in range(n)) + "\n")
         for row in samples:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+# Annotation of a scalar manifest field -> (accepted JSON value types, wording).
+# Types compare exactly, so JSON true is not an integer.
+_MANIFEST_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "true or false"),
+    "Optional[float]": ((int, float, type(None)), "null or a number"),
+}
 
 
 @dataclass(frozen=True)
@@ -84,8 +92,9 @@ class RunManifest:
 
     @classmethod
     def read(cls, path: str) -> "RunManifest":
-        """Load a manifest written by ``write``. A missing or unknown field
-        raises InputDataError naming it."""
+        """Load a manifest written by ``write``. A missing or unknown field,
+        or a scalar field whose JSON type does not match, raises
+        InputDataError naming it."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 spec = json.load(fh)
@@ -99,10 +108,17 @@ class RunManifest:
         for name in sorted(names ^ spec.keys()):
             kind = "missing" if name in names else "unknown"
             raise InputDataError(f"manifest {path}: {kind} field {name!r}")
-        # Annotations are strings here; cast the scalar fields by type name.
-        cast = {"int": int, "float": float, "bool": bool}
-        return cls(**{f.name: cast.get(f.type, lambda v: v)(spec[f.name])
-                      for f in fields(cls)})
+        # Annotations are strings here; check the scalar fields by type name.
+        values = {}
+        for f in fields(cls):
+            value = spec[f.name]
+            if f.type in _MANIFEST_TYPES:
+                types, wanted = _MANIFEST_TYPES[f.type]
+                if type(value) not in types:
+                    raise InputDataError(f"manifest {path}: field {f.name!r} must "
+                                         f"be {wanted}, not {json.dumps(value)}")
+            values[f.name] = float(value) if f.type == "float" else value
+        return cls(**values)
 
     def walk_config(self) -> WalkConfig:
         return WalkConfig(c=self.c, lazy=self.lazy, solver=self.solver,

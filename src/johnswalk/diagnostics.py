@@ -35,6 +35,8 @@ from .geometry import (
 from .mve import solve_mve
 from .walk import _effective_gap, radius
 
+_MC_CELL_SAMPLES = 20_000
+
 
 @dataclass(frozen=True)
 class LemmaReport:
@@ -67,12 +69,12 @@ def check_step_lemmas(
     c: float,
     rng: np.random.Generator,
     x: Optional[np.ndarray] = None,
-    gap: Optional[float] = None,
 ) -> LemmaReport:
     """Sample displacements |y| <= c n^(-5/2) in the normalized frame at a
     base point (the analytic center unless ``x`` is given) and record the
     worst det / min-eigenvalue deviations of the inscribed ellipsoid at y,
-    scaled by n^2 and n respectively, plus any cross-ratio violations.
+    scaled by n^2 and n respectively, plus any cross-ratio violations. Every
+    solve uses the walk's default gap 2 n^-10.
 
     Parameters
     ----------
@@ -86,8 +88,6 @@ def check_step_lemmas(
         Source of randomness.
     x : ndarray, optional
         Base point; defaults to the analytic center.
-    gap : float, optional
-        Solver gap; defaults to 2 n^-10.
 
     Returns
     -------
@@ -96,7 +96,7 @@ def check_step_lemmas(
     if n_trials < 1:
         raise GeometryError("need at least one trial")
     n = poly.n
-    eff_gap = _effective_gap(gap, n)
+    eff_gap = _effective_gap(None, n)
     base = np.asarray(x, dtype=float) if x is not None else analytic_center(poly)
     sol = solve_mve(symmetrize(poly, base), gap=eff_gap)
     e_mat = sol.ellipsoid.mat
@@ -175,7 +175,6 @@ def uniformity_chi_square(
     samples: np.ndarray,
     grid_per_axis: int,
     bounding_box,
-    mc_cell_samples: int = 20_000,
     rng: Optional[np.random.Generator] = None,
 ) -> float:
     """Chi-square p-value of the samples against the uniform law on the
@@ -183,8 +182,8 @@ def uniformity_chi_square(
 
     Cell masses come from the volume of cell-and-polytope intersections:
     exact for cells whose corners all lie in the body (convexity), Monte
-    Carlo otherwise. Requires at least 5 expected counts in every cell of
-    positive mass.
+    Carlo over ``_MC_CELL_SAMPLES`` points otherwise. Requires at least 5
+    expected counts in every cell of positive mass.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != poly.n:
@@ -211,7 +210,7 @@ def uniformity_chi_square(
         if all(contains(poly, np.array(corner)) for corner in corners):
             masses[idx] = cell_volume
         else:
-            pts = lo_c + rng.random((mc_cell_samples, n)) * widths
+            pts = lo_c + rng.random((_MC_CELL_SAMPLES, n)) * widths
             frac = np.mean(
                 np.all(pts @ poly.A.T <= poly.b[None, :], axis=1)
             )

@@ -340,12 +340,10 @@ def _damped_newton(x: np.ndarray, newton, value, tol: float, max_steps: int):
     return x, False
 
 
-def analytic_center(
-    poly: Polytope, tol: float = 1e-12, max_iter: int = 200
-) -> np.ndarray:
+def analytic_center(poly: Polytope) -> np.ndarray:
     """Analytic center of the polytope: the minimizer of the log barrier
-    -sum_i log(b_i - a_i.x), found by damped Newton iteration until half
-    the Newton decrement falls below ``tol``.
+    -sum_i log(b_i - a_i.x), found by at most 200 damped Newton steps,
+    stopping once half the Newton decrement falls below 1e-12.
 
     A phase-1 LP supplies the strictly interior starting point when the
     origin is not interior. Raises NumericalError when Newton fails to
@@ -355,7 +353,7 @@ def analytic_center(
     if np.any(poly.slacks(x) <= 0.0):
         x = _interior_point_lp(poly)
     newton, value = _log_barrier(poly.A, poly.b)
-    x, converged = _damped_newton(x, newton, value, 2.0 * tol, max_iter)
+    x, converged = _damped_newton(x, newton, value, 2e-12, 200)
     if not converged:
         raise NumericalError(
             "analytic center failed to converge; polytope may be unbounded"

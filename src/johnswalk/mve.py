@@ -44,6 +44,7 @@ from .errors import GeometryError, NumericalError, SolverError, UnboundedPolytop
 from .geometry import Ellipsoid, SymmetricPolytope
 
 _ASCENT_MAX_ITER = 500_000
+_CONTACT_SLACK = 1e-7
 _EPS = float(np.finfo(float).eps)
 
 # Sign-normalised unit rows that differ by at most this much in every
@@ -179,18 +180,19 @@ class JohnConditions(NamedTuple):
 # Khachiyan ascent (centered MVEE of a symmetric point set)
 
 
-def _khachiyan_ascent(points: np.ndarray, tol: float, max_iter: int = _ASCENT_MAX_ITER):
+def _khachiyan_ascent(points: np.ndarray, tol: float):
     """Multiplicative-weight ascent for max log det sum_i u_i p_i p_i^T over
     the simplex, with away steps.
 
-    Stops once max_i p_i^T M^-1 p_i <= n (1 + tol). Returns (u, M, g_max).
+    Stops once max_i p_i^T M^-1 p_i <= n (1 + tol), within
+    ``_ASCENT_MAX_ITER`` iterations. Returns (u, M, g_max).
     """
     pts = np.asarray(points, dtype=float)
     m, n = pts.shape
     u = np.full(m, 1.0 / m)
     mat = pts.T @ (pts * u[:, None])
     _check_spans(mat, m)
-    for _ in range(max_iter):
+    for _ in range(_ASCENT_MAX_ITER):
         try:
             sol = np.linalg.solve(mat, pts.T)
         except np.linalg.LinAlgError:
@@ -222,7 +224,7 @@ def _khachiyan_ascent(points: np.ndarray, tol: float, max_iter: int = _ASCENT_MA
         mat = pts.T @ (pts * u[:, None])
     raise SolverError(
         f"ellipsoid weight ascent did not certify tolerance {tol:.3e} within "
-        f"{max_iter} iterations",
+        f"{_ASCENT_MAX_ITER} iterations",
         best=None,
     )
 
@@ -383,7 +385,7 @@ def separation_oracle_mve(x_mat: np.ndarray, body: SymmetricPolytope) -> OracleA
     return OracleAnswer(kind="feasible", cut=sym_to_vec(-inv))
 
 
-def _solve_mve_vaidya(body: SymmetricPolytope, gap: float, mode: str) -> JohnSolution:
+def _solve_mve_vaidya(body: SymmetricPolytope, gap: float) -> JohnSolution:
     n = body.n
     reduced = SymmetricPolytope(_distinct_rows(body), body.anchor)
     t_mat, image = dikin_precondition(reduced)
@@ -409,9 +411,7 @@ def _solve_mve_vaidya(body: SymmetricPolytope, gap: float, mode: str) -> JohnSol
         inv = np.linalg.inv(vec_to_sym(v, n))
         return sym_to_vec(-0.5 * (inv + inv.T))
 
-    result = _vaidya.vaidya_minimize(
-        objective, subgrad, feas_oracle, d, params=params, mode=mode
-    )
+    result = _vaidya.vaidya_minimize(objective, subgrad, feas_oracle, d, params=params)
     if result.point is None:
         raise SolverError(
             "cutting-plane engine found no feasible matrix", best=result
@@ -425,8 +425,6 @@ def _solve_mve_vaidya(body: SymmetricPolytope, gap: float, mode: str) -> JohnSol
     ell = _fit_inside(body, np.sqrt(vals), vecs)
     bound = dual_logdet_bound(body, tol=gap / (2.0 * n))
     gap_bound = max(0.0, bound - ell.logdet)
-    if mode == "paper":
-        gap_bound = min(gap_bound, gap)
     if gap_bound > gap:
         raise SolverError(
             f"cutting-plane solution certifies gap {gap_bound:.3e} > "
@@ -440,28 +438,31 @@ def solve_mve(
     body: SymmetricPolytope,
     method: str = "oracle",
     gap: float = 1e-9,
-    mode: str = "practical",
 ) -> JohnSolution:
     """Maximum-volume inscribed ellipsoid of an origin-symmetric polytope.
 
     Args:
-        body: the symmetric body {y : Ay <= 1}.
+        body: the symmetric body {y : |Ay| <= 1}, one row per constraint pair.
         method: "oracle" for the Khachiyan polar route, "vaidya" for the
             volumetric cutting-plane route.
         gap: required upper bound on (optimal logdet - achieved logdet).
-        mode: cutting-plane budget policy, "practical" or "paper"
-            (ignored by the oracle route).
 
     Returns:
         JohnSolution whose ellipsoid is strictly feasible: |mat @ a_i| <= 1
-        for every row, with the certified logdet_gap.
+        for every row, with the certified logdet_gap. The oracle route
+        certifies it from its own ascent; the cutting-plane route runs the
+        engine in practical mode, certifies its answer through
+        :func:`dual_logdet_bound` and raises SolverError when that bound
+        exceeds ``gap``. On thin or badly scaled bodies rounding in the
+        ascent can leave the oracle route's certified gap above ``gap``;
+        it then reports that larger gap rather than raising.
     """
     if gap <= 0.0:
         raise GeometryError("gap must be positive")
     if method == "oracle":
         return _solve_mve_oracle(body, gap)
     if method == "vaidya":
-        return _solve_mve_vaidya(body, gap, mode)
+        return _solve_mve_vaidya(body, gap)
     raise GeometryError(f"unknown solver method {method!r}")
 
 
@@ -469,15 +470,14 @@ def solve_mve(
 # contact extraction and John decomposition checks
 
 
-def extract_contacts(
-    solution: JohnSolution, body: SymmetricPolytope, slack_tol: float = 1e-7
-) -> ContactSet:
+def extract_contacts(solution: JohnSolution, body: SymmetricPolytope) -> ContactSet:
     """Contact directions of the inscribed ellipsoid with the body and their
     John weights.
 
-    Rows with 1 - |E a_i| <= slack_tol are treated as touching at the unit
-    points +-u_i, u_i = E a_i / |E a_i|. Touch points that coincide up to
-    sign share one dyad u u^T, whichever rows they come from.
+    Rows with 1 - |E a_i| <= ``_CONTACT_SLACK`` (1e-7) are treated as
+    touching at the unit points +-u_i, u_i = E a_i / |E a_i|. Touch points
+    that coincide up to sign share one dyad u u^T, whichever rows they come
+    from.
     Weights solve the nonnegative least-squares system sum_k c_k u_k u_k^T = I
     once per dyad, and each dyad's weight is split evenly between +u and -u,
     which keeps sum c_i u_i at exactly zero.
@@ -485,7 +485,7 @@ def extract_contacts(
     e_mat = solution.ellipsoid.mat
     images = body.A @ e_mat  # row i is (E a_i)^T since E is symmetric
     norms = np.linalg.norm(images, axis=1)
-    tight = np.nonzero(1.0 - norms <= slack_tol)[0]
+    tight = np.nonzero(1.0 - norms <= _CONTACT_SLACK)[0]
     # The first touching row of each direction up to sign stands for it.
     dyads: dict[tuple, np.ndarray] = {}
     for u in images[tight] / norms[tight, None]:
@@ -494,7 +494,7 @@ def extract_contacts(
     if len(dyads) < body.n:
         raise NumericalError(
             f"contact set rank-deficient: only {len(dyads)} touch directions "
-            f"within slack {slack_tol:.1e} (need at least {body.n})"
+            f"within slack {_CONTACT_SLACK:.1e} (need at least {body.n})"
         )
     units = np.array(list(dyads.values()))
     design = np.column_stack([sym_to_vec(np.outer(u, u)) for u in units])

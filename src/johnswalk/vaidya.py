@@ -8,16 +8,18 @@ the damped Newton loop of ``geometry._damped_newton`` on V, with steps
 preconditioned by Q(z) = sum_i sigma_i g_i g_i^T / s_i^2 with leverage
 scores sigma_i; the volume certificate below runs the same loop on the log
 barrier to reach the analytic center. Each round either drops the
-constraint of smallest leverage (below ``eps``) or queries the oracle and
+constraint of smallest leverage (below ``EPS``) or queries the oracle and
 adds the returned cut through the current iterate, backing the iterate off
 by half a Dikin radius so it stays strictly interior.
 
-The conformance constants are fixed: eps = 0.005, tau = 0.007,
-delta_v = 0.00037, and at most 201 d active constraints. The iteration
+The conformance constants are fixed module constants: EPS = 0.005,
+TAU = 0.007, DELTA_V = 0.00037, and at most MAX_CONSTRAINTS_FACTOR = 201
+times d active constraints. Only the precision exponent L and the starting
+box half-width rho vary, through :class:`VaidyaParams`. The iteration
 budget uses natural logarithms:
 
-    T = ceil(d * (1.4 L + 2 ln d + 2 ln(1 + 1/eps)
-              + 0.5 ln((1 + tau) / (1 - eps)) + 2 ln rho - ln 2) / delta_v)
+    T = ceil(d * (1.4 L + 2 ln d + 2 ln(1 + 1/EPS)
+              + 0.5 ln((1 + TAU) / (1 - EPS)) + 2 ln rho - ln 2) / DELTA_V)
 
 Besides exhausting that budget, the engine may certify small volume early:
 at the analytic center of an N-row polytope the body lies inside the
@@ -47,19 +49,21 @@ _STAGNATION_WINDOW = 50
 _STAGNATION_TOL = 1e-12
 _PRACTICAL_CALL_CAP = 20_000
 
+EPS = 0.005
+TAU = 0.007
+DELTA_V = 0.00037
+MAX_CONSTRAINTS_FACTOR = 201
+
 
 @dataclass(frozen=True)
 class VaidyaParams:
-    """Engine constants. ``level`` is the precision exponent L (target
-    volumes below that of the 2^-level ball are certified small) and
-    ``rho`` the half-width of the starting box."""
+    """The two per-problem engine settings. ``level`` is the precision
+    exponent L (target volumes below that of the 2^-level ball are
+    certified small) and ``rho`` the half-width of the starting box; the
+    other constants of the method are fixed at module level."""
 
-    eps: float = 0.005
-    tau: float = 0.007
-    delta_v: float = 0.00037
     level: float = 11.0
     rho: float = 1.0
-    max_constraints_factor: int = 201
 
 
 @dataclass
@@ -109,28 +113,22 @@ class MinimizeResult:
     certificate: Optional[SmallVolumeCertificate] = None
 
 
-def iteration_bound(
-    d: int,
-    level: Optional[float] = None,
-    rho: Optional[float] = None,
-    params: Optional[VaidyaParams] = None,
-) -> int:
-    """Oracle-call budget T for dimension d, precision exponent ``level``
-    and starting box half-width ``rho`` (natural logarithms throughout)."""
+def iteration_bound(d: int, params: Optional[VaidyaParams] = None) -> int:
+    """Oracle-call budget T for dimension d, precision exponent
+    ``params.level`` and starting box half-width ``params.rho`` (natural
+    logarithms throughout)."""
     params = params or VaidyaParams()
-    lvl = params.level if level is None else level
-    radius = params.rho if rho is None else rho
-    if d < 1 or radius <= 0.0:
+    if d < 1 or params.rho <= 0.0:
         raise ValueError("need d >= 1 and rho > 0")
     bracket = (
-        1.4 * lvl
+        1.4 * params.level
         + 2.0 * math.log(d)
-        + 2.0 * math.log(1.0 + 1.0 / params.eps)
-        + 0.5 * math.log((1.0 + params.tau) / (1.0 - params.eps))
-        + 2.0 * math.log(radius)
+        + 2.0 * math.log(1.0 + 1.0 / EPS)
+        + 0.5 * math.log((1.0 + TAU) / (1.0 - EPS))
+        + 2.0 * math.log(params.rho)
         - math.log(2.0)
     )
-    return int(math.ceil(d * bracket / params.delta_v))
+    return int(math.ceil(d * bracket / DELTA_V))
 
 
 class _IterateOutside(NumericalError):
@@ -150,7 +148,7 @@ class _Engine:
             iterate=np.zeros(d),
             peak_rows=2 * d,
         )
-        self.cap = params.max_constraints_factor * d
+        self.cap = MAX_CONSTRAINTS_FACTOR * d
         self._recenter()
 
     # -- barrier quantities -------------------------------------------------
@@ -277,14 +275,14 @@ def _run_cutting_plane(
     if mode not in ("paper", "practical"):
         raise ValueError(f"unknown mode {mode!r}")
     engine = _Engine(d, params)
-    budget = iteration_bound(d, params=params)
+    budget = iteration_bound(d, params)
     if mode == "practical":
         budget = min(budget, _PRACTICAL_CALL_CAP)
     calls = 0
     barrier_trace: deque = deque(maxlen=_STAGNATION_WINDOW + 1)
     try:
         while calls < budget:
-            if engine.drop_min_leverage(params.eps):
+            if engine.drop_min_leverage(EPS):
                 continue
             if engine.state.rows >= engine.cap:
                 # Permanent box rows weaken the automatic <= 201 d argument, so

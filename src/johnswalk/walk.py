@@ -238,9 +238,10 @@ def run_ball_walk(
     steps: int,
     delta: float,
     seed: int = 0,
-    chain_index: int = 0,
 ) -> np.ndarray:
-    rng = np.random.default_rng([seed, chain_index])
+    if steps < 0:
+        raise GeometryError("steps must be nonnegative")
+    rng = np.random.default_rng([seed, 0])
     samples = np.empty((steps + 1, poly.n))
     samples[0] = np.asarray(x0, dtype=float)
     for k in range(steps):
@@ -253,9 +254,10 @@ def run_hit_and_run(
     x0: np.ndarray,
     steps: int,
     seed: int = 0,
-    chain_index: int = 0,
 ) -> np.ndarray:
-    rng = np.random.default_rng([seed, chain_index])
+    if steps < 0:
+        raise GeometryError("steps must be nonnegative")
+    rng = np.random.default_rng([seed, 0])
     samples = np.empty((steps + 1, poly.n))
     samples[0] = np.asarray(x0, dtype=float)
     for k in range(steps):

@@ -225,17 +225,18 @@ def test_criterion_09_tv_of_nearby_balls():
 
 def test_criterion_10_cutting_plane_conformance():
     d, level, rho = 3, 11.0, 8.0
-    p = VaidyaParams()
+    eps, tau, delta_v = 0.005, 0.007, 0.00037
     bracket = (
         1.4 * level
         + 2.0 * math.log(d)
-        + 2.0 * math.log(1.0 + 1.0 / p.eps)
-        + 0.5 * math.log((1.0 + p.tau) / (1.0 - p.eps))
+        + 2.0 * math.log(1.0 + 1.0 / eps)
+        + 0.5 * math.log((1.0 + tau) / (1.0 - eps))
         + 2.0 * math.log(rho)
         - math.log(2.0)
     )
-    recomputed = math.ceil(d * bracket / p.delta_v)
-    bound_ok = iteration_bound(3, level=11.0, rho=8.0) == recomputed == 256_829
+    recomputed = math.ceil(d * bracket / delta_v)
+    bound = iteration_bound(3, VaidyaParams(level=11.0, rho=8.0))
+    bound_ok = bound == recomputed == 256_829
 
     target = np.array([0.35, -0.2])
 

@@ -90,10 +90,6 @@ class TestEmitSamples:
         back = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(back, original)
 
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(InputDataError, match="format"):
-            emit_samples(np.zeros((1, 1)), str(tmp_path / "s.bin"), format="parquet")
-
 
 class TestParseNRange:
     def test_colon_range(self):
@@ -157,6 +153,12 @@ class TestSampleCommand:
     @pytest.mark.parametrize("field, change, message", [
         ("c", None, "missing field 'c'"),
         ("speed", 2, "unknown field 'speed'"),
+        ("lazy", "false", "field 'lazy' must be true or false"),
+        ("steps", 20.9, "field 'steps' must be an integer"),
+        ("seed", True, "field 'seed' must be an integer"),
+        ("c", True, "field 'c' must be a number"),
+        ("delta", "0.1", "field 'delta' must be a number"),
+        ("gap", "1e-9", "field 'gap' must be null or a number"),
     ])
     def test_manifest_field_errors_exit_two(self, square, tmp_path, capsys,
                                             field, change, message):
@@ -185,6 +187,13 @@ class TestSampleCommand:
             assert code == 0
             lines = (tmp_path / f"{walk}.samples.csv").read_text().splitlines()
             assert len(lines) == 32
+
+    @pytest.mark.parametrize("walk", ["ball", "hitrun"])
+    def test_baseline_negative_steps_exit_two(self, square, tmp_path, capsys, walk):
+        code = main(["sample", "--polytope", square, "--walk", walk,
+                     "--steps", "-1", "--out", str(tmp_path / walk)])
+        assert code == 2
+        assert "steps" in capsys.readouterr().err
 
     def test_requires_polytope_or_manifest(self, capsys):
         assert main(["sample"]) == 2

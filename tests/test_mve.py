@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from johnswalk.errors import (
     GeometryError,
@@ -219,6 +221,75 @@ class TestSolveMveProperties:
         a = np.array([[1.0, 0.0], [-1.0, 0.0]])
         with pytest.raises(UnboundedPolytopeError):
             solve_mve(SymmetricPolytope(a, np.zeros(2)))
+
+
+@st.composite
+def hard_bodies(draw, dims, shape):
+    """A bounded polytope symmetrized at an interior point. The n axis rows
+    bound the body and k random rows cut it; ``shape`` makes it hard:
+    "scaled" scales every row by 10^U(-6, 6), "thin" makes the body thin
+    along one axis with aspect ratio up to 1e6, and "parallel" adds
+    near-parallel facets (rows copied, scaled by 1-2 and perturbed by 1e-9)."""
+    n = draw(dims)
+    k = draw(st.integers(0, 2 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.vstack([np.eye(n), rng.standard_normal((k, n))])
+    if shape == "scaled":
+        exponents = draw(st.lists(st.floats(-6.0, 6.0), min_size=n + k, max_size=n + k))
+        rows *= 10.0 ** np.array(exponents)[:, None]
+    elif shape == "thin":
+        rows[:, draw(st.integers(0, n - 1))] *= 10.0 ** draw(st.floats(0.0, 6.0))
+    else:
+        picked = rows[rng.integers(n + k, size=draw(st.integers(1, n + k)))]
+        copies = picked * rng.uniform(1.0, 2.0, size=(picked.shape[0], 1))
+        rows = np.vstack([rows, copies + 1e-9 * rng.standard_normal(copies.shape)])
+    poly = Polytope(np.vstack([rows, -rows]), np.ones(2 * rows.shape[0]))
+    direction = rng.standard_normal(n)
+    reach = draw(st.floats(0.0, 0.9))
+    return symmetrize(poly, reach * direction / np.max(poly.A @ direction))
+
+
+def assert_inscribed_and_certified(body, sol, gap):
+    assert np.linalg.norm(body.A @ sol.ellipsoid.mat, axis=1).max() <= 1.0
+    assert 0.0 <= sol.logdet_gap <= gap
+
+
+# Rounding in the oracle route's ascent breaks the requested gap on thin and
+# badly scaled bodies, and its span check rejects some bounded bodies whose
+# row norms span ~1e12 (ROADMAP 3a).
+_ORACLE_ROUNDING = pytest.mark.xfail(
+    strict=True, reason="oracle route loses its gap to rounding (ROADMAP 3a)"
+)
+SHAPES = [
+    pytest.param("scaled", marks=_ORACLE_ROUNDING),
+    pytest.param("thin", marks=_ORACLE_ROUNDING),
+    "parallel",
+]
+
+
+class TestSolveMveHardBodies:
+    # Failures are reported unshrunk: on the expected failures shrinking
+    # took over a minute.
+    @pytest.mark.parametrize("shape", SHAPES)
+    @settings(
+        derandomize=True,
+        deadline=None,
+        max_examples=100,
+        phases=[Phase.explicit, Phase.generate],
+    )
+    @given(data=st.data(), log_gap=st.floats(-12.0, -3.0))
+    def test_oracle_route(self, shape, data, log_gap):
+        body = data.draw(hard_bodies(st.integers(2, 6), shape))
+        gap = 10.0 ** log_gap
+        assert_inscribed_and_certified(body, solve_mve(body, gap=gap), gap)
+
+    @pytest.mark.parametrize("shape", ["scaled", "thin", "parallel"])
+    @settings(derandomize=True, deadline=None, max_examples=2)
+    @given(data=st.data())
+    def test_cutting_plane_route(self, shape, data):
+        body = data.draw(hard_bodies(st.just(2), shape))
+        sol = solve_mve(body, method="vaidya", gap=1e-5)
+        assert_inscribed_and_certified(body, sol, 1e-5)
 
 
 class TestDistinctRows:

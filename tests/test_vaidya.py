@@ -5,6 +5,10 @@ import pytest
 
 from johnswalk.errors import NumericalError, OracleInconsistencyError, SolverError
 from johnswalk.vaidya import (
+    DELTA_V,
+    EPS,
+    MAX_CONSTRAINTS_FACTOR,
+    TAU,
     VaidyaParams,
     _IterateOutside,
     iteration_bound,
@@ -38,11 +42,10 @@ def box_feas_oracle(half_width):
 
 class TestParams:
     def test_defaults(self):
-        p = VaidyaParams()
-        assert p.eps == 0.005
-        assert p.tau == 0.007
-        assert p.delta_v == 0.00037
-        assert p.max_constraints_factor == 201
+        assert EPS == 0.005
+        assert TAU == 0.007
+        assert DELTA_V == 0.00037
+        assert MAX_CONSTRAINTS_FACTOR == 201
 
 
 class TestIterationBound:
@@ -59,18 +62,18 @@ class TestIterationBound:
             - math.log(2.0)
         )
         expected = math.ceil(d * bracket / dv)
-        got = iteration_bound(d, level=level, rho=rho)
+        got = iteration_bound(d, VaidyaParams(level=level, rho=rho))
         assert got == expected
         assert got == 256829  # ~2.57e5
 
     def test_monotone_in_level(self):
-        lo = iteration_bound(3, level=5.0, rho=2.0)
-        hi = iteration_bound(3, level=9.0, rho=2.0)
+        lo = iteration_bound(3, VaidyaParams(level=5.0, rho=2.0))
+        hi = iteration_bound(3, VaidyaParams(level=9.0, rho=2.0))
         assert hi > lo
 
     def test_monotone_in_rho(self):
-        lo = iteration_bound(3, level=8.0, rho=1.0)
-        hi = iteration_bound(3, level=8.0, rho=16.0)
+        lo = iteration_bound(3, VaidyaParams(level=8.0, rho=1.0))
+        hi = iteration_bound(3, VaidyaParams(level=8.0, rho=16.0))
         assert hi > lo
 
     def test_params_object_used(self):
