@@ -296,9 +296,9 @@ def _log_unit_ball_volume(n: int) -> float:
 
 
 def _log_barrier(A: np.ndarray, b: np.ndarray):
-    """(newton, value) of the log barrier -sum_i log(b_i - a_i.x) for
-    ``_damped_newton``: the Newton step with its decrement, and the barrier
-    value, +inf outside the open polytope."""
+    """(newton, inside) of the log barrier -sum_i log(b_i - a_i.x) for
+    ``_damped_newton``: the Newton step with its decrement, and the test
+    that x lies in the open polytope."""
 
     def newton(x: np.ndarray):
         w = A / (b - A @ x)[:, None]
@@ -310,31 +310,27 @@ def _log_barrier(A: np.ndarray, b: np.ndarray):
                                  "rows do not span (body is unbounded)") from exc
         return step, -float(grad @ step)
 
-    def value(x: np.ndarray) -> float:
-        s = b - A @ x
-        return -float(np.sum(np.log(s))) if np.all(s > 0.0) else np.inf
+    def inside(x: np.ndarray) -> bool:
+        return bool(np.all(b - A @ x > 0.0))
 
-    return newton, value
+    return newton, inside
 
 
-def _damped_newton(x: np.ndarray, newton, value, tol: float, max_steps: int):
-    """Damped Newton descent from the interior point x: ``newton(x)`` gives
-    the step and its decrement, ``value(x)`` the barrier (+inf outside its
-    domain). A step halves up to 60 times until the value falls by a quarter
-    of the decrement times its length. Returns (x, converged), converged once
-    the decrement falls below ``tol`` and is not negative."""
+def _damped_newton(x: np.ndarray, newton, inside, tol: float, max_steps: int,
+                   scale: float = 1.0):
+    """Damped Newton descent from the interior point x, without a line
+    search: ``newton(x)`` gives the step and its decrement lambda^2, and x
+    moves by scale / (1 + lambda) times the step. On a self-concordant barrier
+    scale 1 stays in the Dikin ellipsoid, inside the domain (Nesterov &
+    Nemirovskii 1994). A step failing the domain test ``inside`` ends the
+    descent. Returns (x, converged), converged once the decrement is below
+    ``tol`` and not negative."""
     for _ in range(max_steps):
         step, decrement = newton(x)
         if decrement < tol:
             return x, decrement >= 0.0
-        base = value(x)
-        t = 1.0
-        for _ in range(60):
-            trial = x + t * step
-            if value(trial) <= base - 0.25 * t * decrement:
-                break
-            t *= 0.5
-        else:
+        trial = x + scale / (1.0 + math.sqrt(decrement)) * step
+        if not inside(trial):
             return x, False
         x = trial
     return x, False
@@ -342,8 +338,8 @@ def _damped_newton(x: np.ndarray, newton, value, tol: float, max_steps: int):
 
 def analytic_center(poly: Polytope) -> np.ndarray:
     """Analytic center of the polytope: the minimizer of the log barrier
-    -sum_i log(b_i - a_i.x), found by at most 200 damped Newton steps,
-    stopping once half the Newton decrement falls below 1e-12.
+    -sum_i log(b_i - a_i.x), found by at most 200 damped Newton steps
+    1 / (1 + lambda), stopping once half the Newton decrement is below 1e-12.
 
     A phase-1 LP supplies the strictly interior starting point when the
     origin is not interior. Raises NumericalError when Newton fails to
@@ -352,8 +348,8 @@ def analytic_center(poly: Polytope) -> np.ndarray:
     x = np.zeros(poly.n)
     if np.any(poly.slacks(x) <= 0.0):
         x = _interior_point_lp(poly)
-    newton, value = _log_barrier(poly.A, poly.b)
-    x, converged = _damped_newton(x, newton, value, 2e-12, 200)
+    newton, inside = _log_barrier(poly.A, poly.b)
+    x, converged = _damped_newton(x, newton, inside, 2e-12, 200)
     if not converged:
         raise NumericalError(
             "analytic center failed to converge; polytope may be unbounded"

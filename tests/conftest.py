@@ -7,7 +7,8 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from johnswalk.geometry import Polytope
+from johnswalk.errors import NumericalError
+from johnswalk.geometry import Polytope, analytic_center
 
 
 def cube(n: int, half_width: float = 1.0) -> Polytope:
@@ -54,6 +55,23 @@ def random_polytope(n: int, extra_rows: int, rng) -> Polytope:
         np.vstack([eye, -eye, normals]),
         np.concatenate([np.ones(2 * n), rhs]),
     )
+
+
+def unit_normal_polytope(n: int, m: int, seed: int) -> Polytope:
+    """{x : Ax <= 1} for m unit normals uniform on the sphere, drawn once per
+    (n, m) and redrawn until the body is bounded, then turned by a random
+    orthogonal map drawn from ``seed``."""
+    shape_rng = np.random.default_rng([1803, n, m])
+    while True:
+        a = shape_rng.standard_normal((m, n))
+        a /= np.linalg.norm(a, axis=1)[:, None]
+        try:
+            analytic_center(Polytope(a, np.ones(m)))
+            break
+        except NumericalError:
+            continue
+    q, r = np.linalg.qr(np.random.default_rng([seed, n, m]).standard_normal((n, n)))
+    return Polytope(a @ (q * np.sign(np.diag(r))).T, np.ones(m))
 
 
 def interior_points(poly: Polytope, count: int, rng, shrink: float = 0.7):

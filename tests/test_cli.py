@@ -11,6 +11,8 @@ from johnswalk.cli import (
 )
 from johnswalk.errors import InputDataError
 
+from conftest import unit_normal_polytope
+
 
 def write_polytope(path, a, b):
     path.write_text(json.dumps({"A": a, "b": b}))
@@ -239,6 +241,15 @@ class TestMveCommand:
         logdet = float(out.split("logdet=")[1].split()[0])
         # Symmetrized square at (0.5, 0): box widths 0.5 and 1.
         assert np.isclose(logdet, np.log(0.5), atol=1e-8)
+
+    def test_vaidya_on_ill_conditioned_body_does_not_exit_two(self, tmp_path, capsys):
+        # A factorization breakdown inside the cutting-plane engine is a
+        # numerical failure (exit 3) at worst, never an input error.
+        poly = unit_normal_polytope(6, 18, 7)
+        path = write_polytope(tmp_path / "rand6x18.json", poly.A.tolist(), poly.b.tolist())
+        code = main(["mve", "--solver", "vaidya", "--gap", "1e-5", "--polytope", path])
+        assert code in (0, 3)
+        assert "input error" not in capsys.readouterr().err
 
 
 class TestDiagnoseCommand:

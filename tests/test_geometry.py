@@ -278,7 +278,7 @@ class TestAnalyticCenter:
 
 
 # The log barrier of the interval [0, 4], minimized at x = 2.
-INTERVAL_NEWTON, INTERVAL_VALUE = _log_barrier(
+INTERVAL_NEWTON, INTERVAL_INSIDE = _log_barrier(
     np.array([[1.0], [-1.0]]), np.array([4.0, 0.0])
 )
 
@@ -286,22 +286,35 @@ INTERVAL_NEWTON, INTERVAL_VALUE = _log_barrier(
 class TestDampedNewton:
 
     def test_converges_on_interval(self):
-        x, converged = _damped_newton(np.array([0.5]), INTERVAL_NEWTON, INTERVAL_VALUE, 1e-20, 50)
+        x, converged = _damped_newton(np.array([0.5]), INTERVAL_NEWTON, INTERVAL_INSIDE, 1e-20, 50)
         assert converged
         assert np.isclose(x[0], 2.0, atol=1e-10)
 
     def test_step_cap_runs_out(self):
-        x, converged = _damped_newton(np.array([0.5]), INTERVAL_NEWTON, INTERVAL_VALUE, 1e-20, 1)
+        x, converged = _damped_newton(np.array([0.5]), INTERVAL_NEWTON, INTERVAL_INSIDE, 1e-20, 1)
         assert not converged
         assert 0.5 < x[0] < 4.0
 
-    def test_stalled_line_search(self):
-        # A value that never decreases rejects every trial step.
+    def test_failed_domain_test_returns_start(self):
         start = np.array([0.5])
-        x, converged = _damped_newton(start, INTERVAL_NEWTON, lambda _: 0.0, 1e-20, 50)
+        x, converged = _damped_newton(start, INTERVAL_NEWTON, lambda _: False, 1e-20, 50)
         assert not converged
         assert np.array_equal(x, start)
 
-    def test_value_is_infinite_outside(self):
-        assert INTERVAL_VALUE(np.array([4.0])) == np.inf
-        assert np.isfinite(INTERVAL_VALUE(np.array([3.9])))
+    def test_start_near_boundary_stays_inside(self):
+        # The self-concordant step 1 / (1 + lambda) never leaves the domain.
+        trials = []
+
+        def inside(x):
+            trials.append(float(x[0]))
+            return INTERVAL_INSIDE(x)
+
+        x, converged = _damped_newton(np.array([1e-6]), INTERVAL_NEWTON, inside, 1e-20, 200)
+        assert converged
+        assert np.isclose(x[0], 2.0, atol=1e-10)
+        assert trials and all(0.0 < t < 4.0 for t in trials)
+
+    def test_domain_test_excludes_boundary(self):
+        assert not INTERVAL_INSIDE(np.array([4.0]))
+        assert not INTERVAL_INSIDE(np.array([-0.1]))
+        assert INTERVAL_INSIDE(np.array([3.9]))

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
@@ -12,6 +14,7 @@ from johnswalk.geometry import (
     Ellipsoid,
     Polytope,
     SymmetricPolytope,
+    analytic_center,
     sphere_points,
     symmetrize,
 )
@@ -38,6 +41,7 @@ from conftest import (
     interior_points,
     random_polytope,
     random_symmetric_polytope,
+    unit_normal_polytope,
 )
 
 
@@ -290,6 +294,22 @@ class TestSolveMveHardBodies:
         body = data.draw(hard_bodies(st.just(2), shape))
         sol = solve_mve(body, method="vaidya", gap=1e-5)
         assert_inscribed_and_certified(body, sol, 1e-5)
+
+
+class TestSolveMveVaidyaBreakdown:
+    """Bodies whose localization polytope grows too ill-conditioned to
+    factor before the run ends; the run stops with its best iterate, which
+    still certifies the requested gap."""
+
+    @pytest.mark.parametrize("n, m, gap", [(5, 15, 2e-7), (6, 18, 1e-5)])
+    def test_certifies_within_five_seconds(self, n, m, gap):
+        poly = unit_normal_polytope(n, m, 7)
+        body = symmetrize(poly, analytic_center(poly))
+        start = time.perf_counter()
+        sol = solve_mve(body, method="vaidya", gap=gap)
+        assert time.perf_counter() - start < 5.0
+        assert sol.logdet_gap <= gap
+        assert np.all(np.linalg.norm(body.A @ sol.ellipsoid.mat, axis=1) <= 1.0)
 
 
 class TestDistinctRows:

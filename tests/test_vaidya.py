@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from johnswalk import vaidya
 from johnswalk.errors import NumericalError, OracleInconsistencyError, SolverError
 from johnswalk.vaidya import (
+    _NEWTON_TOL,
     DELTA_V,
     EPS,
     MAX_CONSTRAINTS_FACTOR,
     TAU,
     VaidyaParams,
+    _Engine,
     _IterateOutside,
     iteration_bound,
     vaidya_feasibility,
@@ -79,6 +82,26 @@ class TestIterationBound:
     def test_params_object_used(self):
         p = VaidyaParams(level=11.0, rho=8.0)
         assert iteration_bound(3, params=p) == 256829
+
+
+class TestEngine:
+    def test_recentering_reaches_newton_tol(self):
+        engine = _Engine(2, VaidyaParams(rho=1.0))
+        for direction in ([1.0, 0.5], [-0.3, 1.0], [0.2, -1.0]):
+            engine.add_cut(np.array(direction))
+            _, decrement = engine._newton_step(engine.state.iterate)
+            assert 0.0 <= decrement < _NEWTON_TOL
+        assert np.all(engine._slacks(engine.state.iterate) > 0.0)
+
+    def test_off_center_point_gives_no_certificate(self, monkeypatch):
+        # Certify only at a point whose log-barrier Newton decrement is at
+        # most 1/4; with Newton unable to move, the square's center certifies
+        # and a point 0.9 from it does not.
+        monkeypatch.setattr(vaidya, "_damped_newton", lambda x, *_: (x, False))
+        engine = _Engine(2, VaidyaParams(rho=1.0))
+        assert np.isfinite(engine.log_volume_bound())
+        engine.state.iterate = np.array([0.9, 0.0])
+        assert engine.log_volume_bound() == math.inf
 
 
 class TestFeasibility:
