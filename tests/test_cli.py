@@ -252,6 +252,16 @@ class TestMveCommand:
         assert "input error" not in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("solver", ["oracle", "vaidya"])
+    def test_summary_counts_iterations(self, tmp_path, capsys, solver):
+        poly = unit_normal_polytope(5, 15, 7)
+        path = write_polytope(tmp_path / "rand5x15.json", poly.A.tolist(), poly.b.tolist())
+        assert main(["mve", "--solver", solver, "--polytope", path]) == 0
+        summary = capsys.readouterr().out.splitlines()[0]
+        assert summary.startswith(f"solver={solver} ")
+        assert int(summary.split("iterations=")[1]) > 0
+
+
 class TestDiagnoseCommand:
     def test_small_sweep_passes(self, capsys):
         code = main(["diagnose", "--n-range", "2:3", "--trials", "5"])

@@ -18,10 +18,12 @@ from johnswalk.geometry import (
     sphere_points,
     symmetrize,
 )
+from johnswalk import mve
 from johnswalk.mve import (
     ContactSet,
     JohnConditions,
     _distinct_rows,
+    _khachiyan_ascent,
     dikin_precondition,
     dual_logdet_bound,
     extract_contacts,
@@ -33,6 +35,7 @@ from johnswalk.mve import (
     vec_to_sym,
     verify_john_conditions,
 )
+from johnswalk.walk import _effective_gap
 
 from conftest import (
     box,
@@ -100,6 +103,103 @@ class TestMveePolar:
         pts = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0]])
         with pytest.raises(UnboundedPolytopeError):
             solve_mvee_polar(pts)
+
+
+def dense_ascent(points, tol):
+    """Reference: the weight ascent with M rebuilt from u and solved against
+    every point on every iteration, as it ran before the rank-one updates."""
+    pts = np.asarray(points, dtype=float)
+    m, n = pts.shape
+    u = np.full(m, 1.0 / m)
+    mat = pts.T @ (pts * u[:, None])
+    for iteration in range(500_000):
+        g = np.einsum("ij,ji->i", pts, np.linalg.solve(mat, pts.T))
+        j_add = int(np.argmax(g))
+        eps_add = g[j_add] / n - 1.0
+        if eps_add <= tol:
+            return u, mat, float(g[j_add]), iteration
+        j_away = int(np.argmin(np.where(u > 0.0, g, np.inf)))
+        eps_away = 1.0 - g[j_away] / n
+        if eps_add >= eps_away:
+            j, gj = j_add, g[j_add]
+            beta = (gj - n) / (n * (gj - 1.0))
+        else:
+            j, gj = j_away, g[j_away]
+            floor = -u[j] / (1.0 - u[j]) if u[j] < 1.0 else -1.0
+            if gj <= 1.0:
+                beta = floor
+            else:
+                beta = max((gj - n) / (n * (gj - 1.0)), floor)
+        u *= 1.0 - beta
+        u[j] += beta
+        np.clip(u, 0.0, None, out=u)
+        u /= u.sum()
+        mat = pts.T @ (pts * u[:, None])
+    raise AssertionError("reference ascent did not certify")
+
+
+def general_position_cases():
+    """(n, rows, tol) at the walk's default gap for the reduced bodies of
+    random (10, 60) and (20, 120) polytopes, symmetrized at the analytic
+    center and at 4 seeded interior points. The points are drawn near the
+    center, where chains run: further out the default tolerance at n = 20
+    sits at the binary64 floor and either ascent can spin (ROADMAP item 1)."""
+    for n, m in ((10, 60), (20, 120)):
+        poly = unit_normal_polytope(n, m, 11)
+        points = [analytic_center(poly)] + interior_points(
+            poly, 4, np.random.default_rng([n, m]), shrink=0.3
+        )
+        tol = _effective_gap(None, n) / (2.0 * n)
+        for x in points:
+            yield n, _distinct_rows(symmetrize(poly, x)), tol
+
+
+class TestKhachiyanAscent:
+    def test_certificate_comes_from_exact_moments(self):
+        for n, rows, tol in general_position_cases():
+            u, mat, g_max, iterations = _khachiyan_ascent(rows, tol)
+            assert iterations > 0
+            exact = rows.T @ (rows * u[:, None])
+            assert np.array_equal(mat, exact)
+            g = np.einsum("ij,ji->i", rows, np.linalg.solve(exact, rows.T))
+            assert g.max() == g_max
+            assert g_max / n - 1.0 <= tol
+            assert abs(u.sum() - 1.0) <= rows.shape[0] * np.finfo(float).eps
+
+    def test_agrees_with_dense_reference(self):
+        total, total_ref = 0, 0
+        for n, rows, tol in general_position_cases():
+            _, mat, g_max, iterations = _khachiyan_ascent(rows, tol)
+            _, mat_ref, g_ref, iterations_ref = dense_ascent(rows, tol)
+            # log det M of either sits within n log(g_max / n) of the optimum.
+            gaps = n * np.log(g_max / n) + n * np.log(g_ref / n)
+            diff = np.linalg.slogdet(mat)[1] - np.linalg.slogdet(mat_ref)[1]
+            assert abs(diff) <= gaps
+            total += iterations
+            total_ref += iterations_ref
+        assert abs(total - total_ref) <= 0.1 * total_ref
+
+    def test_boxes_match_dense_reference_bitwise(self, rng):
+        # The reduced rows of a box are orthogonal, so the uniform weights
+        # certify before any update.
+        for poly in (cube(10), box([1.0, 1.0, 1.0, 1.0, 0.01])):
+            for _ in range(3):
+                x = poly.b[: poly.n] * rng.uniform(0.1, 0.5, poly.n)
+                rows = _distinct_rows(symmetrize(poly, x * rng.choice([-1, 1], poly.n)))
+                tol = _effective_gap(None, poly.n) / (2.0 * poly.n)
+                _, mat, g_max, iterations = _khachiyan_ascent(rows, tol)
+                _, mat_ref, g_ref, _ = dense_ascent(rows, tol)
+                assert iterations == 0
+                assert np.array_equal(mat, mat_ref)
+                assert g_max == g_ref
+
+    def test_singular_moments_raise(self, monkeypatch):
+        # Points on a line pass once the span check is bypassed; a
+        # regularized solve would certify them.
+        monkeypatch.setattr(mve, "_check_spans", lambda mat, m: None)
+        pts = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0]])
+        with pytest.raises(NumericalError, match="singular"):
+            _khachiyan_ascent(pts, 1e-9)
 
 
 class TestSolveMveClosedForms:
