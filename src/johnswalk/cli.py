@@ -199,7 +199,8 @@ def _cmd_mve(args) -> int:
     contacts = extract_contacts(sol, body)
     resid = verify_john_conditions(contacts, poly.n)
     print(f"solver={sol.solver_tag} logdet={sol.ellipsoid.logdet:.12g} "
-          f"logdet_gap<={sol.logdet_gap:.3g} iterations={sol.iterations}")
+          f"logdet_gap<={sol.logdet_gap:.3g} iterations={sol.iterations} "
+          f"newton_steps={sol.newton_steps}")
     for row in sol.ellipsoid.mat:
         print("  " + " ".join(f"{v: .12g}" for v in row))
     print(f"contacts={len(contacts)} frobenius_residual={resid.frobenius:.3g} "

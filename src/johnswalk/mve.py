@@ -5,12 +5,16 @@ can cross-check the other:
 
 * ``method="oracle"``: the inscribed ellipsoid of {y : |a_i . y| <= 1} is the
   polar of the minimum-volume enclosing ellipsoid of the point set {+-a_i}.
-  That centered MVEE problem is solved by Khachiyan-style multiplicative
-  weight ascent on the simplex (with Wolfe-Atwood away steps for the linear
-  convergence tail). Between exact recomputes of the moment matrix, it
-  updates the matrix inverse and the leverages by Sherman-Morrison rank-one
-  formulas in O(mn) per iteration (Todd & Yildirim, Discrete Appl. Math.
-  2007), and it certifies only on an exact recompute (see
+  That centered MVEE problem is solved in two phases on the simplex of
+  weights. A Khachiyan-style multiplicative weight ascent with Wolfe-Atwood
+  away steps runs until the largest leverage is within 1% of its optimal
+  value n. Between exact recomputes of the moment matrix it updates the
+  matrix inverse and the leverages by Sherman-Morrison rank-one formulas in
+  O(mn) per iteration (Todd & Yildirim, Discrete Appl. Math. 2007). Newton
+  steps on the support of the weights then replace the ascent's linear
+  tail. When they do not certify, the ascent resumes from their best
+  weights, so the result never depends on the Newton phase converging.
+  Either phase certifies only on an exact recompute (see
   :func:`_khachiyan_ascent`). That certificate converts into a rigorous
   bound on the log-volume gap.
 
@@ -50,6 +54,11 @@ from .geometry import Ellipsoid, SymmetricPolytope
 _ASCENT_MAX_ITER = 500_000
 # Ascent iterations between exact recomputes of the moment matrix.
 _EXACT_EVERY = 50
+# The ascent hands over to Newton steps on the support once an exact
+# recompute shows max_i g_i / n - 1 at most this; the polish takes at most
+# _NEWTON_MAX_STEPS steps.
+_NEWTON_FROM = 1e-2
+_NEWTON_MAX_STEPS = 8
 _CONTACT_SLACK = 1e-7
 _EPS = float(np.finfo(float).eps)
 
@@ -169,6 +178,9 @@ class JohnSolution:
 
     ``iterations`` counts the solver's work: weight-ascent iterations on the
     oracle route, separation-oracle calls on the cutting-plane route.
+    ``newton_steps`` counts the oracle route's Newton steps on the support
+    of the ascent weights (see :func:`_khachiyan_ascent`); it is 0 on the
+    cutting-plane route.
     """
 
     ellipsoid: Ellipsoid
@@ -176,6 +188,7 @@ class JohnSolution:
     solver_tag: str
     contacts: Optional[ContactSet] = None
     iterations: int = 0
+    newton_steps: int = 0
 
 
 class JohnConditions(NamedTuple):
@@ -192,25 +205,36 @@ class JohnConditions(NamedTuple):
 
 
 def _khachiyan_ascent(points: np.ndarray, tol: float):
-    """Multiplicative-weight ascent for max log det sum_i u_i p_i p_i^T over
-    the simplex, with away steps (Khachiyan, Math. Oper. Res. 1996).
+    """Maximize log det sum_i u_i p_i p_i^T over the simplex in two phases:
+    a coarse multiplicative-weight ascent with away steps (Khachiyan, Math.
+    Oper. Res. 1996), then Newton steps on the support of the weights
+    (:func:`_newton_polish`).
 
-    Each iteration moves the weights to u' = (1 - beta) u + beta e_j, then
-    clips them at 0 and renormalizes them to sum 1. Between exact
-    recomputes the moment inverse M^-1 and the leverages g_i = p_i^T M^-1 p_i
-    follow by the Sherman-Morrison formula in O(mn) (Todd & Yildirim,
-    Discrete Appl. Math. 2007): with v = M^-1 p_j, w = P v and
-    c = beta / (1 - beta + beta g_j),
+    Each ascent iteration moves the weights to u' = (1 - beta) u + beta e_j,
+    then clips them at 0 and renormalizes them to sum 1. An away step that
+    drops point j sets u_j to exactly 0: rounding would leave about 1e-19,
+    which keeps j in the support of the Newton polish. Between exact
+    recomputes the moment inverse M^-1 and the leverages
+    g_i = p_i^T M^-1 p_i follow by the Sherman-Morrison formula in O(mn)
+    (Todd & Yildirim, Discrete Appl. Math. 2007): with v = M^-1 p_j,
+    w = P v and c = beta / (1 - beta + beta g_j),
 
         g <- (g - c w^2) / (1 - beta),   M^-1 <- (M^-1 - c v v^T) / (1 - beta),
 
     both also scaled by the renormalizing sum. Every ``_EXACT_EVERY``
-    iterations, and whenever the updated g meets the tolerance, M and g are
-    recomputed exactly from u; only such an exact recompute certifies, so
-    rounding in the updates never reaches the certificate.
+    iterations, and whenever the updated g meets the tolerance or, before
+    the polish has run, ``_NEWTON_FROM``, M and g are recomputed exactly
+    from u; only such an exact recompute certifies, so rounding in the
+    updates never reaches the certificate.
+
+    The first exact recompute with max_i g_i / n - 1 <= ``_NEWTON_FROM``
+    hands the weights to the Newton polish, once. The ascent then resumes
+    from the weights the polish returns, which are its best iterate; when
+    the polish certified, that resumption returns at once.
 
     Stops once max_i p_i^T M^-1 p_i <= n (1 + tol), within
-    ``_ASCENT_MAX_ITER`` iterations. Returns (u, M, g_max, iterations).
+    ``_ASCENT_MAX_ITER`` ascent iterations. Returns (u, M, g_max,
+    iterations, newton_steps).
     """
     pts = np.asarray(points, dtype=float)
     m, n = pts.shape
@@ -218,6 +242,8 @@ def _khachiyan_ascent(points: np.ndarray, tol: float):
     mat = pts.T @ (pts * u[:, None])
     _check_spans(mat, m)
     iterations = 0
+    newton_steps = 0
+    polished = False
     since_exact = 0  # rank-one updates since `mat` was recomputed from u
     while True:
         if since_exact == 0:
@@ -232,11 +258,15 @@ def _khachiyan_ascent(points: np.ndarray, tol: float):
         j_add = int(np.argmax(g))
         g_add = float(g[j_add])
         eps_add = g_add / n - 1.0
-        if eps_add <= tol:
-            if since_exact == 0:
-                return u, mat, g_add, iterations
-            mat = pts.T @ (pts * u[:, None])
-            since_exact = 0
+        if eps_add <= (tol if polished else max(tol, _NEWTON_FROM)):
+            if since_exact:
+                mat = pts.T @ (pts * u[:, None])
+                since_exact = 0
+            elif eps_add <= tol:
+                return u, mat, g_add, iterations, newton_steps
+            else:
+                u, mat, newton_steps = _newton_polish(pts, u, mat, g, tol)
+                polished = True
             continue
         if iterations == _ASCENT_MAX_ITER:
             raise SolverError(
@@ -246,6 +276,7 @@ def _khachiyan_ascent(points: np.ndarray, tol: float):
             )
         j_away = int(np.argmin(np.where(u > 0.0, g, np.inf)))
         g_away = float(g[j_away])
+        drop = False
         if eps_add >= 1.0 - g_away / n:
             j, gj = j_add, g_add
             beta = (gj - n) / (n * (gj - 1.0))
@@ -257,8 +288,9 @@ def _khachiyan_ascent(points: np.ndarray, tol: float):
                 beta = floor
             else:
                 beta = max((gj - n) / (n * (gj - 1.0)), floor)
+            drop = beta == floor and uj < 1.0
         u *= 1.0 - beta
-        u[j] += beta
+        u[j] = 0.0 if drop else u[j] + beta
         np.maximum(u, 0.0, out=u)
         total = float(u.sum())
         u /= total
@@ -279,6 +311,68 @@ def _khachiyan_ascent(points: np.ndarray, tol: float):
         g = (g - c * (w * w)) * scale
         inv = (inv - np.outer(c * v, v)) * scale
         since_exact += 1
+
+
+def _newton_polish(pts: np.ndarray, u: np.ndarray, mat: np.ndarray,
+                   g: np.ndarray, tol: float):
+    """Newton steps on log det M(u) over the support of u plus its most
+    violated point (Todd, Minimum-Volume Ellipsoids, SIAM 2016, ch. 3).
+
+    ``mat`` and ``g`` are the exact moments and leverages of u. On the
+    support S the Hessian of log det is -Q with Q = (P_S M^-1 P_S^T)^2
+    entrywise, so the step d solves Q d = g_S - lambda 1 with 1^T d = 0.
+    A step that would take a weight below 0 stops at that weight, sets it
+    to exactly 0 and is kept. A full step is kept only if it lowers the
+    exact max_i g_i or raises log det M: the first step often raises the
+    leverage of a point outside S, which then joins the support, while near
+    the optimum log det stops moving before max_i g_i does. The polish
+    stops when max_i g_i / n - 1 <= tol, when a full step is refused, after
+    ``_NEWTON_MAX_STEPS`` steps, or on a singular Q or M.
+
+    Returns (u, M, steps): the weights of lowest max_i g_i seen, their
+    moments as recomputed exactly from them, and the steps taken.
+    """
+    n = pts.shape[1]
+    g_max = float(g.max())
+    last_logdet = float(np.linalg.slogdet(mat)[1])
+    best_u, best_mat, best_g_max = u, mat, g_max
+    steps = 0
+    try:
+        while steps < _NEWTON_MAX_STEPS and g_max / n - 1.0 > tol:
+            support = np.union1d(np.flatnonzero(u > 0.0), int(np.argmax(g)))
+            rows = pts[support]
+            q = (rows @ np.linalg.solve(mat, rows.T)) ** 2
+            q_inv_g, q_inv_1 = np.linalg.solve(
+                q, np.column_stack([g[support], np.ones(support.size)])
+            ).T
+            # lambda = 1^T Q^-1 g_S / 1^T Q^-1 1 makes 1^T d = 0.
+            d = q_inv_g - (q_inv_g.sum() / q_inv_1.sum()) * q_inv_1
+            u_s = u[support]
+            step, blocking = 1.0, None
+            falling = np.flatnonzero(d < 0.0)
+            if falling.size:
+                ratios = u_s[falling] / -d[falling]
+                k = int(np.argmin(ratios))
+                if ratios[k] < 1.0:
+                    step, blocking = float(ratios[k]), support[falling[k]]
+            u = u.copy()
+            u[support] = np.maximum(u_s + step * d, 0.0)
+            if blocking is not None:
+                u[blocking] = 0.0
+            u /= u.sum()
+            mat = pts.T @ (pts * u[:, None])
+            g = np.einsum("ij,ji->i", pts, np.linalg.solve(mat, pts.T))
+            steps += 1
+            new_g_max = float(g.max())
+            logdet = float(np.linalg.slogdet(mat)[1])
+            if blocking is None and not (new_g_max < g_max or logdet > last_logdet):
+                break
+            g_max, last_logdet = new_g_max, logdet
+            if g_max < best_g_max:
+                best_u, best_mat, best_g_max = u, mat, g_max
+    except np.linalg.LinAlgError:
+        pass
+    return best_u, best_mat, steps
 
 
 def _check_spans(mat: np.ndarray, m: int) -> None:
@@ -312,7 +406,7 @@ def solve_mvee_polar(points: np.ndarray, tol: float = 1e-9) -> Ellipsoid:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise GeometryError("points must form a 2-d array")
-    _, mat, g_max, _ = _khachiyan_ascent(pts, tol)
+    _, mat, g_max, _, _ = _khachiyan_ascent(pts, tol)
     return Ellipsoid(sqrt_spd(g_max * mat), np.zeros(pts.shape[1]))
 
 
@@ -341,7 +435,7 @@ def _fit_inside(
 def _solve_mve_oracle(body: SymmetricPolytope, gap: float) -> JohnSolution:
     n = body.n
     tol = gap / (2.0 * n)
-    _, mat, g_max, iterations = _khachiyan_ascent(_distinct_rows(body), tol)
+    _, mat, g_max, iterations, steps = _khachiyan_ascent(_distinct_rows(body), tol)
     # Polar conversion: the unscaled inscribed factor is (n M)^(-1/2); the
     # certificate scale sqrt(g_max / n) shrinks it onto the feasible side.
     vals, vecs = np.linalg.eigh(n * mat)
@@ -353,7 +447,8 @@ def _solve_mve_oracle(body: SymmetricPolytope, gap: float) -> JohnSolution:
     shrink = float(np.sum(np.log(radii))) - ell.logdet
     gap_bound = max(0.0, 0.5 * n * np.log(g_max / n)) + shrink
     return JohnSolution(
-        ellipsoid=ell, logdet_gap=gap_bound, solver_tag="oracle", iterations=iterations
+        ellipsoid=ell, logdet_gap=gap_bound, solver_tag="oracle",
+        iterations=iterations, newton_steps=steps,
     )
 
 
@@ -362,7 +457,7 @@ def dual_logdet_bound(body: SymmetricPolytope, tol: float = 1e-9) -> float:
     obtained from any simplex weights w via weak duality:
     opt <= -1/2 log det(n sum_i w_i a_i a_i^T). A short weight ascent makes
     the bound tight to about n * tol / 2."""
-    _, mat, _, _ = _khachiyan_ascent(_distinct_rows(body), tol)
+    _, mat, _, _, _ = _khachiyan_ascent(_distinct_rows(body), tol)
     sign, logdet = np.linalg.slogdet(body.n * mat)
     if sign <= 0:
         raise NumericalError("dual moment matrix is singular")

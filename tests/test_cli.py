@@ -259,7 +259,12 @@ class TestMveCommand:
         assert main(["mve", "--solver", solver, "--polytope", path]) == 0
         summary = capsys.readouterr().out.splitlines()[0]
         assert summary.startswith(f"solver={solver} ")
-        assert int(summary.split("iterations=")[1]) > 0
+        assert int(summary.split("iterations=")[1].split()[0]) > 0
+        newton_steps = int(summary.split("newton_steps=")[1])
+        if solver == "oracle":
+            assert newton_steps > 0
+        else:
+            assert newton_steps == 0
 
 
 class TestDiagnoseCommand:

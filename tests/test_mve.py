@@ -157,7 +157,7 @@ def general_position_cases():
 class TestKhachiyanAscent:
     def test_certificate_comes_from_exact_moments(self):
         for n, rows, tol in general_position_cases():
-            u, mat, g_max, iterations = _khachiyan_ascent(rows, tol)
+            u, mat, g_max, iterations, _ = _khachiyan_ascent(rows, tol)
             assert iterations > 0
             exact = rows.T @ (rows * u[:, None])
             assert np.array_equal(mat, exact)
@@ -169,7 +169,7 @@ class TestKhachiyanAscent:
     def test_agrees_with_dense_reference(self):
         total, total_ref = 0, 0
         for n, rows, tol in general_position_cases():
-            _, mat, g_max, iterations = _khachiyan_ascent(rows, tol)
+            _, mat, g_max, iterations, _ = _khachiyan_ascent(rows, tol)
             _, mat_ref, g_ref, iterations_ref = dense_ascent(rows, tol)
             # log det M of either sits within n log(g_max / n) of the optimum.
             gaps = n * np.log(g_max / n) + n * np.log(g_ref / n)
@@ -177,7 +177,8 @@ class TestKhachiyanAscent:
             assert abs(diff) <= gaps
             total += iterations
             total_ref += iterations_ref
-        assert abs(total - total_ref) <= 0.1 * total_ref
+        # The Newton polish cuts the ascent's linear tail.
+        assert total <= 0.5 * total_ref
 
     def test_boxes_match_dense_reference_bitwise(self, rng):
         # The reduced rows of a box are orthogonal, so the uniform weights
@@ -187,7 +188,7 @@ class TestKhachiyanAscent:
                 x = poly.b[: poly.n] * rng.uniform(0.1, 0.5, poly.n)
                 rows = _distinct_rows(symmetrize(poly, x * rng.choice([-1, 1], poly.n)))
                 tol = _effective_gap(None, poly.n) / (2.0 * poly.n)
-                _, mat, g_max, iterations = _khachiyan_ascent(rows, tol)
+                _, mat, g_max, iterations, _ = _khachiyan_ascent(rows, tol)
                 _, mat_ref, g_ref, _ = dense_ascent(rows, tol)
                 assert iterations == 0
                 assert np.array_equal(mat, mat_ref)
@@ -200,6 +201,61 @@ class TestKhachiyanAscent:
         pts = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0]])
         with pytest.raises(NumericalError, match="singular"):
             _khachiyan_ascent(pts, 1e-9)
+
+
+def assert_exact_certificate(rows, tol, u, mat, g_max):
+    exact = rows.T @ (rows * u[:, None])
+    assert np.array_equal(mat, exact)
+    g = np.einsum("ij,ji->i", rows, np.linalg.solve(exact, rows.T))
+    assert g.max() == g_max
+    assert g_max / rows.shape[1] - 1.0 <= tol
+
+
+class TestNewtonPolish:
+    def test_certifies_within_step_cap(self, monkeypatch):
+        polished = []
+        polish = mve._newton_polish
+
+        def recording(*args):
+            u, mat, steps = polish(*args)
+            polished.append((u.copy(), mat, steps))
+            return u, mat, steps
+
+        monkeypatch.setattr(mve, "_newton_polish", recording)
+        for _, rows, tol in general_position_cases():
+            polished.clear()
+            u, mat, g_max, _, newton_steps = _khachiyan_ascent(rows, tol)
+            # The polish ran once and the ascent returned its weights as
+            # they came back, without a further ascent iteration.
+            assert len(polished) == 1
+            assert np.array_equal(polished[0][0], u) and polished[0][1] is mat
+            assert 0 < newton_steps == polished[0][2] <= mve._NEWTON_MAX_STEPS
+            assert_exact_certificate(rows, tol, u, mat, g_max)
+
+    def test_ascent_certifies_without_polish(self, monkeypatch):
+        monkeypatch.setattr(
+            mve, "_newton_polish", lambda pts, u, mat, g, tol: (u, mat, 0)
+        )
+        for _, rows, tol in general_position_cases():
+            u, mat, g_max, iterations, newton_steps = _khachiyan_ascent(rows, tol)
+            assert iterations > 0
+            assert newton_steps == 0
+            assert_exact_certificate(rows, tol, u, mat, g_max)
+
+    def test_singular_q_leaves_polish(self):
+        # p and -p give equal rows of Q, which is then exactly singular.
+        pts = np.array([
+            [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+            [1.0, 1.0, 1.0], [-1.0, -1.0, -1.0], [1.0, -2.0, 0.5],
+        ])
+        u = np.full(6, 1.0 / 6.0)
+        mat = pts.T @ (pts * u[:, None])
+        g = np.einsum("ij,ji->i", pts, np.linalg.solve(mat, pts.T))
+        out_u, out_mat, steps = mve._newton_polish(pts, u, mat, g, 1e-12)
+        assert out_u is u and out_mat is mat and steps == 0
+        u, mat, g_max, _, newton_steps = _khachiyan_ascent(pts, 1e-12)
+        assert newton_steps == 0
+        assert_exact_certificate(pts, 1e-12, u, mat, g_max)
 
 
 class TestSolveMveClosedForms:
