@@ -316,20 +316,24 @@ def _log_barrier(A: np.ndarray, b: np.ndarray):
     return newton, inside
 
 
-def _damped_newton(x: np.ndarray, newton, inside, tol: float, max_steps: int,
-                   scale: float = 1.0):
+def _damped_newton(x: np.ndarray, newton, inside, tol: float, max_steps: int):
     """Damped Newton descent from the interior point x, without a line
     search: ``newton(x)`` gives the step and its decrement lambda^2, and x
-    moves by scale / (1 + lambda) times the step. On a self-concordant barrier
-    scale 1 stays in the Dikin ellipsoid, inside the domain (Nesterov &
-    Nemirovskii 1994). A step failing the domain test ``inside`` ends the
-    descent. Returns (x, converged), converged once the decrement is below
-    ``tol`` and not negative."""
+    moves by 1 / (1 + lambda) times the step, which on a self-concordant
+    barrier stays inside the domain (Nesterov & Nemirovskii 1994). A step
+    failing the domain test ``inside`` ends the descent, as does a decrement
+    of at most 1/16 that does not fall below the last: Newton squares it
+    there, so a stall is rounding. Returns (x, converged), converged once
+    the decrement is below ``tol`` and not negative."""
+    previous = math.inf
     for _ in range(max_steps):
         step, decrement = newton(x)
         if decrement < tol:
             return x, decrement >= 0.0
-        trial = x + scale / (1.0 + math.sqrt(decrement)) * step
+        if decrement <= 1.0 / 16.0 and not decrement < previous:
+            return x, False
+        previous = decrement
+        trial = x + 1.0 / (1.0 + math.sqrt(decrement)) * step
         if not inside(trial):
             return x, False
         x = trial

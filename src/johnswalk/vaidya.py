@@ -4,13 +4,14 @@ The engine maintains a bounded localization polytope {z : Gz <= h} that
 always contains the target set, starting from the box {|z_i| <= rho}. The
 iterate is kept near the volumetric center, the minimizer of
 V(z) = 1/2 logdet H(z) where H is the log-barrier Hessian. Recentering runs
-the damped Newton loop of ``geometry._damped_newton`` on V: fixed-length
-steps, no line search, preconditioned by Q(z) = sum_i sigma_i g_i g_i^T / s_i^2
-with leverage scores sigma_i. The volume certificate below runs the same
-loop on the log barrier to reach the analytic center. Each round either
-drops the constraint of smallest leverage (below ``EPS``) or queries the
-oracle and adds the returned cut through the current iterate, backing the
-iterate off by half a Dikin radius so it stays strictly interior.
+the damped Newton loop of ``geometry._damped_newton`` on V with its exact
+Hessian, without a line search; one factorization of H per iterate serves
+the last Newton step, the drop test and the next cut. The volume certificate
+below runs the same loop on the log barrier to reach the analytic center.
+Each round either drops the constraint of smallest leverage (below
+``EPS``) or queries the oracle and adds the returned cut through the
+current iterate, backing the iterate off by half a Dikin radius so it stays
+strictly interior.
 
 The conformance constants are fixed module constants: EPS = 0.005,
 TAU = 0.007, DELTA_V = 0.00037, and at most MAX_CONSTRAINTS_FACTOR = 201
@@ -33,22 +34,16 @@ vol(2^-L ball) is already proved.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError, OracleInconsistencyError, SolverError
 from .geometry import _damped_newton, _log_barrier, _log_unit_ball_volume
 
 _NEWTON_TOL = 1e-9
 _NEWTON_MAX_STEPS = 60
-# Q(z) <= Hess V(z) <= 5 Q(z) (Vaidya, Math. Prog. 1996), so a Q-norm step of
-# fixed length decreases V without a line search (Anstreicher, Math. Oper.
-# Res. 1997). 0.5-0.6 solved mve-crossval fastest; 0.7 took 1.6x, 1 oscillates.
-_RECENTER_STEP = 0.5
 _VOLUME_CHECK_EVERY = 20
 _STAGNATION_WINDOW = 50
 _STAGNATION_TOL = 1e-12
@@ -82,6 +77,11 @@ class CutState:
     iterate: np.ndarray
     peak_rows: int = 0
     drops: int = 0
+    # Newton systems solved in recentering; recenters that ended unconverged,
+    # and those of them that ran all _NEWTON_MAX_STEPS steps.
+    newton_steps: int = 0
+    unconverged: int = 0
+    capped: int = 0
 
     @property
     def rows(self) -> int:
@@ -155,6 +155,7 @@ class _Engine:
             peak_rows=2 * d,
         )
         self.cap = MAX_CONSTRAINTS_FACTOR * d
+        self._memo = (None, None, None)
         self._recenter()
 
     # -- barrier quantities -------------------------------------------------
@@ -162,42 +163,55 @@ class _Engine:
     def _slacks(self, x: np.ndarray) -> np.ndarray:
         return self.state.h_offs - self.state.g_rows @ x
 
-    def _barrier_value(self, x: np.ndarray) -> float:
-        """V(x) = 1/2 logdet H(x), read off the Cholesky factor of H."""
-        _, (chol, _), _ = self._leverages(x)
-        return float(np.sum(np.log(np.diag(chol))))
-
-    def _leverages(self, x: np.ndarray):
+    def _barrier(self, x: np.ndarray):
+        """(w, linv, half, sigma) at x: the rows over their slacks, the inverse
+        Cholesky factor of H = w^T w, linv w^T and the leverage scores; kept
+        and reused until the iterate object or the rows change."""
+        rows = self.state.g_rows
+        if self._memo[0] is x and self._memo[1] is rows:
+            return self._memo[2]
         s = self._slacks(x)
         if np.any(s <= 0.0):
             raise _IterateOutside("iterate left the localization polytope")
-        w = self.state.g_rows / s[:, None]
+        w = rows / s[:, None]
         try:
-            chol = cho_factor(w.T @ w, lower=True)
+            linv = np.linalg.inv(np.linalg.cholesky(w.T @ w))
         except np.linalg.LinAlgError as exc:
             raise _IterateOutside("barrier Hessian not PD at the iterate") from exc
-        half = cho_solve(chol, w.T)
-        sigma = np.einsum("ij,ji->i", w, half)
-        return w, chol, sigma
+        half = linv @ w.T
+        self._memo = (x, rows, (w, linv, half, np.sum(half * half, axis=0)))
+        return self._memo[2]
+
+    def _volumetric(self, x: np.ndarray):
+        """(grad V, Hess V) at x: w^T sigma and w^T (3 diag(sigma) - 2 P*P) w
+        with P = w H^-1 w^T, between Q = w^T diag(sigma) w and 3Q
+        (Anstreicher, Math. Oper. Res. 1997)."""
+        w, _, half, sigma = self._barrier(x)
+        proj = half.T @ half
+        hess = 3.0 * (w * sigma[:, None]).T @ w - 2.0 * w.T @ ((proj * proj) @ w)
+        return w.T @ sigma, hess
 
     def _newton_step(self, x: np.ndarray):
-        """Volumetric Newton step preconditioned by Q, and its decrement."""
-        w, _, sigma = self._leverages(x)
-        grad = w.T @ sigma
-        q_mat = (w * sigma[:, None]).T @ w
-        ridge = 1e-13 * (np.trace(q_mat) / self.d + 1.0)
+        """Newton step on V with its exact Hessian, and its decrement."""
+        self.state.newton_steps += 1
+        grad, hess = self._volumetric(x)
         try:
-            step = -cho_solve(cho_factor(q_mat + ridge * np.eye(self.d), lower=True), grad)
+            lh_inv = np.linalg.inv(np.linalg.cholesky(hess))
         except np.linalg.LinAlgError as exc:
-            raise NumericalError("volumetric Newton system not PD") from exc
-        return step, -float(grad @ step)
+            raise _IterateOutside("volumetric barrier Hessian not PD") from exc
+        u = lh_inv @ grad
+        return -(lh_inv.T @ u), float(u @ u)
 
     def _recenter(self):
-        self.state.iterate, _ = _damped_newton(
+        before = self.state.newton_steps
+        self.state.iterate, converged = _damped_newton(
             self.state.iterate, self._newton_step,
             lambda x: bool(np.all(self._slacks(x) > 0.0)),
-            _NEWTON_TOL, _NEWTON_MAX_STEPS, _RECENTER_STEP,
+            _NEWTON_TOL, _NEWTON_MAX_STEPS,
         )
+        if not converged:
+            self.state.unconverged += 1
+            self.state.capped += self.state.newton_steps - before >= _NEWTON_MAX_STEPS
 
     # -- cut management -----------------------------------------------------
 
@@ -210,12 +224,12 @@ class _Engine:
             raise NumericalError("oracle returned a zero cut direction")
         w_row = direction / norm
         offset = float(w_row @ x)
-        _, chol, _ = self._leverages(x)
-        pull = cho_solve(chol, w_row)
-        width = math.sqrt(float(w_row @ pull))
+        _, linv, _, _ = self._barrier(x)
+        u = linv @ w_row
+        width = math.sqrt(float(u @ u))
         if not np.isfinite(width) or width <= 0.0:
             raise NumericalError("degenerate cut direction")
-        self.state.iterate = x - 0.5 * pull / width
+        self.state.iterate = x - 0.5 * (linv.T @ u) / width
         self.state.g_rows = np.vstack([self.state.g_rows, w_row])
         self.state.h_offs = np.append(self.state.h_offs, offset)
         self.state.permanent = np.append(self.state.permanent, False)
@@ -229,7 +243,7 @@ class _Engine:
         droppable = ~self.state.permanent
         if not np.any(droppable):
             return False
-        _, _, sigma = self._leverages(self.state.iterate)
+        _, _, _, sigma = self._barrier(self.state.iterate)
         masked = np.where(droppable, sigma, np.inf)
         i = int(np.argmin(masked))
         if threshold is not None and masked[i] >= threshold:
@@ -257,7 +271,9 @@ class _Engine:
         # radius is at most 1/3 + 3N/2 <= 2N for N >= 1.
         if not converged and not newton(x)[1] <= 1.0 / 16.0:
             return math.inf
-        return (self.d * math.log(2.0 * self.state.rows) - self._barrier_value(x)
+        # -1/2 logdet H(x) = sum_i log (L^-1)_ii for the Cholesky factor L.
+        neg_half_logdet = float(np.sum(np.log(np.diag(self._barrier(x)[1]))))
+        return (self.d * math.log(2.0 * self.state.rows) + neg_half_logdet
                 + _log_unit_ball_volume(self.d))
 
     def log_threshold(self) -> float:
@@ -281,7 +297,6 @@ def _run_cutting_plane(
     if mode == "practical":
         budget = min(budget, _PRACTICAL_CALL_CAP)
     calls = 0
-    barrier_trace: deque = deque(maxlen=_STAGNATION_WINDOW + 1)
     try:
         while calls < budget:
             if engine.drop_min_leverage(EPS):
@@ -301,13 +316,6 @@ def _run_cutting_plane(
             if outcome[0] == "accept":
                 return engine, calls, "accept", outcome[1]
             engine.add_cut(outcome[1])
-            barrier_trace.append(engine._barrier_value(engine.state.iterate))
-            if (
-                mode == "practical"
-                and len(barrier_trace) > _STAGNATION_WINDOW
-                and abs(barrier_trace[-1] - barrier_trace[0]) < _STAGNATION_TOL
-            ):
-                return engine, calls, "stagnated", None
     except _IterateOutside:
         # A cut through an optimum on the target's boundary can leave the
         # iterate with a slack that rounds to zero, or H too ill-conditioned
@@ -376,10 +384,8 @@ def vaidya_minimize(
     Feasible iterates are recorded and the best one is returned; a zero
     subgradient returns its iterate immediately. In practical mode the run
     additionally stops once the best value has not improved by more than
-    1e-12 over the last 50 feasible evaluations (the barrier-plateau rule
-    alone only fires at numeric exhaustion, since the barrier grows for as
-    long as cuts keep arriving). Raises SolverError carrying the volume
-    certificate when no feasible iterate was ever seen.
+    1e-12 over the last 50 feasible evaluations. Raises SolverError
+    carrying the volume certificate when no feasible iterate was ever seen.
     """
     params = params or VaidyaParams()
     history: list[tuple[np.ndarray, float]] = []

@@ -314,6 +314,32 @@ class TestDampedNewton:
         assert np.isclose(x[0], 2.0, atol=1e-10)
         assert trials and all(0.0 < t < 4.0 for t in trials)
 
+    def test_stall_at_rounding_floor_ends_descent(self):
+        # A decrement that stops falling inside the quadratic region is a
+        # rounding floor: the second evaluation ends the descent unconverged.
+        calls = []
+
+        def newton(x):
+            calls.append(x)
+            return np.array([1e-6]), 1e-9
+
+        x, converged = _damped_newton(np.array([0.5]), newton, INTERVAL_INSIDE, 1e-20, 60)
+        assert not converged
+        assert len(calls) == 2
+        assert x is calls[-1]
+
+    def test_rise_above_quadratic_region_continues(self):
+        # Only a decrement of at most 1/16 can stall; a rise above it (here
+        # 0.01 -> 0.5) keeps descending until the tolerance is met.
+        decrements = iter([0.01, 0.5, 0.04, 1e-3, 1e-30])
+
+        def newton(x):
+            return np.zeros(1), next(decrements)
+
+        x, converged = _damped_newton(np.array([0.5]), newton, INTERVAL_INSIDE, 1e-20, 60)
+        assert converged
+        assert next(decrements, None) is None
+
     def test_domain_test_excludes_boundary(self):
         assert not INTERVAL_INSIDE(np.array([4.0]))
         assert not INTERVAL_INSIDE(np.array([-0.1]))

@@ -5,6 +5,8 @@ import pytest
 
 from johnswalk import vaidya
 from johnswalk.errors import NumericalError, OracleInconsistencyError, SolverError
+from johnswalk.geometry import symmetrize
+from johnswalk.mve import solve_mve
 from johnswalk.vaidya import (
     _NEWTON_TOL,
     DELTA_V,
@@ -18,6 +20,8 @@ from johnswalk.vaidya import (
     vaidya_feasibility,
     vaidya_minimize,
 )
+
+from conftest import box
 
 
 def ball_oracle(center, radius):
@@ -92,6 +96,46 @@ class TestEngine:
             _, decrement = engine._newton_step(engine.state.iterate)
             assert 0.0 <= decrement < _NEWTON_TOL
         assert np.all(engine._slacks(engine.state.iterate) > 0.0)
+
+    def test_hessian_matches_gradient_and_brackets_q(self, rng):
+        # On a random localization polytope, Hess V is the Jacobian of
+        # grad V = w^T sigma (central differences) and Q <= Hess V <= 3Q.
+        engine = _Engine(3, VaidyaParams(rho=1.0))
+        for _ in range(6):
+            engine.add_cut(rng.standard_normal(3))
+        x = engine.state.iterate + 0.05 * rng.standard_normal(3)
+        assert np.all(engine._slacks(x) > 0.0)
+        grad, hess = engine._volumetric(x)
+        step = 1e-6
+        jac = np.column_stack([
+            (engine._volumetric(x + step * e)[0] - engine._volumetric(x - step * e)[0])
+            / (2.0 * step)
+            for e in np.eye(3)
+        ])
+        assert np.allclose(jac, hess, rtol=1e-6, atol=1e-6 * np.abs(hess).max())
+        w, _, _, sigma = engine._barrier(x)
+        q_mat = (w * sigma[:, None]).T @ w
+        l_inv = np.linalg.inv(np.linalg.cholesky(q_mat))
+        ratio = np.linalg.eigvalsh(l_inv @ hess @ l_inv.T)
+        assert ratio[0] >= 1.0 - 1e-10 and ratio[-1] <= 3.0 + 1e-10
+
+    @pytest.mark.parametrize("widths", [np.ones(2), np.ones(3)], ids=["square", "cube3"])
+    def test_no_recenter_reaches_step_cap_on_boxes(self, monkeypatch, widths):
+        # The benchmark's cutting-plane solves at the centers of the square
+        # and the 3-cube, where the Q-preconditioned step used to stall at
+        # the rounding floor until the cap.
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(vaidya_minimize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(vaidya, "vaidya_minimize", recording)
+        poly = box(widths)
+        solve_mve(symmetrize(poly, np.zeros(widths.size)), method="vaidya", gap=1e-5)
+        state = results[0].state
+        assert state.newton_steps > 0
+        assert state.capped == 0
 
     def test_off_center_point_gives_no_certificate(self, monkeypatch):
         # Certify only at a point whose log-barrier Newton decrement is at
