@@ -167,7 +167,6 @@ class TestKhachiyanAscent:
             assert abs(u.sum() - 1.0) <= rows.shape[0] * np.finfo(float).eps
 
     def test_agrees_with_dense_reference(self):
-        total, total_ref = 0, 0
         for n, rows, tol in general_position_cases():
             _, mat, g_max, iterations, _ = _khachiyan_ascent(rows, tol)
             _, mat_ref, g_ref, iterations_ref = dense_ascent(rows, tol)
@@ -175,10 +174,9 @@ class TestKhachiyanAscent:
             gaps = n * np.log(g_max / n) + n * np.log(g_ref / n)
             diff = np.linalg.slogdet(mat)[1] - np.linalg.slogdet(mat_ref)[1]
             assert abs(diff) <= gaps
-            total += iterations
-            total_ref += iterations_ref
-        # The Newton polish cuts the ascent's linear tail.
-        assert total <= 0.5 * total_ref
+            # The core start and the Newton polish cut the reference's
+            # uniform start and linear tail, on every body.
+            assert iterations <= 0.5 * iterations_ref
 
     def test_boxes_match_dense_reference_bitwise(self, rng):
         # The reduced rows of a box are orthogonal, so the uniform weights
@@ -253,9 +251,55 @@ class TestNewtonPolish:
         g = np.einsum("ij,ji->i", pts, np.linalg.solve(mat, pts.T))
         out_u, out_mat, steps = mve._newton_polish(pts, u, mat, g, 1e-12)
         assert out_u is u and out_mat is mat and steps == 0
-        u, mat, g_max, _, newton_steps = _khachiyan_ascent(pts, 1e-12)
-        assert newton_steps == 0
+        # The core start need not put both p and -p in the support, so the
+        # polish may take steps here; the ascent must still certify.
+        u, mat, g_max, _, _ = _khachiyan_ascent(pts, 1e-12)
         assert_exact_certificate(pts, 1e-12, u, mat, g_max)
+
+
+def random_linear_map(n, rng):
+    """An invertible map with column scales e^U(-3, 3)."""
+    while True:
+        t = rng.standard_normal((n, n)) * np.exp(rng.uniform(-3.0, 3.0, n))
+        if np.linalg.cond(t) < 1e8:
+            return t
+
+
+class TestCoreStart:
+    def test_support_invariant_under_linear_maps(self, rng):
+        # 36 bodies, each symmetrized at the origin and at an interior point.
+        for n, m in ((2, 6), (3, 9), (5, 15), (5, 30), (10, 60), (20, 120)):
+            for seed in range(6):
+                poly = unit_normal_polytope(n, m, seed)
+                for x in [np.zeros(n)] + interior_points(poly, 1, rng, shrink=0.3):
+                    rows = _distinct_rows(symmetrize(poly, x))
+                    u = mve._core_start(rows)
+                    assert np.count_nonzero(u) == n and u.sum() == pytest.approx(1.0)
+                    for _ in range(3):
+                        mapped = mve._core_start(rows @ random_linear_map(n, rng))
+                        assert np.array_equal(np.flatnonzero(mapped), np.flatnonzero(u))
+
+    def test_square_point_sets_start_uniform(self, rng):
+        for n in (1, 2, 5, 10):
+            rows = rng.standard_normal((n, n))
+            assert np.array_equal(mve._core_start(rows), np.full(n, 1.0 / n))
+            u, _, _, iterations, newton_steps = _khachiyan_ascent(rows, 1e-9)
+            assert np.array_equal(u, np.full(n, 1.0 / n))
+            assert iterations == newton_steps == 0
+
+    def test_halves_ascent_from_uniform_weights_at_center(self, monkeypatch):
+        cases = []
+        for n, m in ((10, 60), (20, 120)):
+            poly = unit_normal_polytope(n, m, 11)
+            rows = _distinct_rows(symmetrize(poly, analytic_center(poly)))
+            cases.append((rows, _effective_gap(None, n) / (2.0 * n)))
+        core = [_khachiyan_ascent(rows, tol)[3] for rows, tol in cases]
+        monkeypatch.setattr(
+            mve, "_core_start", lambda pts: np.full(len(pts), 1.0 / len(pts))
+        )
+        uniform = [_khachiyan_ascent(rows, tol)[3] for rows, tol in cases]
+        for ours, theirs in zip(core, uniform):
+            assert ours <= 0.5 * theirs
 
 
 class TestSolveMveClosedForms:
