@@ -21,11 +21,11 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .diagnostics import check_step_lemmas, ess
+from .diagnostics import check_step_lemmas
 from .errors import InputDataError, NumericalError
 from .geometry import Polytope, analytic_center, symmetrize
 from .mve import extract_contacts, solve_mve, verify_john_conditions
-from .walk import WalkConfig, radius, run_ball_walk, run_chain, run_hit_and_run
+from .walk import WalkConfig, run_ball_walk, run_chain, run_hit_and_run
 
 
 def load_polytope(path: str) -> Polytope:
@@ -246,30 +246,6 @@ def _cmd_diagnose(args) -> int:
     return 0 if failures == 0 else 3
 
 
-def _cmd_bench(args) -> int:
-    poly = load_polytope(args.polytope)
-    start = analytic_center(poly)
-    import time
-
-    rows = []
-    for kind in ("john", "ball", "hitrun"):
-        t0 = time.perf_counter()
-        if kind == "john":
-            samples, _ = run_chain(poly, start, args.steps, WalkConfig(seed=args.seed))
-        elif kind == "ball":
-            samples = run_ball_walk(poly, start, args.steps, args.delta, seed=args.seed)
-        else:
-            samples = run_hit_and_run(poly, start, args.steps, seed=args.seed)
-        elapsed = time.perf_counter() - t0
-        min_ess = min(ess(samples[:, j]) for j in range(poly.n))
-        rows.append((kind, elapsed, min_ess))
-    print(f"{'walk':8s} {'seconds':>10s} {'min_ess':>10s} {'ess_per_sec':>12s}")
-    for kind, elapsed, min_ess in rows:
-        rate = min_ess / elapsed if elapsed > 0 else float("inf")
-        print(f"{kind:8s} {elapsed:10.3f} {min_ess:10.1f} {rate:12.2f}")
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="johnswalk",
@@ -310,12 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--seed", type=int, default=0)
     p_diag.set_defaults(func=_cmd_diagnose)
 
-    p_bench = sub.add_parser("bench", help="compare walks on one polytope")
-    p_bench.add_argument("--polytope", required=True)
-    p_bench.add_argument("--steps", type=int, default=2000)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--delta", type=float, default=0.1)
-    p_bench.set_defaults(func=_cmd_bench)
     return parser
 
 

@@ -272,11 +272,9 @@ class TestDiagnoseCommand:
         assert "fail" not in out
 
 
-class TestBenchCommand:
-    def test_table_output(self, square, capsys):
-        code = main(["bench", "--polytope", square, "--steps", "200"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "ess_per_sec" in out
-        for kind in ("john", "ball", "hitrun"):
-            assert kind in out
+class TestRemovedBenchCommand:
+    def test_bench_is_not_a_subcommand(self, square):
+        # perfbench/ is the one harness that compares walks.
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--polytope", square])
+        assert exc.value.code == 2
