@@ -75,7 +75,7 @@ _PARALLEL_TOL = 8.0 * _EPS
 
 
 # ---------------------------------------------------------------------------
-# symmetric-matrix vectorization and SPD helpers
+# symmetric-matrix vectorization
 
 
 @lru_cache(maxsize=None)
@@ -106,16 +106,6 @@ def vec_to_sym(v: np.ndarray, n: int) -> np.ndarray:
     x = x + x.T
     x[np.diag_indices(n)] *= 0.5
     return x
-
-
-def sqrt_spd(mat: np.ndarray) -> np.ndarray:
-    """Symmetric positive definite square root via eigendecomposition."""
-    vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    if vals[0] <= 0.0:
-        raise NumericalError(
-            f"matrix is not positive definite (min eigenvalue {vals[0]:.3e})"
-        )
-    return (vecs * np.sqrt(vals)) @ vecs.T
 
 
 @lru_cache(maxsize=None)
@@ -419,27 +409,6 @@ def _check_spans(mat: np.ndarray, m: int) -> None:
     raise UnboundedPolytopeError(
         "point set does not span; the polar body is unbounded"
     )
-
-
-def solve_mvee_polar(points: np.ndarray, tol: float = 1e-9) -> Ellipsoid:
-    """Minimum-volume origin-centered ellipsoid enclosing the symmetric point
-    set {+-p_i}.
-
-    Args:
-        points: (m, n) array; each row is one point (negations are implied
-            and need not be listed).
-        tol: certificate tolerance; ascent stops when
-            max_i p_i^T M^-1 p_i <= n (1 + tol).
-
-    Returns:
-        The enclosing ellipsoid, inflated by the certificate factor so that
-        containment of every input point holds exactly.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise GeometryError("points must form a 2-d array")
-    _, mat, g_max, _, _ = _khachiyan_ascent(pts, tol)
-    return Ellipsoid(sqrt_spd(g_max * mat), np.zeros(pts.shape[1]))
 
 
 def _fit_inside(

@@ -29,7 +29,6 @@ from johnswalk.mve import (
     extract_contacts,
     separation_oracle_mve,
     solve_mve,
-    solve_mvee_polar,
     sym_dim,
     sym_to_vec,
     vec_to_sym,
@@ -78,22 +77,28 @@ class TestVectorization:
         assert sym_to_vec(np.eye(5)).shape == (sym_dim(5),)
 
 
+def enclosing_shape(points, tol=1e-9):
+    """Shape matrix S = g_max M of the minimum-volume origin-centered
+    ellipsoid {x : x^T S^-1 x <= 1} enclosing {+-p_i}, from the weight
+    ascent; the certificate scale g_max makes it contain every point."""
+    _, mat, g_max, _, _ = _khachiyan_ascent(points, tol)
+    return g_max * mat
+
+
 class TestMveePolar:
     def test_axis_points_give_unit_ball(self):
-        e = solve_mvee_polar(np.eye(3))
-        assert np.allclose(e.mat, np.eye(3), atol=1e-7)
+        assert np.allclose(enclosing_shape(np.eye(3)), np.eye(3), atol=1e-7)
 
     def test_axis_aligned_ellipse(self):
-        e = solve_mvee_polar(np.array([[2.0, 0.0], [0.0, 1.0]]))
-        assert np.allclose(e.mat, np.diag([2.0, 1.0]), atol=1e-7)
+        shape = enclosing_shape(np.array([[2.0, 0.0], [0.0, 1.0]]))
+        assert np.allclose(shape, np.diag([4.0, 1.0]), atol=1e-7)
 
     def test_certificate_and_containment(self, rng):
         pts = rng.normal(size=(12, 3))
         tol = 1e-8
-        e = solve_mvee_polar(pts, tol=tol)
-        # every point inside the returned ellipsoid
-        inv = np.linalg.inv(e.mat)
-        norms = np.linalg.norm(pts @ inv.T, axis=1)
+        shape = enclosing_shape(pts, tol=tol)
+        # every point inside the enclosing ellipsoid
+        norms = np.sqrt(np.einsum("ij,ji->i", pts, np.linalg.solve(shape, pts.T)))
         assert norms.max() <= 1.0 + 1e-9
         # certificate means the ellipsoid is within (1+tol)^(1/2) of optimal,
         # so at least one point is essentially on the boundary
@@ -102,7 +107,7 @@ class TestMveePolar:
     def test_rank_deficient_raises(self):
         pts = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0]])
         with pytest.raises(UnboundedPolytopeError):
-            solve_mvee_polar(pts)
+            enclosing_shape(pts)
 
 
 def dense_ascent(points, tol):
@@ -542,7 +547,7 @@ class TestDistinctRows:
         assert np.array_equal(_distinct_rows(body), body.A)
 
     def test_reduced_solve_matches_full_ascent(self, rng):
-        # solve_mvee_polar runs the ascent on every row; the polar of its
+        # The reference runs the ascent on every row; the polar of its
         # enclosing ellipsoid is the inscribed one. Both log-dets are
         # certified, so they agree within the sum of the two gaps.
         parallel = random_polytope(3, 4, rng)
@@ -559,7 +564,7 @@ class TestDistinctRows:
             assert _distinct_rows(body).shape[0] < body.rows
             gap, tol = 1e-9, 1e-10
             reduced = solve_mve(body, gap=gap)
-            full = -solve_mvee_polar(body.A, tol=tol).logdet
+            full = -0.5 * np.linalg.slogdet(enclosing_shape(body.A, tol=tol))[1]
             allowed = reduced.logdet_gap + 0.5 * poly.n * np.log1p(tol) + 1e-12
             assert abs(reduced.ellipsoid.logdet - full) <= allowed
 
