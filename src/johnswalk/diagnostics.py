@@ -48,7 +48,6 @@ class LemmaReport:
     max_det_dev: float
     min_eig_dev: float
     crossratio_violations: int
-    notes: str = ""
 
 
 class TvEstimate(NamedTuple):
@@ -124,7 +123,6 @@ def check_step_lemmas(
         max_det_dev=max_det_dev,
         min_eig_dev=min_eig_dev,
         crossratio_violations=violations,
-        notes=f"c={c}, r={r:.6g}, gap={eff_gap:.3g}",
     )
 
 

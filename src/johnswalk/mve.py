@@ -182,7 +182,6 @@ class JohnSolution:
     ellipsoid: Ellipsoid
     logdet_gap: float
     solver_tag: str
-    contacts: Optional[ContactSet] = None
     iterations: int = 0
     newton_steps: int = 0
 
