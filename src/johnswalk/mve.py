@@ -613,8 +613,8 @@ def solve_mve(
         ascent can leave the oracle route's certified gap above ``gap``;
         it then reports that larger gap rather than raising.
     """
-    if gap <= 0.0:
-        raise GeometryError("gap must be positive")
+    if not 0.0 < gap < np.inf:
+        raise GeometryError(f"gap must be positive and finite, not {gap}")
     if method == "oracle":
         return _solve_mve_oracle(body, gap)
     if method == "vaidya":

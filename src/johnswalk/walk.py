@@ -42,8 +42,8 @@ from .mve import solve_mve
 
 def radius(n: int, c: float) -> float:
     """Local ellipsoid radius c * n^(-5/2)."""
-    if n < 1 or c <= 0.0:
-        raise GeometryError("need n >= 1 and c > 0")
+    if n < 1 or not 0.0 < c < math.inf:
+        raise GeometryError(f"need n >= 1 and finite c > 0, not n={n}, c={c}")
     return c * float(n) ** -2.5
 
 
@@ -208,8 +208,8 @@ def ball_walk_step(
 ) -> np.ndarray:
     """Propose uniformly in the radius-delta ball; move iff the proposal
     stays in the polytope."""
-    if delta <= 0.0:
-        raise GeometryError("ball walk radius must be positive")
+    if not 0.0 < delta < math.inf:
+        raise GeometryError(f"ball walk radius must be positive and finite, not {delta}")
     x = np.asarray(x, dtype=float)
     z = x + delta * ball_points(poly.n, 1, rng)[0]
     return z if contains(poly, z) else x

@@ -197,6 +197,15 @@ class TestSampleCommand:
         assert code == 2
         assert "steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("walk, flag", [("ball", "--delta"), ("john", "--c")])
+    def test_non_finite_parameter_exits_two(self, square, tmp_path, capsys,
+                                            walk, flag, value):
+        code = main(["sample", "--polytope", square, "--walk", walk, flag, value,
+                     "--steps", "5", "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_requires_polytope_or_manifest(self, capsys):
         assert main(["sample"]) == 2
         assert "either --polytope or --manifest" in capsys.readouterr().err
@@ -251,6 +260,11 @@ class TestMveCommand:
         assert code in (0, 3)
         assert "input error" not in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("gap", ["nan", "inf"])
+    def test_non_finite_gap_exits_two(self, square, capsys, gap):
+        assert main(["mve", "--solver", "vaidya", "--gap", gap, "--polytope", square]) == 2
+        assert "finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("solver", ["oracle", "vaidya"])
     def test_summary_counts_iterations(self, tmp_path, capsys, solver):

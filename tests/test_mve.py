@@ -338,6 +338,14 @@ class TestSolveMveClosedForms:
         with pytest.raises(GeometryError):
             solve_mve(centered_body(cube(2)), gap=0.0)
 
+    @pytest.mark.parametrize("method", ["oracle", "vaidya"])
+    @pytest.mark.parametrize("gap", [np.nan, np.inf])
+    def test_non_finite_gap_rejected(self, method, gap):
+        # A nan gap would spin the ascent to its iteration cap; an inf gap
+        # overflows the cutting-plane route's level.
+        with pytest.raises(GeometryError, match="finite"):
+            solve_mve(centered_body(cube(2)), method=method, gap=gap)
+
 
 class TestSolveMveProperties:
     def test_feasibility_and_gap_sign(self, rng):

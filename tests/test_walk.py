@@ -44,6 +44,11 @@ class TestRadius:
         with pytest.raises(GeometryError):
             radius(3, 0.0)
 
+    @pytest.mark.parametrize("c", [np.nan, np.inf])
+    def test_non_finite_c(self, c):
+        with pytest.raises(GeometryError, match="finite"):
+            radius(3, c)
+
 
 class TestPropose:
     def test_within_radius(self, rng):
@@ -282,6 +287,12 @@ class TestBallWalk:
             for _ in range(200)
         )
         assert holds > 150
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf])
+    def test_non_finite_delta_rejected(self, rng, delta):
+        # A nan radius would hold the chain at its start forever.
+        with pytest.raises(GeometryError, match="finite"):
+            ball_walk_step(cube(2), np.zeros(2), delta, rng)
 
     def test_run_deterministic(self):
         a = run_ball_walk(cube(2), np.zeros(2), 50, 0.3, seed=4)
