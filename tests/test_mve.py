@@ -148,7 +148,7 @@ def general_position_cases():
     random (10, 60) and (20, 120) polytopes, symmetrized at the analytic
     center and at 4 seeded interior points. The points are drawn near the
     center, where chains run: further out the default tolerance at n = 20
-    sits at the binary64 floor and either ascent can spin (ROADMAP item 1)."""
+    sits at the binary64 floor and either ascent can spin (ROADMAP item 2)."""
     for n, m in ((10, 60), (20, 120)):
         poly = unit_normal_polytope(n, m, 11)
         points = [analytic_center(poly)] + interior_points(
@@ -473,9 +473,9 @@ def assert_inscribed_and_certified(body, sol, gap):
 
 # Rounding in the oracle route's ascent breaks the requested gap on thin and
 # badly scaled bodies, and its span check rejects some bounded bodies whose
-# row norms span ~1e12 (ROADMAP 3a).
+# row norms span ~1e12 (ROADMAP item 2).
 _ORACLE_ROUNDING = pytest.mark.xfail(
-    strict=True, reason="oracle route loses its gap to rounding (ROADMAP 3a)"
+    strict=True, reason="oracle route loses its gap to rounding (ROADMAP item 2)"
 )
 SHAPES = [
     pytest.param("scaled", marks=_ORACLE_ROUNDING),
