@@ -495,21 +495,20 @@ class OracleAnswer:
     """Answer of the inscribed-ellipsoid separation oracle at a symmetric
     matrix X, already vectorized for the cutting-plane engine.
 
-    kind is "feasible" (cut = objective gradient -X^-1), "constraint"
-    (cut = a_i a_i^T for the first violated row i) or "psd" (cut = -v v^T
-    for an eigenvector v with eigenvalue below 1/n).
+    kind is "feasible" (value = -logdet X, cut = its gradient -X^-1),
+    "constraint" (cut = a_i a_i^T for the first violated row i) or "psd"
+    (cut = -v v^T for an eigenvector v with eigenvalue below 1/n).
     """
 
     kind: str
     cut: np.ndarray
-    index: Optional[int] = None
-    eigenvalue: Optional[float] = None
+    value: Optional[float] = None
 
 
 def separation_oracle_mve(x_mat: np.ndarray, body: SymmetricPolytope) -> OracleAnswer:
     """Separate the matrix X from the feasible set {<X, a_i a_i^T> <= 1,
     X >= I/n} of the inscribed-ellipsoid program, or report feasibility
-    together with the objective cut."""
+    together with the objective -logdet X and its gradient."""
     x_mat = np.asarray(x_mat, dtype=float)
     n = body.n
     if x_mat.shape != (n, n):
@@ -520,18 +519,18 @@ def separation_oracle_mve(x_mat: np.ndarray, body: SymmetricPolytope) -> OracleA
     vals_rows = np.einsum("ij,jk,ik->i", body.A, x_mat, body.A)
     violated = np.nonzero(vals_rows > 1.0)[0]
     if violated.size:
-        i = int(violated[0])
-        row = body.A[i]
-        return OracleAnswer(kind="constraint", cut=sym_to_vec(np.outer(row, row)), index=i)
+        row = body.A[int(violated[0])]
+        return OracleAnswer(kind="constraint", cut=sym_to_vec(np.outer(row, row)))
     vals, vecs = np.linalg.eigh(x_mat)
     if vals[0] < 1.0 / n:
         v = vecs[:, 0]
-        return OracleAnswer(
-            kind="psd", cut=sym_to_vec(-np.outer(v, v)), eigenvalue=float(vals[0])
-        )
+        return OracleAnswer(kind="psd", cut=sym_to_vec(-np.outer(v, v)))
+    sign, logdet = np.linalg.slogdet(x_mat)
+    if sign <= 0:
+        raise NumericalError("objective evaluated at a non-PD matrix")
     inv = np.linalg.inv(x_mat)
     inv = 0.5 * (inv + inv.T)
-    return OracleAnswer(kind="feasible", cut=sym_to_vec(-inv))
+    return OracleAnswer(kind="feasible", cut=sym_to_vec(-inv), value=-float(logdet))
 
 
 def _solve_mve_vaidya(body: SymmetricPolytope, gap: float) -> JohnSolution:
@@ -542,25 +541,12 @@ def _solve_mve_vaidya(body: SymmetricPolytope, gap: float) -> JohnSolution:
     # Any feasible X has spectral norm <= the image's half-space count.
     rho = float(2 * image.rows)
     level = np.log2(4.0 / gap) + 1.0
-    params = _vaidya.VaidyaParams(level=level, rho=rho)
 
-    def feas_oracle(v: np.ndarray) -> Optional[np.ndarray]:
+    def oracle(v: np.ndarray):
         ans = separation_oracle_mve(vec_to_sym(v, n), image)
-        if ans.kind == "feasible":
-            return None
-        return ans.cut
+        return ans.value, ans.cut
 
-    def objective(v: np.ndarray) -> float:
-        sign, logdet = np.linalg.slogdet(vec_to_sym(v, n))
-        if sign <= 0:
-            raise NumericalError("objective evaluated at a non-PD matrix")
-        return -float(logdet)
-
-    def subgrad(v: np.ndarray) -> np.ndarray:
-        inv = np.linalg.inv(vec_to_sym(v, n))
-        return sym_to_vec(-0.5 * (inv + inv.T))
-
-    result = _vaidya.vaidya_minimize(objective, subgrad, feas_oracle, d, params=params)
+    result = _vaidya.vaidya_minimize(oracle, d, level, rho)
     if result.point is None:
         raise SolverError(
             "cutting-plane engine found no feasible matrix", best=result
@@ -606,12 +592,11 @@ def solve_mve(
     Returns:
         JohnSolution whose ellipsoid is strictly feasible: |mat @ a_i| <= 1
         for every row, with the certified logdet_gap. The oracle route
-        certifies it from its own ascent; the cutting-plane route runs the
-        engine in practical mode, certifies its answer through
-        :func:`dual_logdet_bound` and raises SolverError when that bound
-        exceeds ``gap``. On thin or badly scaled bodies rounding in the
-        ascent can leave the oracle route's certified gap above ``gap``;
-        it then reports that larger gap rather than raising.
+        certifies it from its own ascent; the cutting-plane route certifies
+        its answer through :func:`dual_logdet_bound` and raises SolverError
+        when that bound exceeds ``gap``. On thin or badly scaled bodies
+        rounding in the ascent can leave the oracle route's certified gap
+        above ``gap``; it then reports that larger gap rather than raising.
     """
     if not 0.0 < gap < np.inf:
         raise GeometryError(f"gap must be positive and finite, not {gap}")

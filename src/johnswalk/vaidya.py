@@ -16,19 +16,20 @@ strictly interior.
 The conformance constants are fixed module constants: EPS = 0.005,
 TAU = 0.007, DELTA_V = 0.00037, and at most MAX_CONSTRAINTS_FACTOR = 201
 times d active constraints. Only the precision exponent L and the starting
-box half-width rho vary, through :class:`VaidyaParams`. The iteration
-budget uses natural logarithms:
+box half-width rho vary per problem. The paper's iteration budget uses
+natural logarithms:
 
     T = ceil(d * (1.4 L + 2 ln d + 2 ln(1 + 1/EPS)
               + 0.5 ln((1 + TAU) / (1 - EPS)) + 2 ln rho - ln 2) / DELTA_V)
 
-Besides exhausting that budget, the engine may certify small volume early:
-at the analytic center of an N-row polytope the body lies inside the
-radius-N Dikin ellipsoid (Sonnevend), so
-log vol <= d log(2N) - 1/2 logdet H + log vol(B_d), with one factor 2 of
-slack for a point whose Newton decrement is at most 1/4. When that bound
-drops below the volume of the 2^-L ball the claim vol(target) <
-vol(2^-L ball) is already proved.
+A run makes at most min(T, 20000) oracle calls, stops when an iterate has
+no strict slack left, and a minimization also stops once its best value
+stalls. Small volume is certified only by a bound: at the analytic center
+of an N-row polytope the body lies inside the radius-N Dikin ellipsoid
+(Sonnevend), so log vol <= d log(2N) - 1/2 logdet H + log vol(B_d), with
+one factor 2 of slack for a point whose Newton decrement is at most 1/4.
+When that bound drops below the volume of the 2^-L ball the claim
+vol(target) < vol(2^-L ball) is proved.
 """
 
 from __future__ import annotations
@@ -47,23 +48,12 @@ _NEWTON_MAX_STEPS = 60
 _VOLUME_CHECK_EVERY = 20
 _STAGNATION_WINDOW = 50
 _STAGNATION_TOL = 1e-12
-_PRACTICAL_CALL_CAP = 20_000
+_CALL_CAP = 20_000
 
 EPS = 0.005
 TAU = 0.007
 DELTA_V = 0.00037
 MAX_CONSTRAINTS_FACTOR = 201
-
-
-@dataclass(frozen=True)
-class VaidyaParams:
-    """The two per-problem engine settings. ``level`` is the precision
-    exponent L (target volumes below that of the 2^-level ball are
-    certified small) and ``rho`` the half-width of the starting box; the
-    other constants of the method are fixed at module level."""
-
-    level: float = 11.0
-    rho: float = 1.0
 
 
 @dataclass
@@ -95,7 +85,6 @@ class SmallVolumeCertificate:
     log_volume_bound: float
     log_threshold: float
     oracle_calls: int
-    early: bool
 
 
 @dataclass(frozen=True)
@@ -118,19 +107,18 @@ class MinimizeResult:
     certificate: Optional[SmallVolumeCertificate] = None
 
 
-def iteration_bound(d: int, params: Optional[VaidyaParams] = None) -> int:
-    """Oracle-call budget T for dimension d, precision exponent
-    ``params.level`` and starting box half-width ``params.rho`` (natural
-    logarithms throughout)."""
-    params = params or VaidyaParams()
-    if d < 1 or params.rho <= 0.0:
+def iteration_bound(d: int, level: float, rho: float) -> int:
+    """Oracle-call budget T for dimension d, precision exponent ``level``
+    (target volumes below that of the 2^-level ball are certified small)
+    and starting box half-width ``rho`` (natural logarithms throughout)."""
+    if d < 1 or rho <= 0.0:
         raise ValueError("need d >= 1 and rho > 0")
     bracket = (
-        1.4 * params.level
+        1.4 * level
         + 2.0 * math.log(d)
         + 2.0 * math.log(1.0 + 1.0 / EPS)
         + 0.5 * math.log((1.0 + TAU) / (1.0 - EPS))
-        + 2.0 * math.log(params.rho)
+        + 2.0 * math.log(rho)
         - math.log(2.0)
     )
     return int(math.ceil(d * bracket / DELTA_V))
@@ -142,11 +130,11 @@ class _IterateOutside(NumericalError):
 
 
 class _Engine:
-    def __init__(self, d: int, params: VaidyaParams):
+    def __init__(self, d: int, level: float, rho: float):
         self.d = d
-        self.params = params
+        self.level = level
         g_rows = np.vstack([np.eye(d), -np.eye(d)])
-        h_offs = np.full(2 * d, float(params.rho))
+        h_offs = np.full(2 * d, float(rho))
         self.state = CutState(
             g_rows=g_rows,
             h_offs=h_offs,
@@ -278,24 +266,20 @@ class _Engine:
 
     def log_threshold(self) -> float:
         d = self.d
-        return -self.params.level * d * math.log(2.0) + _log_unit_ball_volume(d)
+        return -self.level * d * math.log(2.0) + _log_unit_ball_volume(d)
 
 
 def _run_cutting_plane(
     query: Callable[[np.ndarray], tuple],
     d: int,
-    params: VaidyaParams,
-    mode: str,
+    level: float,
+    rho: float,
 ):
     """Shared driver. ``query(x)`` returns ("accept", payload) to stop,
     ("cut", direction) to cut. Returns (engine, calls, outcome, payload)
     with outcome in {"accept", "small_volume", "budget", "stagnated"}."""
-    if mode not in ("paper", "practical"):
-        raise ValueError(f"unknown mode {mode!r}")
-    engine = _Engine(d, params)
-    budget = iteration_bound(d, params)
-    if mode == "practical":
-        budget = min(budget, _PRACTICAL_CALL_CAP)
+    engine = _Engine(d, level, rho)
+    budget = min(iteration_bound(d, level, rho), _CALL_CAP)
     calls = 0
     try:
         while calls < budget:
@@ -319,35 +303,32 @@ def _run_cutting_plane(
     except _IterateOutside:
         # A cut through an optimum on the target's boundary can leave the
         # iterate with a slack that rounds to zero, or H too ill-conditioned
-        # to factor; practical mode stops.
-        if mode == "paper":
-            raise
+        # to factor; the run stops there.
         return engine, calls, "stagnated", None
     return engine, calls, "budget", None
 
 
-def _certificate(engine: _Engine, calls: int, early: bool) -> SmallVolumeCertificate:
+def _certificate(engine: _Engine, calls: int) -> SmallVolumeCertificate:
     return SmallVolumeCertificate(
         log_volume_bound=engine.log_volume_bound(),
         log_threshold=engine.log_threshold(),
         oracle_calls=calls,
-        early=early,
     )
 
 
 def vaidya_feasibility(
     oracle: Callable[[np.ndarray], Optional[np.ndarray]],
     d: int,
-    params: Optional[VaidyaParams] = None,
-    mode: str = "practical",
+    level: float = 11.0,
+    rho: float = 1.0,
 ) -> FeasibilityResult:
     """Find a point of the target set or certify that its volume is below
-    that of the 2^-level ball.
+    that of the 2^-level ball; the search starts from the box
+    {|z_i| <= rho}.
 
     The oracle returns None to accept a point, or a direction w asserting
     that the target lies in {z : w^T (z - x) <= 0}.
     """
-    params = params or VaidyaParams()
 
     def query(x: np.ndarray):
         ans = oracle(x)
@@ -355,14 +336,11 @@ def vaidya_feasibility(
             return ("accept", x)
         return ("cut", np.asarray(ans, dtype=float))
 
-    engine, calls, outcome, payload = _run_cutting_plane(query, d, params, mode)
+    engine, calls, outcome, payload = _run_cutting_plane(query, d, level, rho)
     if outcome == "accept":
         return FeasibilityResult(payload, None, calls, "point", engine.state)
-    # The paper's budget is itself the certificate; otherwise the bound must
-    # fall below the threshold.
-    paper_budget = outcome == "budget" and mode == "paper"
-    cert = _certificate(engine, calls, early=not paper_budget)
-    if paper_budget or cert.log_volume_bound < cert.log_threshold:
+    cert = _certificate(engine, calls)
+    if cert.log_volume_bound < cert.log_threshold:
         return FeasibilityResult(None, cert, calls, "small_volume", engine.state)
     raise SolverError(
         f"feasibility search stopped ({outcome}) after {calls} oracle calls "
@@ -371,63 +349,63 @@ def vaidya_feasibility(
 
 
 def vaidya_minimize(
-    objective: Callable[[np.ndarray], float],
-    subgrad: Callable[[np.ndarray], np.ndarray],
-    feas_oracle: Callable[[np.ndarray], Optional[np.ndarray]],
+    oracle: Callable[[np.ndarray], tuple],
     d: int,
-    params: Optional[VaidyaParams] = None,
-    mode: str = "practical",
+    level: float,
+    rho: float,
 ) -> MinimizeResult:
-    """Minimize a convex function over the target set described by
-    ``feas_oracle`` (None = point is in the set, else a separating cut).
+    """Minimize a convex function f over a convex target set through one
+    first-order oracle, starting from the box {|z_i| <= rho}.
 
-    Feasible iterates are recorded and the best one is returned; a zero
-    subgradient returns its iterate immediately. In practical mode the run
-    additionally stops once the best value has not improved by more than
-    1e-12 over the last 50 feasible evaluations. Raises SolverError
-    carrying the volume certificate when no feasible iterate was ever seen.
+    ``oracle(x)`` returns (None, w) when x is outside the target set, w
+    asserting that the set lies in {z : w^T (z - x) <= 0}, and (f(x), g)
+    with g a subgradient of f at x when x is inside. Feasible iterates are
+    recorded and the best one is returned; a zero subgradient returns its
+    iterate immediately. The run also stops once the best value has not
+    improved by more than 1e-12 over the last 50 feasible evaluations.
+    Raises SolverError carrying the volume certificate when no feasible
+    iterate was ever seen.
     """
-    params = params or VaidyaParams()
     history: list[tuple[np.ndarray, float]] = []
     best_val = math.inf
     feas_since_improve = 0
 
     def query(x: np.ndarray):
         nonlocal best_val, feas_since_improve
-        cut = feas_oracle(x)
-        if cut is not None:
-            w = np.asarray(cut, dtype=float)
+        value, cut = oracle(x)
+        w = np.asarray(cut, dtype=float)
+        if value is None:
+            tol = 1e-9 * (1.0 + float(np.linalg.norm(w)))
             for p, _ in history:
-                if float(w @ (p - x)) > 1e-9 * (1.0 + float(np.linalg.norm(w))):
+                if float(w @ (p - x)) > tol:
                     raise OracleInconsistencyError(
                         "cut excludes a previously feasible point"
                     )
             return ("cut", w)
-        val = float(objective(x))
+        val = float(value)
         history.append((x, val))
         if val < best_val - _STAGNATION_TOL:
             best_val = val
             feas_since_improve = 0
         else:
             feas_since_improve += 1
-        g = np.asarray(subgrad(x), dtype=float)
-        if float(np.linalg.norm(g)) == 0.0:
+        if float(np.linalg.norm(w)) == 0.0:
             return ("accept", x)
-        if mode == "practical" and feas_since_improve >= _STAGNATION_WINDOW:
+        if feas_since_improve >= _STAGNATION_WINDOW:
             return ("accept", None)
-        return ("cut", g)
+        return ("cut", w)
 
-    engine, calls, outcome, payload = _run_cutting_plane(query, d, params, mode)
+    engine, calls, outcome, payload = _run_cutting_plane(query, d, level, rho)
     if outcome == "accept" and payload is not None:
         # zero subgradient: this iterate is optimal over the target set
-        return MinimizeResult(payload, float(objective(payload)), history, calls,
+        return MinimizeResult(payload, history[-1][1], history, calls,
                               "optimal_subgradient", engine.state)
     if history:
         best = min(history, key=lambda rec: rec[1])
         status = {"accept": "plateau", "small_volume": "small_volume",
                   "budget": "budget", "stagnated": "stagnated"}[outcome]
         return MinimizeResult(best[0], best[1], history, calls, status, engine.state)
-    cert = _certificate(engine, calls, outcome == "small_volume")
+    cert = _certificate(engine, calls)
     raise SolverError(
         f"no feasible iterate found after {calls} oracle calls",
         best=MinimizeResult(None, None, [], calls, "infeasible", engine.state, cert),

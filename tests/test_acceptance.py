@@ -25,7 +25,7 @@ from johnswalk.geometry import (
     symmetrize,
 )
 from johnswalk.mve import extract_contacts, solve_mve, verify_john_conditions
-from johnswalk.vaidya import VaidyaParams, iteration_bound, vaidya_feasibility
+from johnswalk.vaidya import iteration_bound, vaidya_feasibility
 from johnswalk.walk import WalkConfig, radius, run_chain, transition_density
 
 from conftest import (
@@ -235,7 +235,7 @@ def test_criterion_10_cutting_plane_conformance():
         - math.log(2.0)
     )
     recomputed = math.ceil(d * bracket / delta_v)
-    bound = iteration_bound(3, VaidyaParams(level=11.0, rho=8.0))
+    bound = iteration_bound(3, level=11.0, rho=8.0)
     bound_ok = bound == recomputed == 256_829
 
     target = np.array([0.35, -0.2])

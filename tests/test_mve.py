@@ -617,12 +617,15 @@ class TestSeparationOracle:
         ans = separation_oracle_mve(np.eye(2), body)
         assert ans.kind == "feasible"
         assert np.allclose(vec_to_sym(ans.cut, 2), -np.eye(2))
+        ans = separation_oracle_mve(np.diag([1.0, 0.75]), body)
+        assert ans.kind == "feasible"
+        assert np.isclose(ans.value, -np.log(0.75))
 
     def test_scaled_identity_violates_first_row(self):
         body = centered_body(cube(2))
         ans = separation_oracle_mve(2.0 * np.eye(2), body)
         assert ans.kind == "constraint"
-        assert ans.index == 0
+        assert ans.value is None
         row = body.A[0]
         assert np.allclose(vec_to_sym(ans.cut, 2), np.outer(row, row))
 
@@ -631,7 +634,6 @@ class TestSeparationOracle:
         x = np.diag([1.0, 1.0 / 4.0])  # second eigenvalue below 1/n = 1/2
         ans = separation_oracle_mve(x, body)
         assert ans.kind == "psd"
-        assert np.isclose(ans.eigenvalue, 0.25)
         cut = vec_to_sym(ans.cut, 2)
         assert np.allclose(cut, -np.outer([0.0, 1.0], [0.0, 1.0]), atol=1e-12)
 

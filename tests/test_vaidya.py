@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from johnswalk import vaidya
-from johnswalk.errors import NumericalError, OracleInconsistencyError, SolverError
+from johnswalk.errors import OracleInconsistencyError, SolverError
 from johnswalk.geometry import symmetrize
 from johnswalk.mve import solve_mve
 from johnswalk.vaidya import (
@@ -13,7 +13,6 @@ from johnswalk.vaidya import (
     EPS,
     MAX_CONSTRAINTS_FACTOR,
     TAU,
-    VaidyaParams,
     _Engine,
     _IterateOutside,
     iteration_bound,
@@ -31,6 +30,19 @@ def ball_oracle(center, radius):
         if np.linalg.norm(y - center) <= radius:
             return None
         return y - center
+
+    return oracle
+
+
+def first_order(f, sg, feas):
+    """One first-order oracle from a membership oracle ``feas`` (None or a
+    cut), an objective f and its subgradient sg."""
+
+    def oracle(x):
+        cut = feas(x)
+        if cut is not None:
+            return None, cut
+        return f(x), sg(x)
 
     return oracle
 
@@ -69,28 +81,27 @@ class TestIterationBound:
             - math.log(2.0)
         )
         expected = math.ceil(d * bracket / dv)
-        got = iteration_bound(d, VaidyaParams(level=level, rho=rho))
+        got = iteration_bound(d, level, rho)
         assert got == expected
         assert got == 256829  # ~2.57e5
 
     def test_monotone_in_level(self):
-        lo = iteration_bound(3, VaidyaParams(level=5.0, rho=2.0))
-        hi = iteration_bound(3, VaidyaParams(level=9.0, rho=2.0))
+        lo = iteration_bound(3, 5.0, 2.0)
+        hi = iteration_bound(3, 9.0, 2.0)
         assert hi > lo
 
     def test_monotone_in_rho(self):
-        lo = iteration_bound(3, VaidyaParams(level=8.0, rho=1.0))
-        hi = iteration_bound(3, VaidyaParams(level=8.0, rho=16.0))
+        lo = iteration_bound(3, 8.0, 1.0)
+        hi = iteration_bound(3, 8.0, 16.0)
         assert hi > lo
 
-    def test_params_object_used(self):
-        p = VaidyaParams(level=11.0, rho=8.0)
-        assert iteration_bound(3, params=p) == 256829
+    def test_keyword_arguments(self):
+        assert iteration_bound(3, rho=8.0, level=11.0) == 256829
 
 
 class TestEngine:
     def test_recentering_reaches_newton_tol(self):
-        engine = _Engine(2, VaidyaParams(rho=1.0))
+        engine = _Engine(2, 11.0, 1.0)
         for direction in ([1.0, 0.5], [-0.3, 1.0], [0.2, -1.0]):
             engine.add_cut(np.array(direction))
             _, decrement = engine._newton_step(engine.state.iterate)
@@ -100,7 +111,7 @@ class TestEngine:
     def test_hessian_matches_gradient_and_brackets_q(self, rng):
         # On a random localization polytope, Hess V is the Jacobian of
         # grad V = w^T sigma (central differences) and Q <= Hess V <= 3Q.
-        engine = _Engine(3, VaidyaParams(rho=1.0))
+        engine = _Engine(3, 11.0, 1.0)
         for _ in range(6):
             engine.add_cut(rng.standard_normal(3))
         x = engine.state.iterate + 0.05 * rng.standard_normal(3)
@@ -142,7 +153,7 @@ class TestEngine:
         # most 1/4; with Newton unable to move, the square's center certifies
         # and a point 0.9 from it does not.
         monkeypatch.setattr(vaidya, "_damped_newton", lambda x, *_: (x, False))
-        engine = _Engine(2, VaidyaParams(rho=1.0))
+        engine = _Engine(2, 11.0, 1.0)
         assert np.isfinite(engine.log_volume_bound())
         engine.state.iterate = np.array([0.9, 0.0])
         assert engine.log_volume_bound() == math.inf
@@ -156,44 +167,32 @@ class TestFeasibility:
             queries.append(np.array(y))
             return None
 
-        res = vaidya_feasibility(oracle, 3, params=VaidyaParams(level=6.0, rho=5.0))
+        res = vaidya_feasibility(oracle, 3, level=6.0, rho=5.0)
         assert res.status == "point"
         assert np.allclose(queries[0], np.zeros(3), atol=1e-12)
 
     def test_finds_ball_target(self, rng):
-        params = VaidyaParams(level=11.0, rho=1.0)
+        params = dict(level=11.0, rho=1.0)
         for trial in range(3):
             center = rng.uniform(-0.85, 0.85, size=2)
             oracle = ball_oracle(center, 0.1)
-            res = vaidya_feasibility(oracle, 2, params=params)
+            res = vaidya_feasibility(oracle, 2, **params)
             assert res.status == "point"
             assert oracle(res.point) is None  # oracle's own acceptance test
-            assert res.oracle_calls <= iteration_bound(2, params=params)
+            assert res.oracle_calls <= iteration_bound(2, **params)
 
     def test_small_target_certified(self):
         oracle = ball_oracle([0.3, -0.2], 1e-12)
-        params = VaidyaParams(level=8.0, rho=1.0)
-        res = vaidya_feasibility(oracle, 2, params=params)
+        res = vaidya_feasibility(oracle, 2, level=8.0, rho=1.0)
         assert res.status == "small_volume"
         cert = res.certificate
         assert cert.log_volume_bound < cert.log_threshold
         assert cert.oracle_calls == res.oracle_calls > 0
 
-    def test_small_target_certified_paper_mode(self):
-        oracle = ball_oracle([0.1, 0.1], 1e-12)
-        params = VaidyaParams(level=8.0, rho=1.0)
-        res = vaidya_feasibility(oracle, 2, params=params, mode="paper")
-        assert res.status == "small_volume"
-
     def test_constraint_cap_respected(self, rng):
-        params = VaidyaParams(level=11.0, rho=1.0)
         center = rng.uniform(-0.5, 0.5, size=3)
-        res = vaidya_feasibility(ball_oracle(center, 0.05), 3, params=params)
+        res = vaidya_feasibility(ball_oracle(center, 0.05), 3, level=11.0, rho=1.0)
         assert res.state.peak_rows <= 201 * 3
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            vaidya_feasibility(ball_oracle([0.0, 0.0], 0.5), 2, mode="fast")
 
 
 class TestMinimize:
@@ -204,16 +203,14 @@ class TestMinimize:
         def sg(x):
             return np.zeros(2)
 
-        res = vaidya_minimize(f, sg, box_feas_oracle(1.0), 2,
-                              params=VaidyaParams(level=6.0, rho=1.0))
+        res = vaidya_minimize(first_order(f, sg, box_feas_oracle(1.0)), 2, 6.0, 1.0)
         assert res.status == "optimal_subgradient"
         assert np.allclose(res.point, np.zeros(2), atol=1e-12)
         assert res.oracle_calls == 1
 
     def test_iterate_without_slack_ends_practical_run(self):
-        # The engine signals an iterate with no strict slack by type. A
-        # practical run then stops with its best feasible point; paper mode
-        # raises.
+        # The engine signals an iterate with no strict slack by type. The
+        # run then stops with its best feasible point.
         target = np.array([0.3, -0.2])
 
         def f(x):
@@ -228,15 +225,11 @@ class TestMinimize:
             seen.append(x)
             return None
 
-        params = VaidyaParams(level=12.0, rho=1.0)
         seen = []
-        res = vaidya_minimize(f, sg, feas, 2, params=params)
+        res = vaidya_minimize(first_order(f, sg, feas), 2, 12.0, 1.0)
         assert res.status == "stagnated"
         assert res.oracle_calls == 5
         assert res.value == min(f(x) for x in seen)
-        seen.clear()
-        with pytest.raises(NumericalError, match="left the localization"):
-            vaidya_minimize(f, sg, feas, 2, params=params, mode="paper")
 
     def test_quadratic_over_box(self):
         def f(x):
@@ -245,8 +238,7 @@ class TestMinimize:
         def sg(x):
             return 2.0 * x
 
-        res = vaidya_minimize(f, sg, box_feas_oracle(1.0), 2,
-                              params=VaidyaParams(level=12.0, rho=1.0))
+        res = vaidya_minimize(first_order(f, sg, box_feas_oracle(1.0)), 2, 12.0, 1.0)
         assert res.value <= 1e-3
 
     def test_linear_boundary_optimum(self):
@@ -256,8 +248,7 @@ class TestMinimize:
         def sg(x):
             return np.array([1.0, 0.0])
 
-        res = vaidya_minimize(f, sg, box_feas_oracle(1.0), 2,
-                              params=VaidyaParams(level=12.0, rho=1.0))
+        res = vaidya_minimize(first_order(f, sg, box_feas_oracle(1.0)), 2, 12.0, 1.0)
         assert res.point[0] <= -1.0 + 1e-2
 
     def test_value_is_history_minimum(self):
@@ -267,8 +258,7 @@ class TestMinimize:
         def sg(x):
             return np.array([2.0 * (x[0] - 0.3), 2.0 * (x[1] - 0.1)])
 
-        res = vaidya_minimize(f, sg, box_feas_oracle(1.0), 2,
-                              params=VaidyaParams(level=10.0, rho=1.0))
+        res = vaidya_minimize(first_order(f, sg, box_feas_oracle(1.0)), 2, 10.0, 1.0)
         replay = min(v for _, v in res.history)
         assert res.value == replay
 
@@ -283,8 +273,7 @@ class TestMinimize:
             return np.ones(2)
 
         with pytest.raises(SolverError) as exc_info:
-            vaidya_minimize(f, sg, never_feasible, 2,
-                            params=VaidyaParams(level=8.0, rho=1.0))
+            vaidya_minimize(first_order(f, sg, never_feasible), 2, 8.0, 1.0)
         best = exc_info.value.best
         assert best is not None and best.certificate is not None
 
@@ -305,7 +294,7 @@ class TestMinimize:
             return 2.0 * x if x @ x > 1e-30 else np.array([1.0, 0.0])
 
         with pytest.raises(OracleInconsistencyError):
-            vaidya_minimize(f, sg, flaky, 2, params=VaidyaParams(level=8.0, rho=1.0))
+            vaidya_minimize(first_order(f, sg, flaky), 2, 8.0, 1.0)
 
     def test_constraint_cap_respected(self):
         def f(x):
@@ -314,7 +303,6 @@ class TestMinimize:
         def sg(x):
             return np.array([np.sign(x[0] - 0.4), np.sign(x[1] + 0.2)])
 
-        res = vaidya_minimize(f, sg, box_feas_oracle(0.9), 2,
-                              params=VaidyaParams(level=11.0, rho=1.0))
+        res = vaidya_minimize(first_order(f, sg, box_feas_oracle(0.9)), 2, 11.0, 1.0)
         assert res.state.peak_rows <= 201 * 2
         assert res.value <= 0.05
