@@ -125,14 +125,25 @@ class RunManifest:
                           gap=self.gap, seed=self.seed)
 
 
+def _check_point(values, n: int) -> np.ndarray:
+    """The point as a float vector, which must have n finite entries."""
+    try:
+        vec = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputDataError(f"point {values!r} is not a vector: {exc}") from exc
+    if vec.shape != (n,):
+        raise InputDataError(f"point has {vec.size} entries, expected {n}")
+    if not np.all(np.isfinite(vec)):
+        raise InputDataError(f"point {values} has non-finite entries")
+    return vec
+
+
 def _parse_vector(text: str, n: int) -> np.ndarray:
     try:
-        vec = np.array([float(part) for part in text.split(",")], dtype=float)
+        values = [float(part) for part in text.split(",")]
     except ValueError as exc:
         raise InputDataError(f"cannot parse vector {text!r}: {exc}") from exc
-    if vec.shape != (n,):
-        raise InputDataError(f"start point has {vec.size} entries, expected {n}")
-    return vec
+    return _check_point(values, n)
 
 
 def _cmd_sample(args) -> int:
@@ -142,6 +153,7 @@ def _cmd_sample(args) -> int:
     if args.manifest:
         manifest = replace(RunManifest.read(args.manifest), **outputs)
         poly = load_polytope(manifest.polytope_path)
+        _check_point(manifest.start, poly.n)
     else:
         if not args.polytope:
             raise InputDataError("either --polytope or --manifest is required")

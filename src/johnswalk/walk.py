@@ -170,6 +170,7 @@ def run_chain(
     """
     if steps < 0:
         raise GeometryError("steps must be nonnegative")
+    radius(poly.n, config.c)  # refuse a bad c before the start-point solve
     state = init_state(poly, x0, config, chain_index)
     samples = np.empty((steps + 1, poly.n))
     samples[0] = state.x

@@ -206,6 +206,28 @@ class TestSampleCommand:
         assert code == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("walk", ["john", "ball", "hitrun"])
+    def test_non_finite_start_exits_two(self, square, tmp_path, capsys, walk):
+        code = main(["sample", "--polytope", square, "--walk", walk, "--start", "nan,0",
+                     "--steps", "5", "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "point [nan, 0.0] has non-finite entries" in capsys.readouterr().err
+        assert list(tmp_path.glob("r.*")) == []
+
+    def test_manifest_non_finite_start_exits_two(self, square, tmp_path, capsys):
+        first = str(tmp_path / "a")
+        assert main(["sample", "--polytope", square, "--steps", "5",
+                     "--out", first]) == 0
+        path = tmp_path / "a.manifest.json"
+        spec = json.loads(path.read_text())
+        spec["start"] = [float("nan"), 0.0]
+        path.write_text(json.dumps(spec))
+        capsys.readouterr()
+        code = main(["sample", "--manifest", str(path), "--out", str(tmp_path / "b")])
+        assert code == 2
+        assert "non-finite entries" in capsys.readouterr().err
+        assert list(tmp_path.glob("b.*")) == []
+
     def test_requires_polytope_or_manifest(self, capsys):
         assert main(["sample"]) == 2
         assert "either --polytope or --manifest" in capsys.readouterr().err
@@ -266,11 +288,20 @@ class TestMveCommand:
         assert main(["mve", "--solver", "vaidya", "--gap", gap, "--polytope", square]) == 2
         assert "finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("solver", ["oracle", "vaidya"])
-    def test_summary_counts_iterations(self, tmp_path, capsys, solver):
+    def test_non_finite_point_exits_two(self, square, capsys):
+        assert main(["mve", "--polytope", square, "--point", "nan,0"]) == 2
+        assert "point [nan, 0.0] has non-finite entries" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver, gap", [
+        pytest.param("oracle", "1e-9", id="oracle"),
+        pytest.param("vaidya", "1e-9", id="vaidya"),
+        # A coarse gap must still leave a full-rank contact set (else exit 3).
+        pytest.param("oracle", "1e-5", id="oracle-gap1e-5"),
+    ])
+    def test_summary_counts_iterations(self, tmp_path, capsys, solver, gap):
         poly = unit_normal_polytope(5, 15, 7)
         path = write_polytope(tmp_path / "rand5x15.json", poly.A.tolist(), poly.b.tolist())
-        assert main(["mve", "--solver", solver, "--polytope", path]) == 0
+        assert main(["mve", "--solver", solver, "--gap", gap, "--polytope", path]) == 0
         summary = capsys.readouterr().out.splitlines()[0]
         assert summary.startswith(f"solver={solver} ")
         assert int(summary.split("iterations=")[1].split()[0]) > 0

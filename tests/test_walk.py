@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from johnswalk import walk
 from johnswalk.errors import GeometryError
 from johnswalk.geometry import Ellipsoid, Polytope, contains, local_norm, symmetrize
 from johnswalk.mve import solve_mve
@@ -133,6 +134,14 @@ class TestRunChain:
         b, tb = run_chain(cube(2), np.zeros(2), 100, WalkConfig(seed=3))
         assert np.array_equal(a, b)
         assert ta == tb
+
+    def test_bad_c_refused_before_start_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the start point was solved before c was checked")
+
+        monkeypatch.setattr(walk, "solve_mve", no_solve)
+        with pytest.raises(GeometryError, match="finite c"):
+            run_chain(cube(2), np.zeros(2), 5, WalkConfig(c=np.nan))
 
     def test_chain_index_changes_stream(self):
         a, _ = run_chain(cube(2), np.zeros(2), 60, WalkConfig(seed=3), chain_index=0)
