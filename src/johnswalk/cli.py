@@ -4,6 +4,8 @@ Polytopes are read from JSON files holding {"A": [[...], ...], "b": [...]}.
 Every sampling run writes its manifest JSON before the samples CSV; the
 manifest records the resolved configuration (including the resolved start
 point), so re-running from the manifest reproduces the CSV byte for byte.
+Parameters are checked when the manifest is built, so a refused run writes
+nothing.
 Floats are written with 17 significant digits, which round-trips binary64
 exactly.
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
@@ -62,6 +65,7 @@ _MANIFEST_TYPES = {
     "int": ((int,), "an integer"),
     "float": ((int, float), "a number"),
     "bool": ((bool,), "true or false"),
+    "str": ((str,), "a string"),
     "Optional[float]": ((int, float, type(None)), "null or a number"),
 }
 
@@ -85,15 +89,30 @@ class RunManifest:
     samples_path: str
     manifest_path: str
 
+    def __post_init__(self):
+        """Refuse a run that cannot go through; WalkConfig checks c, gap and
+        solver."""
+        if self.walk not in ("john", "ball", "hitrun"):
+            raise InputDataError(f"unknown walk {self.walk!r}")
+        if self.steps < 0:
+            raise InputDataError("steps must be nonnegative")
+        if not 0.0 < self.delta < math.inf:
+            raise InputDataError(
+                f"ball walk radius must be positive and finite, not {self.delta}")
+        self.walk_config()
+
     def write(self) -> None:
-        with open(self.manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(self.manifest_path, "w", encoding="utf-8", newline="\n") as fh:
+                json.dump(asdict(self), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            raise InputDataError(f"cannot write manifest {self.manifest_path}: {exc}") from exc
 
     @classmethod
     def read(cls, path: str) -> "RunManifest":
         """Load a manifest written by ``write``. A missing or unknown field,
-        or a scalar field whose JSON type does not match, raises
+        or a scalar or string field whose JSON type does not match, raises
         InputDataError naming it."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -108,7 +127,8 @@ class RunManifest:
         for name in sorted(names ^ spec.keys()):
             kind = "missing" if name in names else "unknown"
             raise InputDataError(f"manifest {path}: {kind} field {name!r}")
-        # Annotations are strings here; check the scalar fields by type name.
+        # Annotations are strings here; check the scalar and string fields by
+        # type name.
         values = {}
         for f in fields(cls):
             value = spec[f.name]
@@ -189,11 +209,9 @@ def _cmd_sample(args) -> int:
     elif manifest.walk == "ball":
         samples = run_ball_walk(poly, start, manifest.steps, manifest.delta, seed=manifest.seed)
         summary = f"delta={manifest.delta}"
-    elif manifest.walk == "hitrun":
+    else:
         samples = run_hit_and_run(poly, start, manifest.steps, seed=manifest.seed)
         summary = ""
-    else:
-        raise InputDataError(f"unknown walk {manifest.walk!r}")
     emit_samples(samples, manifest.samples_path)
     print(f"wrote {manifest.manifest_path} and {manifest.samples_path}")
     if summary:

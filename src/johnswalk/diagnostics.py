@@ -6,10 +6,10 @@ point is the unit ball: for |y| <= c n^(-5/2) the inscribed ellipsoid at y
 keeps det within O(n^-2) of 1 and its smallest eigenvalue within O(n^-1) of
 1, and the chord cross-ratio dominates the local norm divided by sqrt(n).
 
-The remaining helpers are Monte Carlo estimates (total-variation overlap of
-two uniform-ellipsoid laws, spherical cap volume) and standard chain
-statistics (chi-square uniformity against cell masses, autocorrelation-based
-effective sample size).
+The remaining helpers are a Monte Carlo estimate of the total-variation
+overlap of two uniform-ellipsoid laws and standard chain statistics
+(chi-square uniformity against cell masses, autocorrelation-based effective
+sample size).
 """
 
 from __future__ import annotations
@@ -52,13 +52,6 @@ class LemmaReport:
 
 class TvEstimate(NamedTuple):
     value: float
-    se: float
-
-
-class CapVolume(NamedTuple):
-    passed: bool
-    ratio: float
-    bound: float
     se: float
 
 
@@ -150,22 +143,6 @@ def estimate_tv_overlap(
     value = 1.0 - factor * p_hat
     se = factor * math.sqrt(p_hat * (1.0 - p_hat) / mc_samples)
     return TvEstimate(value=value, se=se)
-
-
-def cap_volume_check(
-    n: int, t: float, mc_samples: int, rng: np.random.Generator
-) -> CapVolume:
-    """Check that the unit-ball cap {z_1 >= t} holds at least a
-    (1 - t sqrt(n)) / 2 fraction of the ball's volume, up to 3 standard
-    errors of the Monte Carlo ratio. For t >= 1/sqrt(n) the bound is
-    nonpositive and the check passes trivially."""
-    if mc_samples < 1:
-        raise GeometryError("need at least one Monte Carlo sample")
-    pts = ball_points(n, mc_samples, rng)
-    ratio = float(np.mean(pts[:, 0] >= t))
-    bound = 0.5 * (1.0 - t * math.sqrt(n))
-    se = math.sqrt(ratio * (1.0 - ratio) / mc_samples)
-    return CapVolume(passed=ratio >= bound - 3.0 * se, ratio=ratio, bound=bound, se=se)
 
 
 def uniformity_chi_square(

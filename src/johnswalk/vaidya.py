@@ -22,12 +22,13 @@ natural logarithms:
     T = ceil(d * (1.4 L + 2 ln d + 2 ln(1 + 1/EPS)
               + 0.5 ln((1 + TAU) / (1 - EPS)) + 2 ln rho - ln 2) / DELTA_V)
 
-A run makes at most min(T, 20000) oracle calls, stops when an iterate has
-no strict slack left, and a minimization also stops once its best value
-stalls. Small volume is certified only by a bound: at the analytic center
-of an N-row polytope the body lies inside the radius-N Dikin ellipsoid
-(Sonnevend), so log vol <= d log(2N) - 1/2 logdet H + log vol(B_d), with
-one factor 2 of slack for a point whose Newton decrement is at most 1/4.
+A run makes at most min(T, 20000) oracle calls and stops when an iterate
+has no strict slack left. A feasibility search is the minimization of the
+zero function, which ends at the first accepted point. Small volume is
+certified only by a bound: at the analytic center of an N-row polytope the
+body lies inside the radius-N Dikin ellipsoid (Sonnevend), so
+log vol <= d log(2N) - 1/2 logdet H + log vol(B_d), with one factor 2 of
+slack for a point whose Newton decrement is at most 1/4.
 When that bound drops below the volume of the 2^-L ball the claim
 vol(target) < vol(2^-L ball) is proved.
 """
@@ -35,7 +36,7 @@ vol(target) < vol(2^-L ball) is proved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,8 +47,6 @@ from .geometry import _damped_newton, _log_barrier, _log_unit_ball_volume
 _NEWTON_TOL = 1e-9
 _NEWTON_MAX_STEPS = 60
 _VOLUME_CHECK_EVERY = 20
-_STAGNATION_WINDOW = 50
-_STAGNATION_TOL = 1e-12
 _CALL_CAP = 20_000
 
 EPS = 0.005
@@ -88,16 +87,12 @@ class SmallVolumeCertificate:
 
 
 @dataclass(frozen=True)
-class FeasibilityResult:
-    point: Optional[np.ndarray]
-    certificate: Optional[SmallVolumeCertificate]
-    oracle_calls: int
-    status: str
-    state: CutState
-
-
-@dataclass(frozen=True)
 class MinimizeResult:
+    """Status "optimal_subgradient", "small_volume", "stagnated" or "budget"
+    from ``vaidya_minimize``, "point" or "small_volume" from
+    ``vaidya_feasibility``, and "infeasible" on the result a SolverError
+    carries."""
+
     point: Optional[np.ndarray]
     value: Optional[float]
     history: list
@@ -269,85 +264,6 @@ class _Engine:
         return -self.level * d * math.log(2.0) + _log_unit_ball_volume(d)
 
 
-def _run_cutting_plane(
-    query: Callable[[np.ndarray], tuple],
-    d: int,
-    level: float,
-    rho: float,
-):
-    """Shared driver. ``query(x)`` returns ("accept", payload) to stop,
-    ("cut", direction) to cut. Returns (engine, calls, outcome, payload)
-    with outcome in {"accept", "small_volume", "budget", "stagnated"}."""
-    engine = _Engine(d, level, rho)
-    budget = min(iteration_bound(d, level, rho), _CALL_CAP)
-    calls = 0
-    try:
-        while calls < budget:
-            if engine.drop_min_leverage(EPS):
-                continue
-            if engine.state.rows >= engine.cap:
-                # Permanent box rows weaken the automatic <= 201 d argument, so
-                # enforce the cap directly before adding.
-                if not engine.drop_min_leverage(None):
-                    raise NumericalError("constraint cap reached with no droppable row")
-                continue
-            if calls % _VOLUME_CHECK_EVERY == 0 and calls > 0:
-                if engine.log_volume_bound() < engine.log_threshold():
-                    return engine, calls, "small_volume", None
-            x = np.array(engine.state.iterate)
-            outcome = query(x)
-            calls += 1
-            if outcome[0] == "accept":
-                return engine, calls, "accept", outcome[1]
-            engine.add_cut(outcome[1])
-    except _IterateOutside:
-        # A cut through an optimum on the target's boundary can leave the
-        # iterate with a slack that rounds to zero, or H too ill-conditioned
-        # to factor; the run stops there.
-        return engine, calls, "stagnated", None
-    return engine, calls, "budget", None
-
-
-def _certificate(engine: _Engine, calls: int) -> SmallVolumeCertificate:
-    return SmallVolumeCertificate(
-        log_volume_bound=engine.log_volume_bound(),
-        log_threshold=engine.log_threshold(),
-        oracle_calls=calls,
-    )
-
-
-def vaidya_feasibility(
-    oracle: Callable[[np.ndarray], Optional[np.ndarray]],
-    d: int,
-    level: float = 11.0,
-    rho: float = 1.0,
-) -> FeasibilityResult:
-    """Find a point of the target set or certify that its volume is below
-    that of the 2^-level ball; the search starts from the box
-    {|z_i| <= rho}.
-
-    The oracle returns None to accept a point, or a direction w asserting
-    that the target lies in {z : w^T (z - x) <= 0}.
-    """
-
-    def query(x: np.ndarray):
-        ans = oracle(x)
-        if ans is None:
-            return ("accept", x)
-        return ("cut", np.asarray(ans, dtype=float))
-
-    engine, calls, outcome, payload = _run_cutting_plane(query, d, level, rho)
-    if outcome == "accept":
-        return FeasibilityResult(payload, None, calls, "point", engine.state)
-    cert = _certificate(engine, calls)
-    if cert.log_volume_bound < cert.log_threshold:
-        return FeasibilityResult(None, cert, calls, "small_volume", engine.state)
-    raise SolverError(
-        f"feasibility search stopped ({outcome}) after {calls} oracle calls "
-        "without a point or a volume certificate"
-    )
-
-
 def vaidya_minimize(
     oracle: Callable[[np.ndarray], tuple],
     d: int,
@@ -361,52 +277,89 @@ def vaidya_minimize(
     asserting that the set lies in {z : w^T (z - x) <= 0}, and (f(x), g)
     with g a subgradient of f at x when x is inside. Feasible iterates are
     recorded and the best one is returned; a zero subgradient returns its
-    iterate immediately. The run also stops once the best value has not
-    improved by more than 1e-12 over the last 50 feasible evaluations.
-    Raises SolverError carrying the volume certificate when no feasible
-    iterate was ever seen.
+    iterate immediately. Raises SolverError carrying the volume certificate
+    when no feasible iterate was ever seen.
     """
+    engine = _Engine(d, level, rho)
+    budget = min(iteration_bound(d, level, rho), _CALL_CAP)
     history: list[tuple[np.ndarray, float]] = []
-    best_val = math.inf
-    feas_since_improve = 0
-
-    def query(x: np.ndarray):
-        nonlocal best_val, feas_since_improve
-        value, cut = oracle(x)
-        w = np.asarray(cut, dtype=float)
-        if value is None:
-            tol = 1e-9 * (1.0 + float(np.linalg.norm(w)))
-            for p, _ in history:
-                if float(w @ (p - x)) > tol:
-                    raise OracleInconsistencyError(
-                        "cut excludes a previously feasible point"
-                    )
-            return ("cut", w)
-        val = float(value)
-        history.append((x, val))
-        if val < best_val - _STAGNATION_TOL:
-            best_val = val
-            feas_since_improve = 0
-        else:
-            feas_since_improve += 1
-        if float(np.linalg.norm(w)) == 0.0:
-            return ("accept", x)
-        if feas_since_improve >= _STAGNATION_WINDOW:
-            return ("accept", None)
-        return ("cut", w)
-
-    engine, calls, outcome, payload = _run_cutting_plane(query, d, level, rho)
-    if outcome == "accept" and payload is not None:
-        # zero subgradient: this iterate is optimal over the target set
-        return MinimizeResult(payload, history[-1][1], history, calls,
-                              "optimal_subgradient", engine.state)
+    calls = 0
+    status = "budget"
+    try:
+        while calls < budget:
+            if engine.drop_min_leverage(EPS):
+                continue
+            if engine.state.rows >= engine.cap:
+                # Permanent box rows weaken the automatic <= 201 d argument, so
+                # enforce the cap directly before adding.
+                if not engine.drop_min_leverage(None):
+                    raise NumericalError("constraint cap reached with no droppable row")
+                continue
+            if calls % _VOLUME_CHECK_EVERY == 0 and calls > 0:
+                if engine.log_volume_bound() < engine.log_threshold():
+                    status = "small_volume"
+                    break
+            x = np.array(engine.state.iterate)
+            value, cut = oracle(x)
+            calls += 1
+            w = np.asarray(cut, dtype=float)
+            if value is None:
+                tol = 1e-9 * (1.0 + float(np.linalg.norm(w)))
+                for p, _ in history:
+                    if float(w @ (p - x)) > tol:
+                        raise OracleInconsistencyError(
+                            "cut excludes a previously feasible point"
+                        )
+            else:
+                history.append((x, float(value)))
+                if float(np.linalg.norm(w)) == 0.0:
+                    # zero subgradient: this iterate is optimal over the target set
+                    return MinimizeResult(x, history[-1][1], history, calls,
+                                          "optimal_subgradient", engine.state)
+            engine.add_cut(w)
+    except _IterateOutside:
+        # A cut through an optimum on the target's boundary can leave the
+        # iterate with a slack that rounds to zero, or H too ill-conditioned
+        # to factor; the run stops there.
+        status = "stagnated"
     if history:
         best = min(history, key=lambda rec: rec[1])
-        status = {"accept": "plateau", "small_volume": "small_volume",
-                  "budget": "budget", "stagnated": "stagnated"}[outcome]
         return MinimizeResult(best[0], best[1], history, calls, status, engine.state)
-    cert = _certificate(engine, calls)
+    cert = SmallVolumeCertificate(engine.log_volume_bound(), engine.log_threshold(), calls)
     raise SolverError(
         f"no feasible iterate found after {calls} oracle calls",
         best=MinimizeResult(None, None, [], calls, "infeasible", engine.state, cert),
     )
+
+
+def vaidya_feasibility(
+    oracle: Callable[[np.ndarray], Optional[np.ndarray]],
+    d: int,
+    level: float = 11.0,
+    rho: float = 1.0,
+) -> MinimizeResult:
+    """Find a point of the target set or certify that its volume is below
+    that of the 2^-level ball; the search starts from the box
+    {|z_i| <= rho}.
+
+    The oracle returns None to accept a point, or a direction w asserting
+    that the target lies in {z : w^T (z - x) <= 0}. The search minimizes the
+    zero function over the target set, so the first accepted point ends it
+    by its zero subgradient, with status "point". A run that accepts no
+    point returns status "small_volume" with the certificate, or raises
+    SolverError when the certificate does not prove the claim.
+    """
+    zero = np.zeros(d)
+
+    def first_order(x: np.ndarray):
+        cut = oracle(x)
+        return (0.0, zero) if cut is None else (None, cut)
+
+    try:
+        result = vaidya_minimize(first_order, d, level, rho)
+    except SolverError as exc:
+        cert = exc.best.certificate
+        if not cert.log_volume_bound < cert.log_threshold:
+            raise
+        return replace(exc.best, status="small_volume")
+    return replace(result, status="point")

@@ -49,13 +49,22 @@ def radius(n: int, c: float) -> float:
 
 @dataclass(frozen=True)
 class WalkConfig:
-    """Walk parameters. ``gap`` of None resolves to 2 n^-10 at run time."""
+    """Walk parameters, checked when built. ``gap`` of None resolves to
+    2 n^-10 at run time."""
 
     c: float = 0.5
     lazy: bool = True
     solver: str = "oracle"
     gap: Optional[float] = None
     seed: int = 0
+
+    def __post_init__(self):
+        if not 0.0 < self.c < math.inf:
+            raise GeometryError(f"need a finite c > 0, not c={self.c}")
+        if self.gap is not None and not 0.0 < self.gap < math.inf:
+            raise GeometryError(f"gap must be positive and finite, not {self.gap}")
+        if self.solver not in ("oracle", "vaidya"):
+            raise GeometryError(f"unknown solver method {self.solver!r}")
 
 
 @dataclass(frozen=True)
@@ -170,7 +179,6 @@ def run_chain(
     """
     if steps < 0:
         raise GeometryError("steps must be nonnegative")
-    radius(poly.n, config.c)  # refuse a bad c before the start-point solve
     state = init_state(poly, x0, config, chain_index)
     samples = np.empty((steps + 1, poly.n))
     samples[0] = state.x

@@ -161,6 +161,12 @@ class TestSampleCommand:
         ("c", True, "field 'c' must be a number"),
         ("delta", "0.1", "field 'delta' must be a number"),
         ("gap", "1e-9", "field 'gap' must be null or a number"),
+        pytest.param("polytope_path", ["x"], "field 'polytope_path' must be a string",
+                     id="polytope_path-list"),
+        ("polytope_path", 0, "field 'polytope_path' must be a string"),
+        ("walk", "jump", "unknown walk 'jump'"),
+        ("solver", "exact", "unknown solver method 'exact'"),
+        ("gap", -1, "gap must be positive and finite"),
     ])
     def test_manifest_field_errors_exit_two(self, square, tmp_path, capsys,
                                             field, change, message):
@@ -178,6 +184,41 @@ class TestSampleCommand:
         code = main(["sample", "--manifest", str(path), "--out", str(tmp_path / "b")])
         assert code == 2
         assert message in capsys.readouterr().err
+        assert list(tmp_path.glob("b.*")) == []
+
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param(["--c", "nan"], "finite c", id="c"),
+        pytest.param(["--gap", "-1"], "gap must be positive and finite", id="gap"),
+        pytest.param(["--steps", "-1"], "steps must be nonnegative", id="steps"),
+        pytest.param(["--walk", "ball", "--delta", "nan"], "ball walk radius", id="delta"),
+    ])
+    def test_bad_parameter_writes_nothing(self, square, tmp_path, capsys, flags, message):
+        code = main(["sample", "--polytope", square, *flags, "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.glob("r.*")) == []
+
+    def test_out_in_missing_directory_exits_two(self, square, tmp_path, capsys):
+        code = main(["sample", "--polytope", square, "--steps", "5",
+                     "--out", str(tmp_path / "absent" / "r")])
+        assert code == 2
+        assert "cannot write manifest" in capsys.readouterr().err
+
+    def test_vaidya_solver_run(self, square, tmp_path, capsys):
+        # The walk on approximate ellipsoids from the cutting-plane route.
+        first = str(tmp_path / "a")
+        assert main(["sample", "--polytope", square, "--solver", "vaidya",
+                     "--steps", "20", "--seed", "4", "--out", first]) == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert sum(int(part.split("=")[1]) for part in summary.split()) == 20
+        samples = np.loadtxt(f"{first}.samples.csv", delimiter=",", skiprows=1)
+        assert samples.shape == (21, 2)
+        assert np.all(np.abs(samples) < 1.0)
+        second = str(tmp_path / "b")
+        assert main(["sample", "--manifest", f"{first}.manifest.json",
+                     "--out", second]) == 0
+        a = (tmp_path / "a.samples.csv").read_bytes()
+        assert a == (tmp_path / "b.samples.csv").read_bytes()
 
     def test_ball_and_hitrun_walks(self, square, tmp_path):
         for walk in ("ball", "hitrun"):

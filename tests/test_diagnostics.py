@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from johnswalk.diagnostics import (
-    CapVolume,
     LemmaReport,
     TvEstimate,
-    cap_volume_check,
     check_step_lemmas,
     ess,
     estimate_tv_overlap,
@@ -106,30 +104,6 @@ class TestEstimateTvOverlap:
             estimate_tv_overlap(unit_ball(2), unit_ball(2), 0, rng)
         with pytest.raises(GeometryError):
             estimate_tv_overlap(unit_ball(2), unit_ball(3), 10, rng)
-
-
-class TestCapVolumeCheck:
-    def test_hemisphere(self, rng):
-        result = cap_volume_check(3, 0.0, 50_000, rng)
-        assert result.passed
-        assert abs(result.ratio - 0.5) <= 4.0 * result.se
-        assert result.bound == 0.5
-
-    def test_degenerate_threshold(self, rng):
-        n = 5
-        result = cap_volume_check(n, 1.0 / math.sqrt(n), 2_000, rng)
-        assert result.passed
-        assert result.bound <= 1e-12
-
-    def test_moderate_cap(self, rng):
-        result = cap_volume_check(4, 0.2, 50_000, rng)
-        assert result.passed
-        assert result.bound == pytest.approx(0.3)
-        assert result.ratio > result.bound
-
-    def test_zero_samples_rejected(self, rng):
-        with pytest.raises(GeometryError):
-            cap_volume_check(3, 0.1, 0, rng)
 
 
 class TestUniformityChiSquare:

@@ -143,6 +143,16 @@ class TestRunChain:
         with pytest.raises(GeometryError, match="finite c"):
             run_chain(cube(2), np.zeros(2), 5, WalkConfig(c=np.nan))
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"c": np.inf}, "finite c"),
+        ({"gap": -1.0}, "gap must be positive and finite"),
+        ({"gap": np.nan}, "gap must be positive and finite"),
+        ({"solver": "exact"}, "unknown solver method 'exact'"),
+    ])
+    def test_config_refuses_bad_fields_when_built(self, fields, message):
+        with pytest.raises(GeometryError, match=message):
+            WalkConfig(**fields)
+
     def test_chain_index_changes_stream(self):
         a, _ = run_chain(cube(2), np.zeros(2), 60, WalkConfig(seed=3), chain_index=0)
         b, _ = run_chain(cube(2), np.zeros(2), 60, WalkConfig(seed=3), chain_index=1)
