@@ -145,25 +145,27 @@ class RunManifest:
                           gap=self.gap, seed=self.seed)
 
 
-def _check_point(values, n: int) -> np.ndarray:
-    """The point as a float vector, which must have n finite entries."""
+def _check_point(values, poly: Polytope) -> np.ndarray:
+    """The point as a float vector of n finite entries, strictly interior."""
     try:
         vec = np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputDataError(f"point {values!r} is not a vector: {exc}") from exc
-    if vec.shape != (n,):
-        raise InputDataError(f"point has {vec.size} entries, expected {n}")
+    if vec.shape != (poly.n,):
+        raise InputDataError(f"point has {vec.size} entries, expected {poly.n}")
     if not np.all(np.isfinite(vec)):
         raise InputDataError(f"point {values} has non-finite entries")
+    if np.any(poly.slacks(vec) <= 0.0):
+        raise InputDataError(f"point {values} is not strictly interior")
     return vec
 
 
-def _parse_vector(text: str, n: int) -> np.ndarray:
+def _parse_vector(text: str, poly: Polytope) -> np.ndarray:
     try:
         values = [float(part) for part in text.split(",")]
     except ValueError as exc:
         raise InputDataError(f"cannot parse vector {text!r}: {exc}") from exc
-    return _check_point(values, n)
+    return _check_point(values, poly)
 
 
 def _cmd_sample(args) -> int:
@@ -173,16 +175,12 @@ def _cmd_sample(args) -> int:
     if args.manifest:
         manifest = replace(RunManifest.read(args.manifest), **outputs)
         poly = load_polytope(manifest.polytope_path)
-        _check_point(manifest.start, poly.n)
+        _check_point(manifest.start, poly)
     else:
         if not args.polytope:
             raise InputDataError("either --polytope or --manifest is required")
         poly = load_polytope(args.polytope)
-        start = (
-            _parse_vector(args.start, poly.n)
-            if args.start
-            else analytic_center(poly)
-        )
+        start = _parse_vector(args.start, poly) if args.start else analytic_center(poly)
         manifest = RunManifest(
             polytope_path=args.polytope,
             walk=args.walk,
@@ -221,9 +219,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_mve(args) -> int:
     poly = load_polytope(args.polytope)
-    point = (
-        _parse_vector(args.point, poly.n) if args.point else analytic_center(poly)
-    )
+    point = _parse_vector(args.point, poly) if args.point else analytic_center(poly)
     body = symmetrize(poly, point)
     sol = solve_mve(body, method=args.solver, gap=args.gap)
     contacts = extract_contacts(sol, body)

@@ -30,10 +30,8 @@ from .geometry import (
     ball_points,
     contains,
     cross_ratio,
-    symmetrize,
 )
-from .mve import solve_mve
-from .walk import _effective_gap, radius
+from .walk import WalkConfig, _ellipsoid_at, radius
 
 _MC_CELL_SAMPLES = 20_000
 
@@ -66,7 +64,7 @@ def check_step_lemmas(
     base point (the analytic center unless ``x`` is given) and record the
     worst det / min-eigenvalue deviations of the inscribed ellipsoid at y,
     scaled by n^2 and n respectively, plus any cross-ratio violations. Every
-    solve uses the walk's default gap 2 n^-10.
+    ellipsoid is the walk's under ``WalkConfig(c=c)``, at gap 2 n^-10.
 
     Parameters
     ----------
@@ -87,11 +85,10 @@ def check_step_lemmas(
     """
     if n_trials < 1:
         raise GeometryError("need at least one trial")
+    config = WalkConfig(c=c)
     n = poly.n
-    eff_gap = _effective_gap(None, n)
     base = np.asarray(x, dtype=float) if x is not None else analytic_center(poly)
-    sol = solve_mve(symmetrize(poly, base), gap=eff_gap)
-    e_mat = sol.ellipsoid.mat
+    e_mat = _ellipsoid_at(poly, base, config).mat
     # Normalized frame: original point = base + E_x @ w.
     normalized = Polytope(poly.A @ e_mat, poly.b - poly.A @ base)
     r = radius(n, c)
@@ -102,9 +99,9 @@ def check_step_lemmas(
     violations = 0
     for _ in range(n_trials):
         y = r * ball_points(n, 1, rng)[0]
-        sol_y = solve_mve(symmetrize(normalized, y), gap=eff_gap)
-        det_y = math.exp(sol_y.ellipsoid.logdet)
-        eig_min = float(np.linalg.eigvalsh(sol_y.ellipsoid.mat)[0])
+        ell_y = _ellipsoid_at(normalized, y, config)
+        det_y = math.exp(ell_y.logdet)
+        eig_min = float(np.linalg.eigvalsh(ell_y.mat)[0])
         max_det_dev = max(max_det_dev, abs(det_y - 1.0) * n * n)
         min_eig_dev = max(min_eig_dev, (1.0 - eig_min) * n)
         sigma = cross_ratio(normalized, origin, y)

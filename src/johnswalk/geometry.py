@@ -15,7 +15,6 @@ analytic center) raise when they run into an unbounded direction.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -171,13 +170,6 @@ class Ellipsoid:
         mat = (axes * radii) @ axes.T
         ell = object.__new__(cls)
         ell._set(0.5 * (mat + mat.T), center, radii)
-        return ell
-
-    def recentered(self, center: np.ndarray) -> "Ellipsoid":
-        """The same ellipsoid moved to ``center``, without validating the
-        factor again."""
-        ell = copy.copy(self)
-        object.__setattr__(ell, "center", np.ascontiguousarray(center, dtype=float))
         return ell
 
     @property

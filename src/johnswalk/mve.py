@@ -169,8 +169,8 @@ class ContactSet:
 
 @dataclass(frozen=True)
 class JohnSolution:
-    """Inscribed ellipsoid (centered at the symmetrization origin) plus a
-    bound on the log-volume gap and the solver that produced it.
+    """Inscribed ellipsoid, centered at the body's anchor, plus a bound on
+    the log-volume gap and the solver that produced it.
 
     ``iterations`` counts the solver's work: weight-ascent iterations on the
     oracle route, separation-oracle calls on the cutting-plane route.
@@ -413,16 +413,15 @@ def _check_spans(mat: np.ndarray, m: int) -> None:
 def _fit_inside(
     body: SymmetricPolytope, radii: np.ndarray, axes: np.ndarray
 ) -> Ellipsoid:
-    """Origin-centered ellipsoid with the given semi-axes, shrunk until
-    max_i |E a_i| <= 1 holds as computed over every row of the body.
+    """Ellipsoid centered at the body's anchor with the given semi-axes,
+    shrunk until max_i |E a_i| <= 1 holds as computed over every row.
 
     A certificate places the factor inside only up to rounding, and rows the
     solver never saw (see :func:`_distinct_rows`) are implied only up to
     rounding; either can leave |E a_i| a few ulp above 1.
     """
-    origin = np.zeros(body.n)
     while True:
-        ell = Ellipsoid.from_eigh(radii, axes, origin)
+        ell = Ellipsoid.from_eigh(radii, axes, body.anchor)
         images = body.A @ ell.mat
         reach_sq = float((images * images).sum(axis=1).max())
         if reach_sq <= 1.0:
@@ -590,13 +589,14 @@ def solve_mve(
         gap: required upper bound on (optimal logdet - achieved logdet).
 
     Returns:
-        JohnSolution whose ellipsoid is strictly feasible: |mat @ a_i| <= 1
-        for every row, with the certified logdet_gap. The oracle route
-        certifies it from its own ascent; the cutting-plane route certifies
-        its answer through :func:`dual_logdet_bound` and raises SolverError
-        when that bound exceeds ``gap``. On thin or badly scaled bodies
-        rounding in the ascent can leave the oracle route's certified gap
-        above ``gap``; it then reports that larger gap rather than raising.
+        JohnSolution whose ellipsoid, centered at ``body.anchor``, is
+        strictly feasible: |mat @ a_i| <= 1 for every row, with the
+        certified logdet_gap. The oracle route certifies it from its own
+        ascent; the cutting-plane route certifies its answer through
+        :func:`dual_logdet_bound` and raises SolverError when that bound
+        exceeds ``gap``. On thin or badly scaled bodies rounding in the
+        ascent can leave the oracle route's certified gap above ``gap``; it
+        then reports that larger gap rather than raising.
     """
     if not 0.0 < gap < np.inf:
         raise GeometryError(f"gap must be positive and finite, not {gap}")

@@ -21,7 +21,7 @@ Ball-walk and hit-and-run steps are included as baselines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -65,9 +65,11 @@ class WalkConfig:
             raise GeometryError(f"gap must be positive and finite, not {self.gap}")
         if self.solver not in ("oracle", "vaidya"):
             raise GeometryError(f"unknown solver method {self.solver!r}")
+        if self.seed < 0:
+            raise GeometryError(f"seed must be nonnegative, not {self.seed}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class Tallies:
     lazy_hold: int = 0
     reject_outside: int = 0
@@ -77,27 +79,17 @@ class Tallies:
 
     @property
     def total(self) -> int:
-        return (
-            self.lazy_hold
-            + self.reject_outside
-            + self.reject_reversibility
-            + self.reject_filter
-            + self.accept
-        )
-
-    def _bump(self, name: str) -> "Tallies":
-        return replace(self, **{name: getattr(self, name) + 1})
+        return sum(astuple(self))
 
 
 @dataclass
 class WalkState:
-    """Current point, its shrunk-ellipsoid factor, the chain's generator,
-    and the step/rejection accounting."""
+    """Current point, the walk's ellipsoid there, the chain's generator and
+    the tallies of step outcomes; ``john_step`` updates it in place."""
 
     x: np.ndarray
     ellipsoid: Ellipsoid
     rng: np.random.Generator
-    step_count: int = 0
     tallies: Tallies = field(default_factory=Tallies)
 
 
@@ -107,9 +99,11 @@ def _effective_gap(gap: Optional[float], n: int) -> float:
 
 
 def _ellipsoid_at(poly: Polytope, point: np.ndarray, config: WalkConfig) -> Ellipsoid:
+    """The walk's ellipsoid at ``point``: the inscribed ellipsoid of the body
+    symmetrized there, centered at the point."""
     body = symmetrize(poly, point)
-    sol = solve_mve(body, method=config.solver, gap=_effective_gap(config.gap, poly.n))
-    return sol.ellipsoid.recentered(point)
+    return solve_mve(body, method=config.solver,
+                     gap=_effective_gap(config.gap, poly.n)).ellipsoid
 
 
 def init_state(
@@ -134,35 +128,44 @@ def propose(ell: Ellipsoid, r: float, rng: np.random.Generator) -> np.ndarray:
 
 
 def john_step(poly: Polytope, state: WalkState, config: WalkConfig) -> WalkState:
-    """Advance the chain by one step, updating the tallies."""
+    """Advance the chain by one step in place, counting the outcome in the
+    tallies. Returns the state."""
     r = radius(poly.n, config.c)
-    rng = state.rng
-
-    def hold(reason: str) -> WalkState:
-        return replace(
-            state,
-            step_count=state.step_count + 1,
-            tallies=state.tallies._bump(reason),
-        )
-
+    rng, tallies = state.rng, state.tallies
     if config.lazy and rng.random() < 0.5:
-        return hold("lazy_hold")
+        tallies.lazy_hold += 1
+        return state
     z = propose(state.ellipsoid, r, rng)
     if np.any(poly.slacks(z) <= 0.0):
-        return hold("reject_outside")
+        tallies.reject_outside += 1
+        return state
     ell_z = _ellipsoid_at(poly, z, config)
-    if local_norm(ell_z, state.x) > r:
-        return hold("reject_reversibility")
     log_ratio = state.ellipsoid.logdet - ell_z.logdet
-    if log_ratio < 0.0 and rng.random() >= math.exp(log_ratio):
-        return hold("reject_filter")
-    return WalkState(
-        x=z,
-        ellipsoid=ell_z,
-        rng=rng,
-        step_count=state.step_count + 1,
-        tallies=state.tallies._bump("accept"),
-    )
+    if local_norm(ell_z, state.x) > r:
+        tallies.reject_reversibility += 1
+    elif log_ratio < 0.0 and rng.random() >= math.exp(log_ratio):
+        tallies.reject_filter += 1
+    else:
+        state.x, state.ellipsoid = z, ell_z
+        tallies.accept += 1
+    return state
+
+
+def _trajectory(poly: Polytope, x0: np.ndarray, steps: int, start) -> np.ndarray:
+    """The points x_0 = x0, x_1, ..., x_steps of a walk as rows. Once steps
+    is nonnegative and x0 strictly interior, ``start(x0)`` returns the
+    step map x_k -> x_(k+1)."""
+    if steps < 0:
+        raise GeometryError("steps must be nonnegative")
+    x = np.asarray(x0, dtype=float)
+    if np.any(poly.slacks(x) <= 0.0):
+        raise GeometryError(f"start point {x.tolist()} is not strictly interior")
+    step = start(x)
+    samples = np.empty((steps + 1, poly.n))
+    samples[0] = x
+    for k in range(steps):
+        samples[k + 1] = step(samples[k])
+    return samples
 
 
 def run_chain(
@@ -177,14 +180,14 @@ def run_chain(
     Returns (samples, tallies) where samples has shape (steps + 1, n) and
     starts with x0; holds repeat the previous point. Tallies sum to steps.
     """
-    if steps < 0:
-        raise GeometryError("steps must be nonnegative")
-    state = init_state(poly, x0, config, chain_index)
-    samples = np.empty((steps + 1, poly.n))
-    samples[0] = state.x
-    for k in range(steps):
-        state = john_step(poly, state, config)
-        samples[k + 1] = state.x
+    state = None
+
+    def start(x: np.ndarray):
+        nonlocal state
+        state = init_state(poly, x, config, chain_index)
+        return lambda _: john_step(poly, state, config).x
+
+    samples = _trajectory(poly, x0, steps, start)
     return samples, state.tallies
 
 
@@ -248,14 +251,9 @@ def run_ball_walk(
     delta: float,
     seed: int = 0,
 ) -> np.ndarray:
-    if steps < 0:
-        raise GeometryError("steps must be nonnegative")
     rng = np.random.default_rng([seed, 0])
-    samples = np.empty((steps + 1, poly.n))
-    samples[0] = np.asarray(x0, dtype=float)
-    for k in range(steps):
-        samples[k + 1] = ball_walk_step(poly, samples[k], delta, rng)
-    return samples
+    return _trajectory(poly, x0, steps,
+                       lambda _: lambda x: ball_walk_step(poly, x, delta, rng))
 
 
 def run_hit_and_run(
@@ -264,11 +262,5 @@ def run_hit_and_run(
     steps: int,
     seed: int = 0,
 ) -> np.ndarray:
-    if steps < 0:
-        raise GeometryError("steps must be nonnegative")
     rng = np.random.default_rng([seed, 0])
-    samples = np.empty((steps + 1, poly.n))
-    samples[0] = np.asarray(x0, dtype=float)
-    for k in range(steps):
-        samples[k + 1] = hit_and_run_step(poly, samples[k], rng)
-    return samples
+    return _trajectory(poly, x0, steps, lambda _: lambda x: hit_and_run_step(poly, x, rng))

@@ -140,15 +140,16 @@ class TestSampleCommand:
         b = (tmp_path / "b.samples.csv").read_bytes()
         assert a == b
 
-    def test_manifest_written_before_samples(self, square, tmp_path):
-        # A start point on the boundary fails inside the walk, after the
-        # manifest is on disk but before any CSV appears.
+    def test_manifest_written_before_samples(self, tmp_path):
+        # An unbounded body with an interior start fails inside the walk,
+        # after the manifest is on disk but before any CSV appears.
+        path = write_polytope(tmp_path / "open.json", [[1, 0]], [1])
         out = str(tmp_path / "run")
         code = main([
-            "sample", "--polytope", square, "--steps", "5",
-            "--start", "1.0,0.0", "--out", out,
+            "sample", "--polytope", path, "--steps", "5",
+            "--start", "0.0,0.0", "--out", out,
         ])
-        assert code == 2
+        assert code == 3
         assert (tmp_path / "run.manifest.json").exists()
         assert not (tmp_path / "run.samples.csv").exists()
 
@@ -255,6 +256,43 @@ class TestSampleCommand:
         assert "point [nan, 0.0] has non-finite entries" in capsys.readouterr().err
         assert list(tmp_path.glob("r.*")) == []
 
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param(["--start", "5,5"], "point [5.0, 5.0] is not strictly interior",
+                     id="start-outside"),
+        pytest.param(["--start", "1,0"], "point [1.0, 0.0] is not strictly interior",
+                     id="start-boundary"),
+        pytest.param(["--seed", "-1"], "seed must be nonnegative, not -1", id="seed"),
+    ])
+    @pytest.mark.parametrize("walk", ["john", "ball", "hitrun"])
+    def test_refused_start_or_seed_writes_nothing(self, square, tmp_path, capsys,
+                                                  walk, flags, message):
+        code = main(["sample", "--polytope", square, "--walk", walk, *flags,
+                     "--steps", "5", "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.glob("r.*")) == []
+
+    @pytest.mark.parametrize("field, value, message", [
+        pytest.param("start", [5.0, 5.0], "point [5.0, 5.0] is not strictly interior",
+                     id="start-outside"),
+        pytest.param("seed", -1, "seed must be nonnegative, not -1", id="seed"),
+    ])
+    @pytest.mark.parametrize("walk", ["john", "ball", "hitrun"])
+    def test_manifest_refused_start_or_seed_writes_nothing(self, square, tmp_path, capsys,
+                                                           walk, field, value, message):
+        first = str(tmp_path / "a")
+        assert main(["sample", "--polytope", square, "--walk", walk, "--steps", "5",
+                     "--out", first]) == 0
+        path = tmp_path / "a.manifest.json"
+        spec = json.loads(path.read_text())
+        spec[field] = value
+        path.write_text(json.dumps(spec))
+        capsys.readouterr()
+        code = main(["sample", "--manifest", str(path), "--out", str(tmp_path / "b")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.glob("b.*")) == []
+
     def test_manifest_non_finite_start_exits_two(self, square, tmp_path, capsys):
         first = str(tmp_path / "a")
         assert main(["sample", "--polytope", square, "--steps", "5",
@@ -356,6 +394,14 @@ class TestDiagnoseCommand:
         out = capsys.readouterr().out
         assert out.count("pass") == 6
         assert "fail" not in out
+
+    def test_bad_c_refused_before_any_solve(self, monkeypatch, capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before c was checked")
+
+        monkeypatch.setattr("johnswalk.walk.solve_mve", no_solve)
+        assert main(["diagnose", "--n-range", "2", "--c", "nan"]) == 2
+        assert "finite c" in capsys.readouterr().err
 
 
 class TestRemovedBenchCommand:

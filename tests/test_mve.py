@@ -369,6 +369,12 @@ class TestSolveMveProperties:
             assert np.linalg.norm(body.A @ sol.ellipsoid.mat, axis=1).max() <= 1.0
             assert 0.0 <= sol.logdet_gap <= 1e-5
 
+    @pytest.mark.parametrize("method", ["oracle", "vaidya"])
+    def test_ellipsoid_centered_at_anchor(self, method):
+        x = np.array([0.3, -0.2])
+        sol = solve_mve(symmetrize(cube(2), x), method=method, gap=1e-5)
+        assert np.array_equal(sol.ellipsoid.center, x)
+
     def test_cross_solver_agreement_on_symmetrized_cube(self):
         # Before rows were merged the cutting-plane engine left its
         # localization polytope on the 3-cube's duplicate cuts. At the

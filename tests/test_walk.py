@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -26,6 +28,14 @@ from conftest import box, cube, random_polytope
 
 def interval() -> Polytope:
     return Polytope(np.array([[1.0], [-1.0]]), np.ones(2))
+
+
+# The three runners with their sample arrays, keyed by the CLI's walk names.
+RUNNERS = {
+    "john": lambda poly, x0, steps: run_chain(poly, x0, steps, WalkConfig())[0],
+    "ball": lambda poly, x0, steps: run_ball_walk(poly, x0, steps, 0.1),
+    "hitrun": lambda poly, x0, steps: run_hit_and_run(poly, x0, steps),
+}
 
 
 class TestRadius:
@@ -90,7 +100,7 @@ class TestJohnStep:
         assert np.array_equal(out.x, state.x)
         assert out.ellipsoid is state.ellipsoid
         assert out.tallies.lazy_hold == 1
-        assert out.step_count == 1
+        assert out.tallies.total == 1
 
     def test_cube_symmetrization_closed_form(self):
         # Symmetrizing the cube at z gives the box with half-widths
@@ -107,6 +117,16 @@ class TestJohnStep:
             state = init_state(poly, np.zeros(3), config, chain_index=chain)
             out = john_step(poly, state, config)
             assert out.tallies.reject_filter == 0
+
+    def test_every_outcome_occurs(self):
+        # At c = 8 the radius r = 8 / 2^2.5 ~ 1.41 exceeds the square's
+        # half-width, so proposals can leave it; 200 steps with seed 1 reach
+        # all five outcomes, and no rejected proposal enters the samples.
+        poly = cube(2)
+        samples, tallies = run_chain(poly, np.zeros(2), 200, WalkConfig(c=8.0, seed=1))
+        assert min(astuple(tallies)) > 0
+        assert sum(astuple(tallies)) == tallies.total == 200
+        assert all(np.all(poly.slacks(s) > 0.0) for s in samples)
 
     def test_reversibility_rejections_occur(self):
         # At c = 0.5 the reverse ellipsoid check fails occasionally; with a
@@ -153,6 +173,10 @@ class TestRunChain:
         with pytest.raises(GeometryError, match=message):
             WalkConfig(**fields)
 
+    def test_config_refuses_negative_seed(self):
+        with pytest.raises(GeometryError, match="seed must be nonnegative, not -1"):
+            WalkConfig(seed=-1)
+
     def test_chain_index_changes_stream(self):
         a, _ = run_chain(cube(2), np.zeros(2), 60, WalkConfig(seed=3), chain_index=0)
         b, _ = run_chain(cube(2), np.zeros(2), 60, WalkConfig(seed=3), chain_index=1)
@@ -183,6 +207,28 @@ class TestRunChain:
         _, tallies = run_chain(cube(2), np.zeros(2), steps, WalkConfig(seed=11))
         se = np.sqrt(0.25 / steps)
         assert abs(tallies.lazy_hold / steps - 0.5) <= 4.0 * se
+
+
+class TestRunners:
+    @pytest.mark.parametrize("walk_name", RUNNERS)
+    def test_negative_steps_refused_before_any_solve(self, monkeypatch, walk_name):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before steps was checked")
+
+        monkeypatch.setattr(walk, "solve_mve", no_solve)
+        with pytest.raises(GeometryError, match="steps must be nonnegative"):
+            RUNNERS[walk_name](cube(2), np.zeros(2), -1)
+
+    @pytest.mark.parametrize("start", [[5.0, 5.0], [1.0, 0.0]])
+    @pytest.mark.parametrize("walk_name", RUNNERS)
+    def test_non_interior_start_raises(self, walk_name, start):
+        with pytest.raises(GeometryError, match="not strictly interior"):
+            RUNNERS[walk_name](cube(2), np.array(start), 5)
+
+    @pytest.mark.parametrize("walk_name", RUNNERS)
+    def test_zero_steps_return_the_start(self, walk_name):
+        x0 = np.array([0.25, -0.5])
+        assert np.array_equal(RUNNERS[walk_name](cube(2), x0, 0), x0[None, :])
 
 
 class TestAffineInvariance:
