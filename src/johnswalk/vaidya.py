@@ -5,9 +5,11 @@ always contains the target set, starting from the box {|z_i| <= rho}. The
 iterate is kept near the volumetric center, the minimizer of
 V(z) = 1/2 logdet H(z) where H is the log-barrier Hessian. Recentering runs
 the damped Newton loop of ``geometry._damped_newton`` on V with its exact
-Hessian, without a line search; one factorization of H per iterate serves
-the last Newton step, the drop test and the next cut. The volume certificate
-below runs the same loop on the log barrier to reach the analytic center.
+Hessian, without a line search. Nothing is inverted: each system gets one
+LAPACK Cholesky factor and triangular solves. The factor of H at an iterate
+serves the last Newton step, the drop test and the next cut. The volume
+certificate below runs the same loop on the log barrier to reach the
+analytic center.
 Each round either drops the constraint of smallest leverage (below
 ``EPS``) or queries the oracle and adds the returned cut through the
 current iterate, backing the iterate off by half a Dikin radius so it stays
@@ -40,6 +42,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import NumericalError, OracleInconsistencyError, SolverError
 from .geometry import _damped_newton, _log_barrier, _log_unit_ball_volume
@@ -147,9 +150,10 @@ class _Engine:
         return self.state.h_offs - self.state.g_rows @ x
 
     def _barrier(self, x: np.ndarray):
-        """(w, linv, half, sigma) at x: the rows over their slacks, the inverse
-        Cholesky factor of H = w^T w, linv w^T and the leverage scores; kept
-        and reused until the iterate object or the rows change."""
+        """(w, chol, half, sigma) at x: the rows over their slacks, the lower
+        Cholesky factor L of H = w^T w, L^-1 w^T by one triangular solve and
+        the leverage scores; kept and reused until the iterate object or the
+        rows change."""
         rows = self.state.g_rows
         if self._memo[0] is x and self._memo[1] is rows:
             return self._memo[2]
@@ -157,12 +161,11 @@ class _Engine:
         if np.any(s <= 0.0):
             raise _IterateOutside("iterate left the localization polytope")
         w = rows / s[:, None]
-        try:
-            linv = np.linalg.inv(np.linalg.cholesky(w.T @ w))
-        except np.linalg.LinAlgError as exc:
-            raise _IterateOutside("barrier Hessian not PD at the iterate") from exc
-        half = linv @ w.T
-        self._memo = (x, rows, (w, linv, half, np.sum(half * half, axis=0)))
+        chol, info = dpotrf(w.T @ w, lower=1)
+        if info != 0:
+            raise _IterateOutside("barrier Hessian not PD at the iterate")
+        half = dtrtrs(chol, w.T, lower=1)[0]
+        self._memo = (x, rows, (w, chol, half, np.sum(half * half, axis=0)))
         return self._memo[2]
 
     def _volumetric(self, x: np.ndarray):
@@ -178,12 +181,11 @@ class _Engine:
         """Newton step on V with its exact Hessian, and its decrement."""
         self.state.newton_steps += 1
         grad, hess = self._volumetric(x)
-        try:
-            lh_inv = np.linalg.inv(np.linalg.cholesky(hess))
-        except np.linalg.LinAlgError as exc:
-            raise _IterateOutside("volumetric barrier Hessian not PD") from exc
-        u = lh_inv @ grad
-        return -(lh_inv.T @ u), float(u @ u)
+        chol, info = dpotrf(hess, lower=1)
+        if info != 0:
+            raise _IterateOutside("volumetric barrier Hessian not PD")
+        solved = dpotrs(chol, grad, lower=1)[0]
+        return -solved, float(grad @ solved)
 
     def _recenter(self):
         before = self.state.newton_steps
@@ -207,12 +209,12 @@ class _Engine:
             raise NumericalError("oracle returned a zero cut direction")
         w_row = direction / norm
         offset = float(w_row @ x)
-        _, linv, _, _ = self._barrier(x)
-        u = linv @ w_row
+        chol = self._barrier(x)[1]
+        u = dtrtrs(chol, w_row, lower=1)[0]
         width = math.sqrt(float(u @ u))
         if not np.isfinite(width) or width <= 0.0:
             raise NumericalError("degenerate cut direction")
-        self.state.iterate = x - 0.5 * (linv.T @ u) / width
+        self.state.iterate = x - 0.5 * dtrtrs(chol, u, lower=1, trans=1)[0] / width
         self.state.g_rows = np.vstack([self.state.g_rows, w_row])
         self.state.h_offs = np.append(self.state.h_offs, offset)
         self.state.permanent = np.append(self.state.permanent, False)
@@ -254,8 +256,8 @@ class _Engine:
         # radius is at most 1/3 + 3N/2 <= 2N for N >= 1.
         if not converged and not newton(x)[1] <= 1.0 / 16.0:
             return math.inf
-        # -1/2 logdet H(x) = sum_i log (L^-1)_ii for the Cholesky factor L.
-        neg_half_logdet = float(np.sum(np.log(np.diag(self._barrier(x)[1]))))
+        # -1/2 logdet H(x) = -sum_i log L_ii for the Cholesky factor L.
+        neg_half_logdet = -float(np.sum(np.log(np.diag(self._barrier(x)[1]))))
         return (self.d * math.log(2.0 * self.state.rows) + neg_half_logdet
                 + _log_unit_ball_volume(self.d))
 
@@ -283,6 +285,7 @@ def vaidya_minimize(
     engine = _Engine(d, level, rho)
     budget = min(iteration_bound(d, level, rho), _CALL_CAP)
     history: list[tuple[np.ndarray, float]] = []
+    feasible = np.empty((0, d))
     calls = 0
     status = "budget"
     try:
@@ -305,13 +308,11 @@ def vaidya_minimize(
             w = np.asarray(cut, dtype=float)
             if value is None:
                 tol = 1e-9 * (1.0 + float(np.linalg.norm(w)))
-                for p, _ in history:
-                    if float(w @ (p - x)) > tol:
-                        raise OracleInconsistencyError(
-                            "cut excludes a previously feasible point"
-                        )
+                if np.any((feasible - x) @ w > tol):
+                    raise OracleInconsistencyError("cut excludes a previously feasible point")
             else:
                 history.append((x, float(value)))
+                feasible = np.vstack([feasible, x])
                 if float(np.linalg.norm(w)) == 0.0:
                     # zero subgradient: this iterate is optimal over the target set
                     return MinimizeResult(x, history[-1][1], history, calls,

@@ -654,6 +654,22 @@ class TestSeparationOracle:
         ans = separation_oracle_mve(np.diag([3.0, 0.01]), body)
         assert ans.kind == "constraint"
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_feasible_answer_matches_dense_forms(self, n):
+        # The feasible answer is read off the oracle's eigendecomposition:
+        # value -logdet X and cut -X^-1, as slogdet and inv give them.
+        rng = np.random.default_rng([5, n])
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        x = (q * rng.uniform(1.0 / n, 1.0, size=n)) @ q.T
+        x = 0.5 * (x + x.T)
+        ans = separation_oracle_mve(x, centered_body(cube(n)))
+        assert ans.kind == "feasible"
+        sign, logdet = np.linalg.slogdet(x)
+        assert sign > 0
+        assert ans.value == pytest.approx(-logdet, rel=1e-12)
+        inv = np.linalg.inv(x)
+        assert np.linalg.norm(vec_to_sym(ans.cut, n) + inv) <= 1e-12 * np.linalg.norm(inv)
+
 
 class TestContactExtraction:
     def test_cube_pairs(self):

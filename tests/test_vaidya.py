@@ -130,6 +130,44 @@ class TestEngine:
         ratio = np.linalg.eigvalsh(l_inv @ hess @ l_inv.T)
         assert ratio[0] >= 1.0 - 1e-10 and ratio[-1] <= 3.0 + 1e-10
 
+    def test_factored_algebra_matches_dense_references(self, rng):
+        # The engine solves through Cholesky factors; on the random 3-d
+        # localization polytope above every quantity matches its dense form.
+        engine = _Engine(3, 11.0, 1.0)
+        for _ in range(6):
+            engine.add_cut(rng.standard_normal(3))
+        x = engine.state.iterate + 0.05 * rng.standard_normal(3)
+        grad, hess = engine._volumetric(x)
+        step, decrement = engine._newton_step(x)
+        reference = -np.linalg.solve(hess, grad)
+        assert np.allclose(step, reference, rtol=1e-10, atol=0.0)
+        assert decrement == pytest.approx(-(grad @ reference), rel=1e-10)
+        w, chol, _, sigma = engine._barrier(x)
+        gram = w.T @ w
+        assert np.allclose(sigma, np.diag(w @ np.linalg.inv(gram) @ w.T), rtol=1e-10, atol=0.0)
+        assert np.allclose(chol @ chol.T, gram, rtol=1e-10, atol=1e-10 * np.abs(gram).max())
+        newton, inside = vaidya._log_barrier(engine.state.g_rows, engine.state.h_offs)
+        center, _ = vaidya._damped_newton(engine.state.iterate, newton, inside, 1e-10, 80)
+        w_c = engine._barrier(center)[0]
+        _, logdet = np.linalg.slogdet(w_c.T @ w_c)
+        expected = (3 * math.log(2.0 * engine.state.rows) - 0.5 * logdet
+                    + vaidya._log_unit_ball_volume(3))
+        assert engine.log_volume_bound() == pytest.approx(expected, rel=1e-10)
+
+    def test_singular_barrier_hessian_leaves_iterate(self):
+        # Rows +-e_1 only: H = w^T w is singular, and its factor fails.
+        engine = _Engine(2, 11.0, 1.0)
+        engine.state.g_rows = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
+        with pytest.raises(_IterateOutside, match="^barrier Hessian not PD"):
+            engine._barrier(engine.state.iterate)
+
+    def test_indefinite_volumetric_hessian_leaves_iterate(self, monkeypatch):
+        engine = _Engine(2, 11.0, 1.0)
+        monkeypatch.setattr(engine, "_volumetric",
+                            lambda x: (np.ones(2), np.diag([1.0, -1.0])))
+        with pytest.raises(_IterateOutside, match="volumetric barrier Hessian not PD"):
+            engine._newton_step(engine.state.iterate)
+
     @pytest.mark.parametrize("widths", [np.ones(2), np.ones(3)], ids=["square", "cube3"])
     def test_no_recenter_reaches_step_cap_on_boxes(self, monkeypatch, widths):
         # The benchmark's cutting-plane solves at the centers of the square
@@ -295,6 +333,26 @@ class TestMinimize:
 
         with pytest.raises(OracleInconsistencyError):
             vaidya_minimize(first_order(f, sg, flaky), 2, 8.0, 1.0)
+
+    @pytest.mark.parametrize("excluded", [0, 2], ids=["first", "last"])
+    def test_cut_excluding_one_stored_point_detected(self, excluded):
+        # Three feasible iterates, then a cut that excludes only one of them.
+        subgradients = np.array([[1.0, 0.3, -0.2], [-0.2, 1.0, 0.5], [0.4, -0.1, 1.0]])
+        seen = []
+
+        def oracle(x):
+            if len(seen) < 3:
+                seen.append(x)
+                return 0.0, subgradients[len(seen) - 1]
+            offsets = np.array(seen) - x
+            target = np.where(np.arange(3) == excluded, 1.0, -1.0)
+            w = np.linalg.solve(offsets, target)
+            assert np.allclose(offsets @ w, target)
+            return None, w
+
+        with pytest.raises(OracleInconsistencyError):
+            vaidya_minimize(oracle, 3, 8.0, 1.0)
+        assert len(seen) == 3
 
     def test_constraint_cap_respected(self):
         def f(x):
