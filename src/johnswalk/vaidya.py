@@ -5,11 +5,10 @@ always contains the target set, starting from the box {|z_i| <= rho}. The
 iterate is kept near the volumetric center, the minimizer of
 V(z) = 1/2 logdet H(z) where H is the log-barrier Hessian. Recentering runs
 the damped Newton loop of ``geometry._damped_newton`` on V with its exact
-Hessian, without a line search. Nothing is inverted: each system gets one
-LAPACK Cholesky factor and triangular solves. The factor of H at an iterate
-serves the last Newton step, the drop test and the next cut. The volume
-certificate below runs the same loop on the log barrier to reach the
-analytic center.
+Hessian, without a line search. Each system gets one LAPACK Cholesky
+factor. The factor of H at an iterate serves the last Newton step, the drop
+test and the next cut. The volume certificate below runs the same loop on
+the log barrier to reach the analytic center.
 Each round either drops the constraint of smallest leverage (below
 ``EPS``) or queries the oracle and adds the returned cut through the
 current iterate, backing the iterate off by half a Dikin radius so it stays
@@ -42,7 +41,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri, dtrtrs
 
 from .errors import NumericalError, OracleInconsistencyError, SolverError
 from .geometry import _damped_newton, _log_barrier, _log_unit_ball_volume
@@ -151,9 +150,10 @@ class _Engine:
 
     def _barrier(self, x: np.ndarray):
         """(w, chol, half, sigma) at x: the rows over their slacks, the lower
-        Cholesky factor L of H = w^T w, L^-1 w^T by one triangular solve and
-        the leverage scores; kept and reused until the iterate object or the
-        rows change."""
+        Cholesky factor L of H = w^T w, L^-1 w^T (the d x d L^-1 times w^T,
+        refined once: a solve with N right-hand sides runs threaded in
+        scipy's own OpenBLAS, against numpy's pool) and the leverage scores;
+        kept and reused until the iterate object or the rows change."""
         rows = self.state.g_rows
         if self._memo[0] is x and self._memo[1] is rows:
             return self._memo[2]
@@ -164,7 +164,9 @@ class _Engine:
         chol, info = dpotrf(w.T @ w, lower=1)
         if info != 0:
             raise _IterateOutside("barrier Hessian not PD at the iterate")
-        half = dtrtrs(chol, w.T, lower=1)[0]
+        linv = dtrtri(chol, lower=1)[0]
+        half = linv @ w.T
+        half += linv @ (w.T - chol @ half)
         self._memo = (x, rows, (w, chol, half, np.sum(half * half, axis=0)))
         return self._memo[2]
 
