@@ -1,7 +1,6 @@
 """Maximum-volume inscribed ellipsoid of an origin-symmetric polytope.
 
-Two independent routes are provided and deliberately kept separate so each
-can cross-check the other:
+Two routes that share no solver are provided, so each checks the other:
 
 * ``method="oracle"``: the inscribed ellipsoid of {y : |a_i . y| <= 1} is the
   polar of the minimum-volume enclosing ellipsoid of the point set {+-a_i}.
@@ -28,6 +27,8 @@ can cross-check the other:
       s.t.    <X, a_i a_i^T> <= 1 for every row, X >= I/n,
   is handed to the volumetric cutting-plane engine after a Dikin
   preconditioning step that makes the unit ball a known inscribed ellipsoid.
+  It certifies from its contact weights (:func:`_contact_dyads`) by weak
+  duality; the tests check it against :func:`dual_logdet_bound`.
   Symmetric matrices travel through the engine as vectors of the upper
   triangle with off-diagonal entries scaled by sqrt(2), so the Frobenius
   inner product of matrices equals the dot product of their vectors.
@@ -65,7 +66,7 @@ _EXACT_EVERY = 50
 # _NEWTON_MAX_STEPS steps.
 _NEWTON_FROM = 1e-2
 _NEWTON_MAX_STEPS = 8
-_CONTACT_SLACK = 1e-7
+_CONTACT_SLACK = 1e-6
 _EPS = float(np.finfo(float).eps)
 
 # Sign-normalised unit rows that differ by at most this much in every
@@ -451,16 +452,22 @@ def _solve_mve_oracle(body: SymmetricPolytope, gap: float) -> JohnSolution:
     )
 
 
-def dual_logdet_bound(body: SymmetricPolytope, tol: float = 1e-9) -> float:
-    """Rigorous upper bound on the optimal inscribed log det for the body,
-    obtained from any simplex weights w via weak duality:
-    opt <= -1/2 log det(n sum_i w_i a_i a_i^T). A short weight ascent makes
-    the bound tight to about n * tol / 2."""
-    _, mat, _, _, _ = _khachiyan_ascent(_distinct_rows(body), tol)
-    sign, logdet = np.linalg.slogdet(body.n * mat)
+def _weak_dual_bound(rows: np.ndarray, weights: np.ndarray) -> float:
+    """-1/2 log det(n sum_i w_i a_i a_i^T), w the weights scaled to sum 1: by
+    weak duality a bound on the optimal inscribed log det of any body with
+    the rows a_i (Todd, Minimum-Volume Ellipsoids, SIAM 2016)."""
+    moment = rows.T @ (rows * (weights / weights.sum())[:, None])
+    sign, logdet = np.linalg.slogdet(rows.shape[1] * moment)
     if sign <= 0:
         raise NumericalError("dual moment matrix is singular")
     return -0.5 * float(logdet)
+
+
+def dual_logdet_bound(body: SymmetricPolytope, tol: float = 1e-9) -> float:
+    """:func:`_weak_dual_bound` at the oracle route's ascent weights, tight to
+    about n * tol / 2: the reference the tests hold both routes' gaps to."""
+    u, _, _, _, _ = _khachiyan_ascent(rows := _distinct_rows(body), tol)
+    return _weak_dual_bound(rows, u)
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +561,12 @@ def _solve_mve_vaidya(body: SymmetricPolytope, gap: float) -> JohnSolution:
     if vals[0] <= 0.0:
         raise NumericalError("cutting-plane matrix is not positive definite")
     ell = _fit_inside(body, np.sqrt(vals), vecs)
-    bound = dual_logdet_bound(body, tol=gap / (2.0 * n))
-    gap_bound = max(0.0, bound - ell.logdet)
+    try:
+        rows, _, weights = _contact_dyads(ell, body)
+        gap_bound = max(0.0, _weak_dual_bound(body.A[rows], weights) - ell.logdet)
+        problem = f"certifies gap {gap_bound:.3e} > requested {gap:.3e}"
+    except NumericalError as exc:
+        gap_bound, problem = np.inf, f"has no certificate: {exc}"
     sol = JohnSolution(
         ellipsoid=ell,
         logdet_gap=gap_bound,
@@ -564,11 +575,7 @@ def _solve_mve_vaidya(body: SymmetricPolytope, gap: float) -> JohnSolution:
         newton_steps=result.state.newton_steps,
     )
     if gap_bound > gap:
-        raise SolverError(
-            f"cutting-plane solution certifies gap {gap_bound:.3e} > "
-            f"requested {gap:.3e}",
-            best=sol,
-        )
+        raise SolverError(f"cutting-plane solution {problem}", best=sol)
     return sol
 
 
@@ -589,11 +596,12 @@ def solve_mve(
         JohnSolution whose ellipsoid, centered at ``body.anchor``, is
         strictly feasible: |mat @ a_i| <= 1 for every row, with the
         certified logdet_gap. The oracle route certifies it from its own
-        ascent; the cutting-plane route certifies its answer through
-        :func:`dual_logdet_bound` and raises SolverError when that bound
-        exceeds ``gap``. On thin or badly scaled bodies rounding in the
-        ascent can leave the oracle route's certified gap above ``gap``; it
-        then reports that larger gap rather than raising.
+        ascent; the cutting-plane route from the John weights of its own
+        contact points, and it raises SolverError when it finds fewer than n
+        contact directions or a bound above ``gap``. The routes share no
+        solver. On thin or badly scaled bodies rounding in the ascent can
+        leave the oracle route's certified gap above ``gap``; it then reports
+        that larger gap rather than raising.
     """
     if not 0.0 < gap < np.inf:
         raise GeometryError(f"gap must be positive and finite, not {gap}")
@@ -608,40 +616,40 @@ def solve_mve(
 # contact extraction and John decomposition checks
 
 
-def extract_contacts(solution: JohnSolution, body: SymmetricPolytope) -> ContactSet:
-    """Contact directions of the inscribed ellipsoid with the body and their
-    John weights.
-
-    Rows with 1 - |E a_i| <= ``_CONTACT_SLACK`` (1e-7) are treated as
-    touching at the unit points +-u_i, u_i = E a_i / |E a_i|. Touch points
-    that coincide up to sign share one dyad u u^T, whichever rows they come
-    from.
-    Weights solve the nonnegative least-squares system sum_k c_k u_k u_k^T = I
-    once per dyad, and each dyad's weight is split evenly between +u and -u,
-    which keeps sum c_i u_i at exactly zero.
-    """
-    e_mat = solution.ellipsoid.mat
-    images = body.A @ e_mat  # row i is (E a_i)^T since E is symmetric
+def _contact_dyads(ell: Ellipsoid, body: SymmetricPolytope):
+    """Contact dyads of an inscribed ellipsoid with the body: rows with
+    1 - |E a_i| <= ``_CONTACT_SLACK`` touch at the unit points +-u_i,
+    u_i = E a_i / |E a_i|, and touch points that coincide up to sign share
+    one dyad u u^T, whose first touching row stands for it. Returns (rows,
+    units, weights) of the dyads that get a positive weight c_k in the
+    nonnegative least-squares solution of sum_k c_k u_k u_k^T = I."""
+    images = body.A @ ell.mat  # row i is (E a_i)^T since E is symmetric
     norms = np.linalg.norm(images, axis=1)
     tight = np.nonzero(1.0 - norms <= _CONTACT_SLACK)[0]
-    # The first touching row of each direction up to sign stands for it.
-    dyads: dict[tuple, np.ndarray] = {}
-    for u in images[tight] / norms[tight, None]:
+    dyads: dict[tuple, tuple] = {}
+    for i, u in zip(tight, images[tight] / norms[tight, None]):
         canon = u if u[int(np.argmax(np.abs(u)))] > 0.0 else -u
-        dyads.setdefault(tuple(np.round(canon, 7)), u)
+        dyads.setdefault(tuple(np.round(canon, 7)), (i, u))
     if len(dyads) < body.n:
         raise NumericalError(
             f"contact set rank-deficient: only {len(dyads)} touch directions "
             f"within slack {_CONTACT_SLACK:.1e} (need at least {body.n})"
         )
-    units = np.array(list(dyads.values()))
+    rows, units = (np.array(v) for v in zip(*dyads.values()))
     design = np.column_stack([sym_to_vec(np.outer(u, u)) for u in units])
     dyad_weights, _ = nnls(design, sym_to_vec(np.eye(body.n)))
     kept = dyad_weights > 0.0
     if not kept.any():
         raise NumericalError("all contact weights vanished in NNLS")
-    points = np.stack([units[kept], -units[kept]], axis=1).reshape(-1, body.n)
-    return ContactSet(points, np.repeat(0.5 * dyad_weights[kept], 2))
+    return rows[kept], units[kept], dyad_weights[kept]
+
+
+def extract_contacts(solution: JohnSolution, body: SymmetricPolytope) -> ContactSet:
+    """Contact points +-u_k of the inscribed ellipsoid with their John weights
+    (:func:`_contact_dyads`), each split evenly so sum c_i u_i is exactly 0."""
+    _, units, weights = _contact_dyads(solution.ellipsoid, body)
+    points = np.stack([units, -units], axis=1).reshape(-1, body.n)
+    return ContactSet(points, np.repeat(0.5 * weights, 2))
 
 
 def verify_john_conditions(contacts: ContactSet, n: int) -> JohnConditions:

@@ -15,7 +15,7 @@ from johnswalk.errors import GeometryError, InputDataError, NumericalError
 from johnswalk.geometry import Ellipsoid
 from johnswalk.walk import radius
 
-from conftest import cube, random_symmetric_polytope
+from conftest import cube, interior_points, random_symmetric_polytope, unit_normal_polytope
 
 
 def unit_ball(n: int, center=None) -> Ellipsoid:
@@ -50,6 +50,19 @@ class TestCheckStepLemmas:
             assert report.max_det_dev <= 3.0
             assert report.min_eig_dev <= 3.0
             assert report.crossratio_violations == 0
+
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("off_center", [False, True], ids=["center", "interior"])
+    def test_envelope_on_many_facet_bodies(self, n, off_center):
+        # m = 60 >= 10 n: the regime where the walk's mixing bound beats
+        # the Dikin walk's.
+        poly = unit_normal_polytope(n, 60, 0)
+        rng = np.random.default_rng(n)
+        x = interior_points(poly, 1, rng, shrink=0.5)[0] if off_center else None
+        report = check_step_lemmas(poly, 30, 0.5, rng, x=x)
+        assert report.max_det_dev <= 3.0
+        assert report.min_eig_dev <= 3.0
+        assert report.crossratio_violations == 0
 
     def test_explicit_base_point(self, rng):
         report = check_step_lemmas(cube(2), 10, 0.5, rng,

@@ -531,6 +531,53 @@ class TestSolveMveVaidyaBreakdown:
         assert np.all(np.linalg.norm(body.A @ sol.ellipsoid.mat, axis=1) <= 1.0)
 
 
+def _at_center(poly):
+    return symmetrize(poly, analytic_center(poly))
+
+
+class TestCuttingPlaneCertificate:
+    """The cutting-plane route certifies from the John weights of its own
+    contact points and reaches no oracle-route function."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: centered_body(cube(2)), lambda: centered_body(cube(3)),
+         lambda: _at_center(unit_normal_polytope(3, 9, 0))],
+        ids=["square", "cube3", "rand3x9"],
+    )
+    def test_certifies_without_the_oracle_route(self, monkeypatch, make):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the cutting-plane route called the oracle route")
+
+        for name in ("_khachiyan_ascent", "_newton_polish", "_core_start",
+                     "_check_spans", "dual_logdet_bound", "_solve_mve_oracle"):
+            monkeypatch.setattr(mve, name, unreachable)
+        body, gap = make(), 1e-5
+        sol = solve_mve(body, method="vaidya", gap=gap)
+        monkeypatch.undo()
+        assert_inscribed_and_certified(body, sol, gap)
+        logdet = sol.ellipsoid.logdet
+        reference = max(0.0, dual_logdet_bound(body, tol=gap / (2 * body.n)) - logdet)
+        assert abs(sol.logdet_gap - reference) <= 1e-13
+        oracle = solve_mve(body, method="oracle", gap=gap)
+        assert sol.logdet_gap >= oracle.ellipsoid.logdet - logdet - 1e-12
+
+    def test_tall_body_certifies_the_walks_default_gap(self):
+        # The ascent that certified this route before raised SolverError
+        # here after 500k iterations; the contact bound certifies ~1e-14.
+        body = _at_center(unit_normal_polytope(5, 1000, 0))
+        gap = _effective_gap(None, 5)
+        assert_inscribed_and_certified(body, solve_mve(body, method="vaidya", gap=gap), gap)
+
+    def test_loose_gap_answer_keeps_its_contacts(self):
+        # A contact slack of 1e-7 misses one of this answer's contacts and
+        # certifies only 6.3e-3; the slack of 1e-6 finds it.
+        poly = unit_normal_polytope(2, 6, 1)
+        point = interior_points(poly, 2, np.random.default_rng(5), shrink=0.5)[1]
+        body = symmetrize(poly, point)
+        assert_inscribed_and_certified(body, solve_mve(body, method="vaidya", gap=1e-3), 1e-3)
+
+
 class TestDistinctRows:
     def test_mapped_box_keeps_one_row_per_axis(self, rng):
         # Under a linear map the rows a/s_i and -a/s_j of each axis stay
