@@ -27,8 +27,8 @@ Two routes that share no solver are provided, so each checks the other:
       s.t.    <X, a_i a_i^T> <= 1 for every row, X >= I/n,
   is handed to the volumetric cutting-plane engine after a Dikin
   preconditioning step that makes the unit ball a known inscribed ellipsoid.
-  It certifies from its contact weights (:func:`_contact_dyads`) by weak
-  duality; the tests check it against :func:`dual_logdet_bound`.
+  It certifies by weak duality at the John weights of the rows within slack
+  max(1e-6, gap/(2n)) of the boundary (:func:`_contact_dyads`).
   Symmetric matrices travel through the engine as vectors of the upper
   triangle with off-diagonal entries scaled by sqrt(2), so the Frobenius
   inner product of matrices equals the dot product of their vectors.
@@ -562,7 +562,7 @@ def _solve_mve_vaidya(body: SymmetricPolytope, gap: float) -> JohnSolution:
         raise NumericalError("cutting-plane matrix is not positive definite")
     ell = _fit_inside(body, np.sqrt(vals), vecs)
     try:
-        rows, _, weights = _contact_dyads(ell, body)
+        rows, _, weights = _contact_dyads(ell, body, max(_CONTACT_SLACK, gap / (2 * n)))
         gap_bound = max(0.0, _weak_dual_bound(body.A[rows], weights) - ell.logdet)
         problem = f"certifies gap {gap_bound:.3e} > requested {gap:.3e}"
     except NumericalError as exc:
@@ -616,16 +616,16 @@ def solve_mve(
 # contact extraction and John decomposition checks
 
 
-def _contact_dyads(ell: Ellipsoid, body: SymmetricPolytope):
+def _contact_dyads(ell: Ellipsoid, body: SymmetricPolytope, slack=_CONTACT_SLACK):
     """Contact dyads of an inscribed ellipsoid with the body: rows with
-    1 - |E a_i| <= ``_CONTACT_SLACK`` touch at the unit points +-u_i,
+    1 - |E a_i| <= ``slack`` touch at the unit points +-u_i,
     u_i = E a_i / |E a_i|, and touch points that coincide up to sign share
     one dyad u u^T, whose first touching row stands for it. Returns (rows,
     units, weights) of the dyads that get a positive weight c_k in the
     nonnegative least-squares solution of sum_k c_k u_k u_k^T = I."""
     images = body.A @ ell.mat  # row i is (E a_i)^T since E is symmetric
     norms = np.linalg.norm(images, axis=1)
-    tight = np.nonzero(1.0 - norms <= _CONTACT_SLACK)[0]
+    tight = np.nonzero(1.0 - norms <= slack)[0]
     dyads: dict[tuple, tuple] = {}
     for i, u in zip(tight, images[tight] / norms[tight, None]):
         canon = u if u[int(np.argmax(np.abs(u)))] > 0.0 else -u
@@ -633,7 +633,7 @@ def _contact_dyads(ell: Ellipsoid, body: SymmetricPolytope):
     if len(dyads) < body.n:
         raise NumericalError(
             f"contact set rank-deficient: only {len(dyads)} touch directions "
-            f"within slack {_CONTACT_SLACK:.1e} (need at least {body.n})"
+            f"within slack {slack:.1e} (need at least {body.n})"
         )
     rows, units = (np.array(v) for v in zip(*dyads.values()))
     design = np.column_stack([sym_to_vec(np.outer(u, u)) for u in units])

@@ -563,19 +563,23 @@ class TestCuttingPlaneCertificate:
         assert sol.logdet_gap >= oracle.ellipsoid.logdet - logdet - 1e-12
 
     def test_tall_body_certifies_the_walks_default_gap(self):
-        # The ascent that certified this route before raised SolverError
-        # here after 500k iterations; the contact bound certifies ~1e-14.
         body = _at_center(unit_normal_polytope(5, 1000, 0))
         gap = _effective_gap(None, 5)
         assert_inscribed_and_certified(body, solve_mve(body, method="vaidya", gap=gap), gap)
 
-    def test_loose_gap_answer_keeps_its_contacts(self):
-        # A contact slack of 1e-7 misses one of this answer's contacts and
-        # certifies only 6.3e-3; the slack of 1e-6 finds it.
-        poly = unit_normal_polytope(2, 6, 1)
-        point = interior_points(poly, 2, np.random.default_rng(5), shrink=0.5)[1]
-        body = symmetrize(poly, point)
-        assert_inscribed_and_certified(body, solve_mve(body, method="vaidya", gap=1e-3), 1e-3)
+    @pytest.mark.parametrize(
+        "seed, point, gap", [(1, 1, 1e-3), (0, None, 1e-1)], ids=["off-center", "center"]
+    )
+    def test_loose_gap_answer_keeps_its_contacts(self, seed, point, gap):
+        # At a loose gap the engine stops early and leaves these answers'
+        # contacts at slacks of 1e-7 to 6e-6 from the boundary.
+        poly = unit_normal_polytope(2, 6, seed)
+        if point is None:
+            body = _at_center(poly)
+        else:
+            x = interior_points(poly, 2, np.random.default_rng(5), shrink=0.5)[point]
+            body = symmetrize(poly, x)
+        assert_inscribed_and_certified(body, solve_mve(body, method="vaidya", gap=gap), gap)
 
 
 class TestDistinctRows:
