@@ -222,7 +222,7 @@ def _cmd_mve(args) -> int:
     point = _parse_vector(args.point, poly) if args.point else analytic_center(poly)
     body = symmetrize(poly, point)
     sol = solve_mve(body, method=args.solver, gap=args.gap)
-    contacts = extract_contacts(sol, body)
+    contacts = extract_contacts(sol, body, args.gap)
     resid = verify_john_conditions(contacts, poly.n)
     print(f"solver={sol.solver_tag} logdet={sol.ellipsoid.logdet:.12g} "
           f"logdet_gap<={sol.logdet_gap:.3g} iterations={sol.iterations} "

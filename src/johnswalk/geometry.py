@@ -313,10 +313,10 @@ def _damped_newton(x: np.ndarray, newton, inside, tol: float, max_steps: int):
     search: ``newton(x)`` gives the step and its decrement lambda^2, and x
     moves by 1 / (1 + lambda) times the step, which on a self-concordant
     barrier stays inside the domain (Nesterov & Nemirovskii 1994). A step
-    failing the domain test ``inside`` ends the descent, as does a decrement
-    of at most 1/16 that does not fall below the last: Newton squares it
-    there, so a stall is rounding. Returns (x, converged), converged once
-    the decrement is below ``tol`` and not negative."""
+    failing the domain test ``inside`` or rounding to no move ends the
+    descent, as does a decrement of at most 1/16 that does not fall below
+    the last: Newton squares it there, so a stall is rounding. Returns
+    (x, converged), converged once the decrement is below ``tol`` and >= 0."""
     previous = math.inf
     for _ in range(max_steps):
         step, decrement = newton(x)
@@ -326,7 +326,7 @@ def _damped_newton(x: np.ndarray, newton, inside, tol: float, max_steps: int):
             return x, False
         previous = decrement
         trial = x + 1.0 / (1.0 + math.sqrt(decrement)) * step
-        if not inside(trial):
+        if not inside(trial) or np.array_equal(trial, x):
             return x, False
         x = trial
     return x, False

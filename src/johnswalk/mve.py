@@ -480,7 +480,7 @@ def dikin_precondition(body: SymmetricPolytope):
 
     In the image the radius-1 Dikin ellipsoid at the origin is the unit
     ball, so unit ball <= image <= sqrt(2 rows) * unit ball. Returns
-    (t_mat, image) with t_mat = H^(1/2).
+    (inv_sqrt, image) with inv_sqrt = H^(-1/2), which maps the image back.
     """
     a = body.A
     # Summed over the half-spaces themselves: 2 A^T A rounds differently.
@@ -491,9 +491,8 @@ def dikin_precondition(body: SymmetricPolytope):
         raise NumericalError(
             "barrier Hessian is singular; rows do not span (body unbounded)"
         )
-    t_mat = (vecs * np.sqrt(vals)) @ vecs.T
     inv_sqrt = (vecs * (1.0 / np.sqrt(vals))) @ vecs.T
-    return t_mat, SymmetricPolytope(a @ inv_sqrt, body.anchor.copy())
+    return inv_sqrt, SymmetricPolytope(a @ inv_sqrt, body.anchor.copy())
 
 
 @dataclass(frozen=True)
@@ -539,8 +538,7 @@ def separation_oracle_mve(x_mat: np.ndarray, body: SymmetricPolytope) -> OracleA
 def _solve_mve_vaidya(body: SymmetricPolytope, gap: float) -> JohnSolution:
     n = body.n
     reduced = SymmetricPolytope(_distinct_rows(body), body.anchor)
-    t_mat, image = dikin_precondition(reduced)
-    d = sym_dim(n)
+    inv_sqrt_h, image = dikin_precondition(reduced)
     # Any feasible X has spectral norm <= the image's half-space count.
     rho = float(2 * image.rows)
     level = np.log2(4.0 / gap) + 1.0
@@ -549,20 +547,15 @@ def _solve_mve_vaidya(body: SymmetricPolytope, gap: float) -> JohnSolution:
         ans = separation_oracle_mve(vec_to_sym(v, n), image)
         return ans.value, ans.cut
 
-    result = _vaidya.vaidya_minimize(oracle, d, level, rho)
-    if result.point is None:
-        raise SolverError(
-            "cutting-plane engine found no feasible matrix", best=result
-        )
-    x_hat = vec_to_sym(result.point, n)
-    inv_sqrt_h = np.linalg.inv(t_mat)
-    shape = inv_sqrt_h @ x_hat @ inv_sqrt_h
+    # The engine raises SolverError when it finds no feasible matrix.
+    result = _vaidya.vaidya_minimize(oracle, sym_dim(n), level, rho)
+    shape = inv_sqrt_h @ vec_to_sym(result.point, n) @ inv_sqrt_h
     vals, vecs = np.linalg.eigh(0.5 * (shape + shape.T))
     if vals[0] <= 0.0:
         raise NumericalError("cutting-plane matrix is not positive definite")
     ell = _fit_inside(body, np.sqrt(vals), vecs)
     try:
-        rows, _, weights = _contact_dyads(ell, body, max(_CONTACT_SLACK, gap / (2 * n)))
+        rows, _, weights = _contact_dyads(ell, body, gap)
         gap_bound = max(0.0, _weak_dual_bound(body.A[rows], weights) - ell.logdet)
         problem = f"certifies gap {gap_bound:.3e} > requested {gap:.3e}"
     except NumericalError as exc:
@@ -616,13 +609,15 @@ def solve_mve(
 # contact extraction and John decomposition checks
 
 
-def _contact_dyads(ell: Ellipsoid, body: SymmetricPolytope, slack=_CONTACT_SLACK):
-    """Contact dyads of an inscribed ellipsoid with the body: rows with
-    1 - |E a_i| <= ``slack`` touch at the unit points +-u_i,
-    u_i = E a_i / |E a_i|, and touch points that coincide up to sign share
-    one dyad u u^T, whose first touching row stands for it. Returns (rows,
-    units, weights) of the dyads that get a positive weight c_k in the
-    nonnegative least-squares solution of sum_k c_k u_k u_k^T = I."""
+def _contact_dyads(ell: Ellipsoid, body: SymmetricPolytope, gap: float):
+    """Contact dyads of an inscribed ellipsoid solved at ``gap``: rows with
+    1 - |E a_i| <= max(1e-6, gap/(2n)), the ascent's tolerance at that gap,
+    touch at the unit points +-u_i, u_i = E a_i / |E a_i|, and touch points
+    that coincide up to sign share one dyad u u^T, whose first touching row
+    stands for it. Returns (rows, units, weights) of the dyads that get a
+    positive weight c_k in the nonnegative least-squares solution of
+    sum_k c_k u_k u_k^T = I."""
+    slack = max(_CONTACT_SLACK, gap / (2 * body.n))
     images = body.A @ ell.mat  # row i is (E a_i)^T since E is symmetric
     norms = np.linalg.norm(images, axis=1)
     tight = np.nonzero(1.0 - norms <= slack)[0]
@@ -644,10 +639,13 @@ def _contact_dyads(ell: Ellipsoid, body: SymmetricPolytope, slack=_CONTACT_SLACK
     return rows[kept], units[kept], dyad_weights[kept]
 
 
-def extract_contacts(solution: JohnSolution, body: SymmetricPolytope) -> ContactSet:
-    """Contact points +-u_k of the inscribed ellipsoid with their John weights
-    (:func:`_contact_dyads`), each split evenly so sum c_i u_i is exactly 0."""
-    _, units, weights = _contact_dyads(solution.ellipsoid, body)
+def extract_contacts(
+    solution: JohnSolution, body: SymmetricPolytope, gap: float = 1e-9
+) -> ContactSet:
+    """Contact points +-u_k of the inscribed ellipsoid, solved at ``gap``,
+    with their John weights (:func:`_contact_dyads`), each split evenly so
+    sum c_i u_i is exactly 0."""
+    _, units, weights = _contact_dyads(solution.ellipsoid, body, gap)
     points = np.stack([units, -units], axis=1).reshape(-1, body.n)
     return ContactSet(points, np.repeat(0.5 * weights, 2))
 

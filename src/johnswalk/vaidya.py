@@ -4,11 +4,14 @@ The engine maintains a bounded localization polytope {z : Gz <= h} that
 always contains the target set, starting from the box {|z_i| <= rho}. The
 iterate is kept near the volumetric center, the minimizer of
 V(z) = 1/2 logdet H(z) where H is the log-barrier Hessian. Recentering runs
-the damped Newton loop of ``geometry._damped_newton`` on V with its exact
-Hessian, without a line search. Each system gets one LAPACK Cholesky
-factor. The factor of H at an iterate serves the last Newton step, the drop
-test and the next cut. The volume certificate below runs the same loop on
-the log barrier to reach the analytic center.
+the damped Newton loop of ``geometry._damped_newton`` on V, without a line
+search, with 2Q for Hess V: Q = w^T diag(sigma) w, the matrix Vaidya's
+method steps with, and Q <= Hess V <= 3Q (Anstreicher, Math. Oper. Res.
+1997). It stops at a decrement of 1/4 in 2Q, within a factor 2 of the true
+one: far looser than the proximity the method was analysed with, and no
+certificate rests on it. Each system gets one LAPACK Cholesky factor. The
+factor of H at an iterate serves the last Newton step, the drop test and
+the next cut.
 Each round either drops the constraint of smallest leverage (below
 ``EPS``) or queries the oracle and adds the returned cut through the
 current iterate, backing the iterate off by half a Dikin radius so it stays
@@ -46,7 +49,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri, dtrtrs
 from .errors import NumericalError, OracleInconsistencyError, SolverError
 from .geometry import _damped_newton, _log_barrier, _log_unit_ball_volume
 
-_NEWTON_TOL = 1e-9
+_NEWTON_TOL = 0.25
 _NEWTON_MAX_STEPS = 60
 _VOLUME_CHECK_EVERY = 20
 _CALL_CAP = 20_000
@@ -149,11 +152,11 @@ class _Engine:
         return self.state.h_offs - self.state.g_rows @ x
 
     def _barrier(self, x: np.ndarray):
-        """(w, chol, half, sigma) at x: the rows over their slacks, the lower
-        Cholesky factor L of H = w^T w, L^-1 w^T (the d x d L^-1 times w^T,
-        refined once: a solve with N right-hand sides runs threaded in
-        scipy's own OpenBLAS, against numpy's pool) and the leverage scores;
-        kept and reused until the iterate object or the rows change."""
+        """(w, chol, sigma) at x: the rows over their slacks, the lower
+        Cholesky factor L of H = w^T w and the leverages, the squared column
+        norms of L^-1 w^T (the d x d L^-1 times w^T, refined once: a solve with
+        N right-hand sides runs threaded in scipy's own OpenBLAS, against
+        numpy's pool); kept until the iterate object or the rows change."""
         rows = self.state.g_rows
         if self._memo[0] is x and self._memo[1] is rows:
             return self._memo[2]
@@ -167,20 +170,18 @@ class _Engine:
         linv = dtrtri(chol, lower=1)[0]
         half = linv @ w.T
         half += linv @ (w.T - chol @ half)
-        self._memo = (x, rows, (w, chol, half, np.sum(half * half, axis=0)))
+        self._memo = (x, rows, (w, chol, np.sum(half * half, axis=0)))
         return self._memo[2]
 
     def _volumetric(self, x: np.ndarray):
-        """(grad V, Hess V) at x: w^T sigma and w^T (3 diag(sigma) - 2 P*P) w
-        with P = w H^-1 w^T, between Q = w^T diag(sigma) w and 3Q
-        (Anstreicher, Math. Oper. Res. 1997)."""
-        w, _, half, sigma = self._barrier(x)
-        proj = half.T @ half
-        hess = 3.0 * (w * sigma[:, None]).T @ w - 2.0 * w.T @ ((proj * proj) @ w)
-        return w.T @ sigma, hess
+        """(grad V, 2Q) at x: w^T sigma, and twice Q = w^T diag(sigma) w,
+        which stands in for Hess V = 3Q - 2 w^T (P*P) w, P = w H^-1 w^T, so
+        that no N x N matrix is formed."""
+        w, _, sigma = self._barrier(x)
+        return w.T @ sigma, 2.0 * (w * sigma[:, None]).T @ w
 
     def _newton_step(self, x: np.ndarray):
-        """Newton step on V with its exact Hessian, and its decrement."""
+        """Newton step on V with 2Q for its Hessian, and its decrement in 2Q."""
         self.state.newton_steps += 1
         grad, hess = self._volumetric(x)
         chol, info = dpotrf(hess, lower=1)
@@ -230,7 +231,7 @@ class _Engine:
         droppable = ~self.state.permanent
         if not np.any(droppable):
             return False
-        _, _, _, sigma = self._barrier(self.state.iterate)
+        sigma = self._barrier(self.state.iterate)[2]
         masked = np.where(droppable, sigma, np.inf)
         i = int(np.argmin(masked))
         if threshold is not None and masked[i] >= threshold:

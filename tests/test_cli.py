@@ -386,6 +386,20 @@ class TestMveCommand:
         assert int(summary.split("iterations=")[1].split()[0]) > 0
         assert int(summary.split("newton_steps=")[1]) > 0
 
+    @pytest.mark.parametrize("solver, shape", [
+        pytest.param("oracle", (4, 12), id="oracle"),
+        pytest.param("vaidya", (2, 6), id="vaidya"),
+    ])
+    def test_loose_gap_answer_reports_its_contacts(self, tmp_path, capsys, solver, shape):
+        # A gap-1e-1 answer sits further from its facets than the fixed
+        # contact slack 1e-6; the report looks for contacts at the slack
+        # that gap allows, as the cutting-plane certificate does.
+        poly = unit_normal_polytope(*shape, 0)
+        path = write_polytope(tmp_path / "body.json", poly.A.tolist(), poly.b.tolist())
+        assert main(["mve", "--solver", solver, "--gap", "1e-1", "--polytope", path]) == 0
+        contacts = int(capsys.readouterr().out.split("contacts=")[1].split()[0])
+        assert contacts >= 2 * poly.n
+
 
 class TestDiagnoseCommand:
     def test_small_sweep_passes(self, capsys):

@@ -330,11 +330,26 @@ class TestDampedNewton:
         decrements = iter([0.01, 0.5, 0.04, 1e-3, 1e-30])
 
         def newton(x):
-            return np.zeros(1), next(decrements)
+            return np.array([1e-3]), next(decrements)
 
         x, converged = _damped_newton(np.array([0.5]), newton, INTERVAL_INSIDE, 1e-20, 60)
         assert converged
         assert next(decrements, None) is None
+
+    def test_step_that_rounds_to_no_move_ends_descent(self):
+        # Far above the quadratic region, a step below half an ulp of x
+        # leaves x as it was; Newton would repeat it until the step cap.
+        calls = []
+
+        def newton(x):
+            calls.append(x)
+            return np.array([1e-20]), 0.5
+
+        start = np.array([0.5])
+        x, converged = _damped_newton(start, newton, INTERVAL_INSIDE, 1e-20, 60)
+        assert not converged
+        assert len(calls) == 1
+        assert x is start
 
     def test_domain_test_excludes_boundary(self):
         assert not INTERVAL_INSIDE(np.array([4.0]))

@@ -637,11 +637,11 @@ class TestDistinctRows:
 class TestDikinPrecondition:
     def test_cube_rows(self):
         body = centered_body(cube(2))
-        t_mat, image = dikin_precondition(body)
+        inv_sqrt, image = dikin_precondition(body)
         # The 2-cube symmetrization lists +-e_i, and each row bounds two
         # half-spaces, so H = 2 A^T A = 4I; rows of the image are +-e_i / 2,
         # so the image box is |v_i| <= 2.
-        assert np.allclose(t_mat @ t_mat, 2.0 * body.A.T @ body.A)
+        assert np.allclose(inv_sqrt @ (2.0 * body.A.T @ body.A) @ inv_sqrt, np.eye(2))
         widths = 1.0 / np.abs(image.A).max(axis=1)
         assert np.allclose(widths, 2.0)
 

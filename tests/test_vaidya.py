@@ -109,25 +109,29 @@ class TestEngine:
         assert np.all(engine._slacks(engine.state.iterate) > 0.0)
 
     def test_hessian_matches_gradient_and_brackets_q(self, rng):
-        # On a random localization polytope, Hess V is the Jacobian of
+        # On a random localization polytope the exact Hess V, formed here as
+        # 3Q - 2 w^T (P*P) w with P = w H^-1 w^T, is the Jacobian of
         # grad V = w^T sigma (central differences) and Q <= Hess V <= 3Q.
+        # The engine steps with 2Q in its place.
         engine = _Engine(3, 11.0, 1.0)
         for _ in range(6):
             engine.add_cut(rng.standard_normal(3))
         x = engine.state.iterate + 0.05 * rng.standard_normal(3)
         assert np.all(engine._slacks(x) > 0.0)
-        grad, hess = engine._volumetric(x)
+        w, chol, sigma = engine._barrier(x)
+        q_mat = (w * sigma[:, None]).T @ w
+        proj = w @ np.linalg.solve(chol @ chol.T, w.T)
+        exact = 3.0 * q_mat - 2.0 * w.T @ ((proj * proj) @ w)
         step = 1e-6
         jac = np.column_stack([
             (engine._volumetric(x + step * e)[0] - engine._volumetric(x - step * e)[0])
             / (2.0 * step)
             for e in np.eye(3)
         ])
-        assert np.allclose(jac, hess, rtol=1e-6, atol=1e-6 * np.abs(hess).max())
-        w, _, _, sigma = engine._barrier(x)
-        q_mat = (w * sigma[:, None]).T @ w
+        assert np.allclose(jac, exact, rtol=1e-6, atol=1e-6 * np.abs(exact).max())
+        assert np.allclose(engine._volumetric(x)[1], 2.0 * q_mat, rtol=1e-12, atol=0.0)
         l_inv = np.linalg.inv(np.linalg.cholesky(q_mat))
-        ratio = np.linalg.eigvalsh(l_inv @ hess @ l_inv.T)
+        ratio = np.linalg.eigvalsh(l_inv @ exact @ l_inv.T)
         assert ratio[0] >= 1.0 - 1e-10 and ratio[-1] <= 3.0 + 1e-10
 
     def test_factored_algebra_matches_dense_references(self, rng):
@@ -142,7 +146,7 @@ class TestEngine:
         reference = -np.linalg.solve(hess, grad)
         assert np.allclose(step, reference, rtol=1e-10, atol=0.0)
         assert decrement == pytest.approx(-(grad @ reference), rel=1e-10)
-        w, chol, _, sigma = engine._barrier(x)
+        w, chol, sigma = engine._barrier(x)
         gram = w.T @ w
         assert np.allclose(sigma, np.diag(w @ np.linalg.inv(gram) @ w.T), rtol=1e-10, atol=0.0)
         assert np.allclose(chol @ chol.T, gram, rtol=1e-10, atol=1e-10 * np.abs(gram).max())
@@ -168,11 +172,16 @@ class TestEngine:
         with pytest.raises(_IterateOutside, match="volumetric barrier Hessian not PD"):
             engine._newton_step(engine.state.iterate)
 
-    @pytest.mark.parametrize("widths", [np.ones(2), np.ones(3)], ids=["square", "cube3"])
-    def test_no_recenter_reaches_step_cap_on_boxes(self, monkeypatch, widths):
-        # The benchmark's cutting-plane solves at the centers of the square
-        # and the 3-cube, where the Q-preconditioned step used to stall at
-        # the rounding floor until the cap.
+    @pytest.mark.parametrize("widths, point", [
+        pytest.param(np.ones(2), np.zeros(2), id="square"),
+        pytest.param(np.ones(3), np.zeros(3), id="cube3"),
+        pytest.param(np.ones(4), np.zeros(4), id="cube4"),
+        pytest.param(np.ones(5), np.full(5, 0.1), id="cube5-off-center"),
+        pytest.param(np.ones(6), np.zeros(6), id="cube6"),
+    ])
+    def test_no_recenter_reaches_step_cap_on_boxes(self, monkeypatch, widths, point):
+        # Box solves end neither with a recenter at the step cap nor by
+        # running the engine to its oracle-call budget.
         results = []
 
         def recording(*args, **kwargs):
@@ -180,11 +189,12 @@ class TestEngine:
             return results[-1]
 
         monkeypatch.setattr(vaidya, "vaidya_minimize", recording)
-        poly = box(widths)
-        solve_mve(symmetrize(poly, np.zeros(widths.size)), method="vaidya", gap=1e-5)
-        state = results[0].state
-        assert state.newton_steps > 0
-        assert state.capped == 0
+        solve_mve(symmetrize(box(widths), point), method="vaidya", gap=1e-5)
+        result = results[0]
+        assert result.state.newton_steps > 0
+        assert result.state.capped == 0
+        assert result.status != "budget"
+        assert result.oracle_calls < 2000
 
     def test_off_center_point_gives_no_certificate(self, monkeypatch):
         # Certify only at a point whose log-barrier Newton decrement is at
