@@ -8,19 +8,19 @@ Two routes that share no solver are provided, so each checks the other:
   weights. A Khachiyan-style multiplicative weight ascent with Wolfe-Atwood
   away steps starts from a core set, weight 1/n on n of the m points
   (Kumar & Yildirim, JOTA 2005), and runs until the largest leverage is
-  within 1% of its optimal value n. The core set is picked greedily in the
+  within 10% of its optimal value n. The core set is picked greedily in the
   frame that whitens the points (:func:`_core_start`), so it depends only
   on the points and is invariant under linear maps of them; E stays a
   deterministic, affine-invariant function of the body. Between exact
   recomputes of the moment matrix the ascent updates the matrix inverse and
   the leverages by Sherman-Morrison rank-one formulas in O(mn) per
   iteration (Todd & Yildirim, Discrete Appl. Math. 2007). Newton
-  steps on the support of the weights then replace the ascent's linear
-  tail. When they do not certify, the ascent resumes from their best
-  weights, so the result never depends on the Newton phase converging.
-  Either phase certifies only on an exact recompute (see
-  :func:`_khachiyan_ascent`). That certificate converts into a rigorous
-  bound on the log-volume gap.
+  steps on the support of the weights, at most n(n+1) of them, then
+  replace the ascent's linear tail. When they do not certify, the ascent
+  resumes from their best weights, so the result never depends on the
+  Newton phase converging. Either phase certifies only on an exact
+  recompute (:func:`_exact_moments`), which both share. That certificate
+  converts into a rigorous bound on the log-volume gap.
 
 * ``method="vaidya"``: the log-det program over the matrix variable X = E^2,
       minimize -log det X
@@ -52,6 +52,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import qr
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import nnls
 
 from . import vaidya as _vaidya
@@ -62,10 +63,8 @@ _ASCENT_MAX_ITER = 500_000
 # Ascent iterations between exact recomputes of the moment matrix.
 _EXACT_EVERY = 50
 # The ascent hands over to Newton steps on the support once an exact
-# recompute shows max_i g_i / n - 1 at most this; the polish takes at most
-# _NEWTON_MAX_STEPS steps.
-_NEWTON_FROM = 1e-2
-_NEWTON_MAX_STEPS = 8
+# recompute shows max_i g_i / n - 1 at most this.
+_NEWTON_FROM = 0.1
 _CONTACT_SLACK = 1e-6
 _EPS = float(np.finfo(float).eps)
 
@@ -214,11 +213,12 @@ def _khachiyan_ascent(points: np.ndarray, tol: float):
     iterations.
 
     Each ascent iteration moves the weights to u' = (1 - beta) u + beta e_j,
-    then clips them at 0 and renormalizes them to sum 1. An away step that
-    drops point j sets u_j to exactly 0: rounding would leave about 1e-19,
-    which keeps j in the support of the Newton polish. Between exact
-    recomputes the moment inverse M^-1 and the leverages
-    g_i = p_i^T M^-1 p_i follow by the Sherman-Morrison formula in O(mn)
+    clips u'_j, the one weight rounding can take below 0, at 0 and
+    renormalizes them to sum 1. An away step that drops point j sets u_j to
+    exactly 0: rounding would leave about 1e-19, which keeps j in the
+    support of the Newton polish. Between exact recomputes the moment
+    inverse M^-1 and the leverages g_i = p_i^T M^-1 p_i follow by the
+    Sherman-Morrison formula in O(mn), in place
     (Todd & Yildirim, Discrete Appl. Math. 2007): with v = M^-1 p_j,
     w = P v and c = beta / (1 - beta + beta g_j),
 
@@ -227,13 +227,14 @@ def _khachiyan_ascent(points: np.ndarray, tol: float):
     both also scaled by the renormalizing sum. Every ``_EXACT_EVERY``
     iterations, and whenever the updated g meets the tolerance or, before
     the polish has run, ``_NEWTON_FROM``, M and g are recomputed exactly
-    from u; only such an exact recompute certifies, so rounding in the
-    updates never reaches the certificate.
+    from u (:func:`_exact_moments`, shared with the polish); only such an
+    exact recompute certifies, so rounding in the updates never reaches it.
 
     The first exact recompute with max_i g_i / n - 1 <= ``_NEWTON_FROM``
-    hands the weights to the Newton polish, once. The ascent then resumes
-    from the weights the polish returns, which are its best iterate; when
-    the polish certified, that resumption returns at once.
+    (10%) hands the weights and their exact moments to the Newton polish,
+    once. The polish hands back its best exact state: when it certified,
+    the ascent returns it without a further recompute, and otherwise it
+    resumes from those weights.
 
     Stops once max_i p_i^T M^-1 p_i <= n (1 + tol), within
     ``_ASCENT_MAX_ITER`` ascent iterations. Returns (u, M, g_max,
@@ -242,36 +243,27 @@ def _khachiyan_ascent(points: np.ndarray, tol: float):
     pts = np.asarray(points, dtype=float)
     m, n = pts.shape
     u = np.full(m, 1.0 / m)
-    mat = pts.T @ (pts * u[:, None])
-    _check_spans(mat, m)
+    _check_spans(pts.T @ (pts * u[:, None]), m)
     if m > n:
         u = _core_start(pts)
-        mat = pts.T @ (pts * u[:, None])
+    mat, sol, g = _exact_moments(pts, u)
+    inv = None
     iterations = 0
     newton_steps = 0
     polished = False
     since_exact = 0  # rank-one updates since `mat` was recomputed from u
     while True:
-        if since_exact == 0:
-            try:
-                sol = np.linalg.solve(mat, pts.T)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(
-                    "moment matrix of the ascent weights is singular"
-                ) from exc
-            g = np.einsum("ij,ji->i", pts, sol)
-            inv = None
         j_add = int(np.argmax(g))
         g_add = float(g[j_add])
         eps_add = g_add / n - 1.0
         if eps_add <= (tol if polished else max(tol, _NEWTON_FROM)):
             if since_exact:
-                mat = pts.T @ (pts * u[:, None])
-                since_exact = 0
+                mat, sol, g = _exact_moments(pts, u)
+                inv, since_exact = None, 0
             elif eps_add <= tol:
                 return u, mat, g_add, iterations, newton_steps
             else:
-                u, mat, newton_steps = _newton_polish(pts, u, mat, g, tol)
+                u, mat, g, newton_steps = _newton_polish(pts, u, mat, sol, g, tol)
                 polished = True
             continue
         if iterations == _ASCENT_MAX_ITER:
@@ -296,8 +288,7 @@ def _khachiyan_ascent(points: np.ndarray, tol: float):
                 beta = max((gj - n) / (n * (gj - 1.0)), floor)
             drop = beta == floor and uj < 1.0
         u *= 1.0 - beta
-        u[j] = 0.0 if drop else u[j] + beta
-        np.maximum(u, 0.0, out=u)
+        u[j] = 0.0 if drop else max(u[j] + beta, 0.0)
         total = float(u.sum())
         u /= total
         iterations += 1
@@ -305,8 +296,8 @@ def _khachiyan_ascent(points: np.ndarray, tol: float):
         # positive definite M' to update; the exact recompute reports it.
         denom = 1.0 - beta + beta * gj
         if since_exact + 1 == _EXACT_EVERY or not denom > 0.0:
-            mat = pts.T @ (pts * u[:, None])
-            since_exact = 0
+            mat, sol, g = _exact_moments(pts, u)
+            inv, since_exact = None, 0
             continue
         if inv is None:
             inv = np.linalg.inv(mat)
@@ -314,9 +305,25 @@ def _khachiyan_ascent(points: np.ndarray, tol: float):
         w = pts @ v
         c = beta / denom
         scale = total / (1.0 - beta)
-        g = (g - c * (w * w)) * scale
-        inv = (inv - np.outer(c * v, v)) * scale
+        w *= w
+        w *= c
+        g -= w
+        g *= scale
+        inv -= (c * v)[:, None] * v
+        inv *= scale
         since_exact += 1
+
+
+def _exact_moments(pts: np.ndarray, u: np.ndarray):
+    """The moment matrix M = P^T diag(u) P, M^-1 P^T and the leverages
+    g_i = p_i^T M^-1 p_i, all recomputed from u: the only state either phase
+    of :func:`_khachiyan_ascent` certifies from."""
+    mat = pts.T @ (pts * u[:, None])
+    try:
+        sol = np.linalg.solve(mat, pts.T)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("moment matrix of the ascent weights is singular") from exc
+    return mat, sol, np.einsum("ij,ji->i", pts, sol)
 
 
 def _core_start(pts: np.ndarray) -> np.ndarray:
@@ -336,65 +343,67 @@ def _core_start(pts: np.ndarray) -> np.ndarray:
 
 
 def _newton_polish(pts: np.ndarray, u: np.ndarray, mat: np.ndarray,
-                   g: np.ndarray, tol: float):
+                   sol: np.ndarray, g: np.ndarray, tol: float):
     """Newton steps on log det M(u) over the support of u plus its most
     violated point (Todd, Minimum-Volume Ellipsoids, SIAM 2016, ch. 3).
 
-    ``mat`` and ``g`` are the exact moments and leverages of u. On the
-    support S the Hessian of log det is -Q with Q = (P_S M^-1 P_S^T)^2
-    entrywise, so the step d solves Q d = g_S - lambda 1 with 1^T d = 0.
-    A step that would take a weight below 0 stops at that weight, sets it
-    to exactly 0 and is kept. A full step is kept only if it lowers the
-    exact max_i g_i or raises log det M: the first step often raises the
-    leverage of a point outside S, which then joins the support, while near
-    the optimum log det stops moving before max_i g_i does. The polish
-    stops when max_i g_i / n - 1 <= tol, when a full step is refused, after
-    ``_NEWTON_MAX_STEPS`` steps, or on a singular Q or M.
+    ``mat``, ``sol`` and ``g`` are the exact M, M^-1 P^T and leverages of u
+    (:func:`_exact_moments`). On the support S the Hessian of log det is -Q
+    with Q = (P_S (M^-1 P^T)_S)^2 entrywise, so the step d solves
+    Q d = g_S - lambda 1 with 1^T d = 0; Q is factored by Cholesky. A step
+    that would take a weight below 0 stops at that weight, sets it to
+    exactly 0 and is kept. A full step is kept only if it lowers the exact
+    max_i g_i or raises log det M: the first step often raises the leverage
+    of a point outside S, which then joins the support, while near the
+    optimum log det stops moving before max_i g_i does. The polish stops
+    when max_i g_i / n - 1 <= tol, when a full step is refused, after
+    n(n+1) steps, twice the n(n+1)/2 support bound of a basic optimum, or
+    when Q does not factor or M is singular.
 
-    Returns (u, M, steps): the weights of lowest max_i g_i seen, their
-    moments as recomputed exactly from them, and the steps taken.
+    Returns (u, M, g, steps): the weights of lowest max_i g_i seen, their
+    exact moments and leverages, and the steps taken.
     """
     n = pts.shape[1]
     g_max = float(g.max())
     last_logdet = float(np.linalg.slogdet(mat)[1])
-    best_u, best_mat, best_g_max = u, mat, g_max
-    steps = 0
-    try:
-        while steps < _NEWTON_MAX_STEPS and g_max / n - 1.0 > tol:
-            support = np.union1d(np.flatnonzero(u > 0.0), int(np.argmax(g)))
-            rows = pts[support]
-            q = (rows @ np.linalg.solve(mat, rows.T)) ** 2
-            q_inv_g, q_inv_1 = np.linalg.solve(
-                q, np.column_stack([g[support], np.ones(support.size)])
-            ).T
-            # lambda = 1^T Q^-1 g_S / 1^T Q^-1 1 makes 1^T d = 0.
-            d = q_inv_g - (q_inv_g.sum() / q_inv_1.sum()) * q_inv_1
-            u_s = u[support]
-            step, blocking = 1.0, None
-            falling = np.flatnonzero(d < 0.0)
-            if falling.size:
-                ratios = u_s[falling] / -d[falling]
-                k = int(np.argmin(ratios))
-                if ratios[k] < 1.0:
-                    step, blocking = float(ratios[k]), support[falling[k]]
-            u = u.copy()
-            u[support] = np.maximum(u_s + step * d, 0.0)
-            if blocking is not None:
-                u[blocking] = 0.0
-            u /= u.sum()
-            mat = pts.T @ (pts * u[:, None])
-            g = np.einsum("ij,ji->i", pts, np.linalg.solve(mat, pts.T))
-            steps += 1
-            new_g_max = float(g.max())
-            logdet = float(np.linalg.slogdet(mat)[1])
-            if blocking is None and not (new_g_max < g_max or logdet > last_logdet):
-                break
-            g_max, last_logdet = new_g_max, logdet
-            if g_max < best_g_max:
-                best_u, best_mat, best_g_max = u, mat, g_max
-    except np.linalg.LinAlgError:
-        pass
-    return best_u, best_mat, steps
+    best, best_g_max, steps = (u, mat, g), g_max, 0
+    while steps < n * (n + 1) and g_max / n - 1.0 > tol:
+        support = u > 0.0
+        support[int(np.argmax(g))] = True
+        support = np.flatnonzero(support)
+        chol, info = dpotrf((pts[support] @ sol[:, support]) ** 2)
+        if info:
+            break
+        q_inv_g = dpotrs(chol, g[support])[0]
+        q_inv_1 = dpotrs(chol, np.ones(support.size))[0]
+        # lambda = 1^T Q^-1 g_S / 1^T Q^-1 1 makes 1^T d = 0.
+        d = q_inv_g - (q_inv_g.sum() / q_inv_1.sum()) * q_inv_1
+        u_s = u[support]
+        step, blocking = 1.0, None
+        falling = np.flatnonzero(d < 0.0)
+        if falling.size:
+            ratios = u_s[falling] / -d[falling]
+            k = int(np.argmin(ratios))
+            if ratios[k] < 1.0:
+                step, blocking = float(ratios[k]), support[falling[k]]
+        u = u.copy()
+        u[support] = np.maximum(u_s + step * d, 0.0)
+        if blocking is not None:
+            u[blocking] = 0.0
+        u /= u.sum()
+        try:
+            mat, sol, g = _exact_moments(pts, u)
+        except NumericalError:
+            break
+        steps += 1
+        new_g_max = float(g.max())
+        logdet = float(np.linalg.slogdet(mat)[1])
+        if blocking is None and not (new_g_max < g_max or logdet > last_logdet):
+            break
+        g_max, last_logdet = new_g_max, logdet
+        if g_max < best_g_max:
+            best, best_g_max = (u, mat, g), g_max
+    return (*best, steps)
 
 
 def _check_spans(mat: np.ndarray, m: int) -> None:

@@ -219,12 +219,17 @@ def ball_walk_step(
     poly: Polytope, x: np.ndarray, delta: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Propose uniformly in the radius-delta ball; move iff the proposal
-    stays in the polytope."""
+    stays in the polytope. A rejected proposal from a point outside the
+    polytope raises, so such a chain does not hold its start forever."""
     if not 0.0 < delta < math.inf:
         raise GeometryError(f"ball walk radius must be positive and finite, not {delta}")
     x = np.asarray(x, dtype=float)
     z = x + delta * ball_points(poly.n, 1, rng)[0]
-    return z if contains(poly, z) else x
+    if contains(poly, z):
+        return z
+    if not contains(poly, x):
+        raise GeometryError("ball walk point lies outside the polytope")
+    return x
 
 
 def hit_and_run_step(

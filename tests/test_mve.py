@@ -220,24 +220,24 @@ class TestNewtonPolish:
         polish = mve._newton_polish
 
         def recording(*args):
-            u, mat, steps = polish(*args)
+            u, mat, g, steps = polish(*args)
             polished.append((u.copy(), mat, steps))
-            return u, mat, steps
+            return u, mat, g, steps
 
         monkeypatch.setattr(mve, "_newton_polish", recording)
-        for _, rows, tol in general_position_cases():
+        for n, rows, tol in general_position_cases():
             polished.clear()
             u, mat, g_max, _, newton_steps = _khachiyan_ascent(rows, tol)
             # The polish ran once and the ascent returned its weights as
             # they came back, without a further ascent iteration.
             assert len(polished) == 1
             assert np.array_equal(polished[0][0], u) and polished[0][1] is mat
-            assert 0 < newton_steps == polished[0][2] <= mve._NEWTON_MAX_STEPS
+            assert 0 < newton_steps == polished[0][2] <= n * (n + 1)
             assert_exact_certificate(rows, tol, u, mat, g_max)
 
     def test_ascent_certifies_without_polish(self, monkeypatch):
         monkeypatch.setattr(
-            mve, "_newton_polish", lambda pts, u, mat, g, tol: (u, mat, 0)
+            mve, "_newton_polish", lambda pts, u, mat, sol, g, tol: (u, mat, g, 0)
         )
         for _, rows, tol in general_position_cases():
             u, mat, g_max, iterations, newton_steps = _khachiyan_ascent(rows, tol)
@@ -253,8 +253,9 @@ class TestNewtonPolish:
         ])
         u = np.full(6, 1.0 / 6.0)
         mat = pts.T @ (pts * u[:, None])
-        g = np.einsum("ij,ji->i", pts, np.linalg.solve(mat, pts.T))
-        out_u, out_mat, steps = mve._newton_polish(pts, u, mat, g, 1e-12)
+        sol = np.linalg.solve(mat, pts.T)
+        g = np.einsum("ij,ji->i", pts, sol)
+        out_u, out_mat, _, steps = mve._newton_polish(pts, u, mat, sol, g, 1e-12)
         assert out_u is u and out_mat is mat and steps == 0
         # The core start need not put both p and -p in the support, so the
         # polish may take steps here; the ascent must still certify.
@@ -533,6 +534,21 @@ class TestSolveMveVaidyaBreakdown:
 
 def _at_center(poly):
     return symmetrize(poly, analytic_center(poly))
+
+
+class TestSolveMveTallBodies:
+    """Bodies with m >> n at their analytic centers, where many rows nearly
+    touch the optimal ellipsoid and the optimal weights are nearly
+    non-unique. A Newton polish capped at 8 steps left the ascent to spin
+    for 1015, 336 and 105,088 iterations on these three."""
+
+    @pytest.mark.parametrize("n, m", [(10, 300), (20, 1000), (10, 1000)])
+    def test_oracle_route_certifies_default_gap(self, n, m):
+        gap = _effective_gap(None, n)
+        body = _at_center(unit_normal_polytope(n, m, 0))
+        sol = solve_mve(body, gap=gap)
+        assert_inscribed_and_certified(body, sol, gap)
+        assert sol.iterations < 1000
 
 
 class TestCuttingPlaneCertificate:

@@ -359,6 +359,12 @@ class TestBallWalk:
         with pytest.raises(GeometryError, match="finite"):
             ball_walk_step(cube(2), np.zeros(2), delta, rng)
 
+    def test_point_outside_raises(self, rng):
+        # Every proposal from (5, 5) at radius 0.1 leaves the square, so
+        # the chain would otherwise hold there forever.
+        with pytest.raises(GeometryError, match="outside"):
+            ball_walk_step(cube(2), np.array([5.0, 5.0]), 0.1, rng)
+
     def test_run_deterministic(self):
         a = run_ball_walk(cube(2), np.zeros(2), 50, 0.3, seed=4)
         b = run_ball_walk(cube(2), np.zeros(2), 50, 0.3, seed=4)
