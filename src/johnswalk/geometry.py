@@ -48,6 +48,7 @@ class Polytope:
 
     A: np.ndarray
     b: np.ndarray
+    _min_slack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = _as_float_array(self.A, "A")
@@ -68,6 +69,7 @@ class Polytope:
             )
         object.__setattr__(self, "A", np.ascontiguousarray(A))
         object.__setattr__(self, "b", np.ascontiguousarray(b))
+        object.__setattr__(self, "_min_slack", -MEMBERSHIP_RTOL * (1.0 + np.abs(b)))
 
     @property
     def n(self) -> int:
@@ -178,10 +180,9 @@ class Ellipsoid:
 
 
 def contains(poly: Polytope, x: np.ndarray) -> bool:
-    """Membership test Ax <= b with per-row relative slack."""
+    """Membership test Ax <= b with the polytope's per-row relative slack."""
     s = poly.slacks(np.asarray(x, dtype=float))
-    tol = MEMBERSHIP_RTOL * (1.0 + np.abs(poly.b))
-    return bool(np.all(s >= -tol))
+    return bool(np.all(s >= poly._min_slack))
 
 
 def symmetrize(poly: Polytope, x: np.ndarray) -> SymmetricPolytope:

@@ -2,6 +2,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
@@ -164,11 +165,7 @@ class TestKhachiyanAscent:
         for n, rows, tol in general_position_cases():
             u, mat, g_max, iterations, _ = _khachiyan_ascent(rows, tol)
             assert iterations > 0
-            exact = rows.T @ (rows * u[:, None])
-            assert np.array_equal(mat, exact)
-            g = np.einsum("ij,ji->i", rows, np.linalg.solve(exact, rows.T))
-            assert g.max() == g_max
-            assert g_max / n - 1.0 <= tol
+            assert_exact_certificate(rows, tol, u, mat, g_max)
             assert abs(u.sum() - 1.0) <= rows.shape[0] * np.finfo(float).eps
 
     def test_agrees_with_dense_reference(self):
@@ -195,7 +192,14 @@ class TestKhachiyanAscent:
                 _, mat_ref, g_ref, _ = dense_ascent(rows, tol)
                 assert iterations == 0
                 assert np.array_equal(mat, mat_ref)
-                assert g_max == g_ref
+                assert abs(g_max - g_ref) <= 1e-12 * g_ref
+
+    def test_exact_moments_raise_on_rank_deficient_weights(self, rng):
+        # Weight only on two of the axis points leaves M exactly singular.
+        pts = np.vstack([np.eye(3), rng.standard_normal((3, 3))])
+        u = np.array([0.5, 0.5, 0.0, 0.0, 0.0, 0.0])
+        with pytest.raises(NumericalError, match="singular"):
+            mve._exact_moments(pts, u)
 
     def test_singular_moments_raise(self, monkeypatch):
         # Points on a line pass once the span check is bypassed; a
@@ -207,11 +211,17 @@ class TestKhachiyanAscent:
 
 
 def assert_exact_certificate(rows, tol, u, mat, g_max):
-    exact = rows.T @ (rows * u[:, None])
-    assert np.array_equal(mat, exact)
-    g = np.einsum("ij,ji->i", rows, np.linalg.solve(exact, rows.T))
-    assert g.max() == g_max
-    assert g_max / rows.shape[1] - 1.0 <= tol
+    """The returned (M, g_max) are bitwise the exact recompute of the returned
+    weights, which agrees with the LU-solve reference to rounding."""
+    n = rows.shape[1]
+    exact = mve._exact_moments(rows, u)
+    assert np.array_equal(mat, exact.mat)
+    assert exact.g.max() == g_max
+    assert np.array_equal(mat, rows.T @ (rows * u[:, None]))
+    g = np.einsum("ij,ji->i", rows, np.linalg.solve(mat, rows.T))
+    assert np.all(np.abs(exact.g - g) <= 1e-12 * g)
+    assert abs(exact.logdet - np.linalg.slogdet(mat)[1]) <= 1e-13 * n
+    assert g_max / n - 1.0 <= tol
 
 
 class TestNewtonPolish:
@@ -220,9 +230,9 @@ class TestNewtonPolish:
         polish = mve._newton_polish
 
         def recording(*args):
-            u, mat, g, steps = polish(*args)
-            polished.append((u.copy(), mat, steps))
-            return u, mat, g, steps
+            u, state, steps = polish(*args)
+            polished.append((u.copy(), state.mat, steps))
+            return u, state, steps
 
         monkeypatch.setattr(mve, "_newton_polish", recording)
         for n, rows, tol in general_position_cases():
@@ -237,7 +247,7 @@ class TestNewtonPolish:
 
     def test_ascent_certifies_without_polish(self, monkeypatch):
         monkeypatch.setattr(
-            mve, "_newton_polish", lambda pts, u, mat, sol, g, tol: (u, mat, g, 0)
+            mve, "_newton_polish", lambda pts, u, state, tol: (u, state, 0)
         )
         for _, rows, tol in general_position_cases():
             u, mat, g_max, iterations, newton_steps = _khachiyan_ascent(rows, tol)
@@ -245,18 +255,25 @@ class TestNewtonPolish:
             assert newton_steps == 0
             assert_exact_certificate(rows, tol, u, mat, g_max)
 
-    def test_singular_q_leaves_polish(self):
-        # p and -p give equal rows of Q, which is then exactly singular.
+    def test_singular_q_leaves_polish(self, monkeypatch):
+        # p and -p give equal rows of Q, which is then singular in exact
+        # arithmetic; rounding decides whether its Cholesky factorization
+        # meets a zero pivot or a tiny positive one. Either way the polish
+        # hands back an exact state no worse than the one it was given.
         pts = np.array([
             [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
             [1.0, 1.0, 1.0], [-1.0, -1.0, -1.0], [1.0, -2.0, 0.5],
         ])
         u = np.full(6, 1.0 / 6.0)
-        mat = pts.T @ (pts * u[:, None])
-        sol = np.linalg.solve(mat, pts.T)
-        g = np.einsum("ij,ji->i", pts, sol)
-        out_u, out_mat, _, steps = mve._newton_polish(pts, u, mat, sol, g, 1e-12)
-        assert out_u is u and out_mat is mat and steps == 0
+        state = mve._exact_moments(pts, u)
+        out_u, out_state, _ = mve._newton_polish(pts, u, state, 1e-12)
+        assert np.array_equal(out_state.g, mve._exact_moments(pts, out_u).g)
+        assert out_state.g.max() <= state.g.max()
+        # A Q that does not factor ends the polish before its first step.
+        monkeypatch.setattr(mve, "dpotrf", lambda a, **kwargs: (a, 1))
+        out_u, out_state, steps = mve._newton_polish(pts, u, state, 1e-12)
+        assert out_u is u and out_state is state and steps == 0
+        monkeypatch.undo()
         # The core start need not put both p and -p in the support, so the
         # polish may take steps here; the ascent must still certify.
         u, mat, g_max, _, _ = _khachiyan_ascent(pts, 1e-12)
@@ -284,6 +301,18 @@ class TestCoreStart:
                     for _ in range(3):
                         mapped = mve._core_start(rows @ random_linear_map(n, rng))
                         assert np.array_equal(np.flatnonzero(mapped), np.flatnonzero(u))
+
+    def test_picks_match_pivoted_qr_reference(self, rng):
+        # The same 36 bodies; the reference runs the library QR wrappers.
+        for n, m in ((2, 6), (3, 9), (5, 15), (5, 30), (10, 60), (20, 120)):
+            for seed in range(6):
+                poly = unit_normal_polytope(n, m, seed)
+                for x in [np.zeros(n)] + interior_points(poly, 1, rng, shrink=0.3):
+                    rows = _distinct_rows(symmetrize(poly, x))
+                    picks = scipy.linalg.qr(np.linalg.qr(rows)[0].T, mode="economic",
+                                            pivoting=True)[2][:n]
+                    assert np.array_equal(np.flatnonzero(mve._core_start(rows)),
+                                          np.sort(picks))
 
     def test_square_point_sets_start_uniform(self, rng):
         for n in (1, 2, 5, 10):

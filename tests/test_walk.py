@@ -1,3 +1,4 @@
+import copy
 from dataclasses import astuple
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy import stats
 
 from johnswalk import walk
+from johnswalk.diagnostics import ess, uniformity_chi_square
 from johnswalk.errors import GeometryError
 from johnswalk.geometry import Ellipsoid, Polytope, contains, local_norm, symmetrize
 from johnswalk.mve import solve_mve
@@ -140,6 +142,54 @@ class TestJohnStep:
             _, t = run_chain(poly, np.zeros(n), 1200, WalkConfig(seed=9))
             non_lazy = t.total - t.lazy_hold
             assert t.accept / non_lazy > 0.5
+
+
+def uniformity_p_values():
+    """Chi-square p-values, on a 4 x 4 grid, of non-lazy John chains of
+    10,000 steps at c = 16, where outside, guard and filter rejects all
+    occur, each thinned to about one sample per effective sample. The
+    bodies are the square, whose symmetrizations are boxes, and a right
+    triangle, where det E falls to 0 toward every corner. Yields each body's
+    (p-value, tallies) in turn, so a caller can stop at the first."""
+    triangle = Polytope(np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]),
+                        np.array([0.0, 0.0, 1.0]))
+    for poly, x0, bounds, seed in (
+        (cube(2), np.zeros(2), (np.full(2, -1.0), np.ones(2)), 5),
+        (triangle, np.full(2, 1.0 / 3.0), (np.zeros(2), np.ones(2)), 6),
+    ):
+        samples, tallies = run_chain(poly, x0, 10_000,
+                                     WalkConfig(c=16.0, lazy=False, seed=seed))
+        chain = samples[1:]
+        stride = int(len(chain) // min(ess(chain[:, j]) for j in range(2)))
+        yield uniformity_chi_square(poly, chain[::stride], 4, bounds), tallies
+
+
+def with_scaled_logdet(ell, scale):
+    out = copy.copy(ell)
+    object.__setattr__(out, "logdet", scale * ell.logdet)
+    return out
+
+
+class TestUniformityPower:
+    def test_chains_are_uniform(self):
+        for p_value, tallies in uniformity_p_values():
+            assert p_value > 1e-3
+            assert min(astuple(tallies)[1:]) > 0
+
+    @pytest.mark.parametrize("mutant", ["no_filter", "no_guard", "inverted_filter"])
+    def test_statistic_rejects_broken_kernels(self, monkeypatch, mutant):
+        if mutant == "no_guard":
+            monkeypatch.setattr(walk, "local_norm", lambda ell, x: 0.0)
+        else:
+            # Equal volumes pass every guarded proposal; negated log volumes
+            # accept with min(1, det E_z / det E_x).
+            scale = 0.0 if mutant == "no_filter" else -1.0
+            solve = walk._ellipsoid_at
+            monkeypatch.setattr(walk, "_ellipsoid_at",
+                                lambda *args: with_scaled_logdet(solve(*args), scale))
+        # Without the guard the triangle chain runs into a corner where the
+        # solver gives up, so stop at the first body the statistic rejects.
+        assert any(p_value <= 1e-3 for p_value, _ in uniformity_p_values())
 
 
 class TestRunChain:
