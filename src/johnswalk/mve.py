@@ -8,19 +8,19 @@ Two routes that share no solver are provided, so each checks the other:
   weights. A Khachiyan-style multiplicative weight ascent with Wolfe-Atwood
   away steps starts from a core set, weight 1/n on n of the m points
   (Kumar & Yildirim, JOTA 2005), and runs until the largest leverage is
-  within 10% of its optimal value n. The core set is picked by LAPACK's
-  pivoted QR in the frame that whitens the points (:func:`_core_start`), so
-  it is invariant under linear maps of them; E stays a deterministic,
-  affine-invariant function of the body. Between exact recomputes the
-  ascent updates M^-1 and the leverages by Sherman-Morrison rank-one
-  formulas in O(mn) (Todd & Yildirim, Discrete Appl. Math. 2007). Newton
-  steps on the support of the weights, at most n(n+1) of them, then replace
-  the ascent's linear tail; when they do not certify, the ascent resumes
-  from their best weights, so the result never depends on them converging.
-  Either phase certifies only on an exact recompute (:func:`_exact_moments`):
-  one Cholesky factorization of the moment matrix M, whose factor gives the
-  leverages, log det M and the polish's Hessian. That certificate converts
-  into a rigorous bound on the log-volume gap.
+  within 10% of its optimal value n. The core set is picked greedily in the
+  frame that whitens the points (:func:`_core_start`), so it depends only
+  on the points and is invariant under linear maps of them; E stays a
+  deterministic, affine-invariant function of the body. Between exact
+  recomputes of the moment matrix the ascent updates the matrix inverse and
+  the leverages by Sherman-Morrison rank-one formulas in O(mn) per
+  iteration (Todd & Yildirim, Discrete Appl. Math. 2007). Newton
+  steps on the support of the weights, at most n(n+1) of them, then
+  replace the ascent's linear tail. When they do not certify, the ascent
+  resumes from their best weights, so the result never depends on the
+  Newton phase converging. Either phase certifies only on an exact
+  recompute (:func:`_exact_moments`, one LU solve), which both share. That
+  certificate converts into a rigorous bound on the log-volume gap.
 
 * ``method="vaidya"``: the log-det program over the matrix variable X = E^2,
       minimize -log det X
@@ -51,7 +51,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgeqp3, dgeqrf, dorgqr, dpotrf, dpotrs, dtrtri
+from scipy.linalg.lapack import dgeqp3, dgeqrf, dorgqr, dpotrf, dpotrs
 from scipy.optimize import nnls
 
 from . import vaidya as _vaidya
@@ -200,12 +200,9 @@ class JohnConditions(NamedTuple):
 
 class _Moments(NamedTuple):
     """Exact state of weights u, recomputed from u by :func:`_exact_moments`."""
-
-    mat: np.ndarray  # M = P^T diag(u) P = L L^T, L its Cholesky factor
-    linv: np.ndarray  # L^-1
-    white: np.ndarray  # W^T = P L^-T, the points whitened by M
-    g: np.ndarray  # leverages g_i = |W e_i|^2 = p_i^T M^-1 p_i
-    logdet: float  # log det M
+    mat: np.ndarray  # M = P^T diag(u) P
+    sol: np.ndarray  # M^-1 P^T
+    g: np.ndarray  # leverages g_i = p_i^T M^-1 p_i
 
 
 def _khachiyan_ascent(points: np.ndarray, tol: float):
@@ -225,8 +222,8 @@ def _khachiyan_ascent(points: np.ndarray, tol: float):
     clips u'_j, the one weight rounding can take below 0, at 0 and
     renormalizes them to sum 1. An away step that drops point j sets u_j to
     exactly 0: rounding would leave about 1e-19, which keeps j in the
-    support of the Newton polish. Between exact recomputes M^-1 = L^-T L^-1
-    and the leverages g_i = p_i^T M^-1 p_i follow by the
+    support of the Newton polish. Between exact recomputes the moment
+    inverse M^-1 and the leverages g_i = p_i^T M^-1 p_i follow by the
     Sherman-Morrison formula in O(mn), in place
     (Todd & Yildirim, Discrete Appl. Math. 2007): with v = M^-1 p_j,
     w = P v and c = beta / (1 - beta + beta g_j),
@@ -256,7 +253,7 @@ def _khachiyan_ascent(points: np.ndarray, tol: float):
     if m > n:
         u = _core_start(pts)
     state = _exact_moments(pts, u)
-    g, inv = state.g, None  # both updated in place between exact recomputes
+    g, inv = state.g, None  # copied, then updated in place, by the ascent
     iterations = 0
     newton_steps = 0
     polished = False
@@ -309,7 +306,7 @@ def _khachiyan_ascent(points: np.ndarray, tol: float):
             g, inv, since_exact = state.g, None, 0
             continue
         if inv is None:
-            inv = state.linv.T @ state.linv
+            inv, g = np.linalg.inv(state.mat), g.copy()
         v = inv @ pts[j]
         w = pts @ v
         c = beta / denom
@@ -324,32 +321,32 @@ def _khachiyan_ascent(points: np.ndarray, tol: float):
 
 
 def _exact_moments(pts: np.ndarray, u: np.ndarray) -> _Moments:
-    """The moments of u recomputed from u, the only state either phase of
-    :func:`_khachiyan_ascent` certifies from: one Cholesky factorization
-    M = L L^T (``dpotrf``), L^-1 (``dtrtri``), the leverages as the squared
-    row norms of P L^-T, and log det M = 2 sum_i log L_ii."""
+    """The moment matrix M = P^T diag(u) P, M^-1 P^T and the leverages
+    g_i = p_i^T M^-1 p_i, all recomputed from u: the only state either phase
+    of :func:`_khachiyan_ascent` certifies from."""
     mat = pts.T @ (pts * u[:, None])
-    chol, info = dpotrf(mat, lower=1)
-    if info:
-        raise NumericalError("moment matrix of the ascent weights is singular")
-    linv = dtrtri(chol, lower=1)[0]
-    white = pts @ linv.T
-    return _Moments(mat, linv, white, np.einsum("ij,ij->i", white, white),
-                    2.0 * float(np.log(np.diagonal(chol)).sum()))
+    try:
+        sol = np.linalg.solve(mat, pts.T)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("moment matrix of the ascent weights is singular") from exc
+    return _Moments(mat, sol, np.einsum("ij,ji->i", pts, sol))
 
 
 def _core_start(pts: np.ndarray) -> np.ndarray:
     """Weights 1/n on n of the m spanning points, 0 on the rest.
 
-    The points are whitened by a thin QR, P = QR (``dgeqrf``, ``dorgqr``),
-    and n rows of Q are picked greedily by largest residual norm:
-    column-pivoted QR of Q^T (``dgeqp3``). A linear map of the points changes
-    Q only by an orthogonal factor on the right, which leaves every residual
-    norm as it was, so the picks are invariant under it up to rounding.
+    The points are whitened by a thin QR, P = QR, and n rows of Q are picked
+    greedily by largest residual norm: column-pivoted QR of Q^T. A linear
+    map of the points changes Q only by an orthogonal factor on the right,
+    which leaves every residual norm as it was, so the picks are invariant
+    under it up to rounding.
     """
     n = pts.shape[1]
-    qr, tau = dgeqrf(pts)[:2]
-    picks = dgeqp3(dorgqr(qr, tau)[0].T)[1]
+    qr, tau, _, info = dgeqrf(pts)
+    q, _, info_q = dorgqr(qr, tau)
+    _, picks, _, _, info_p = dgeqp3(q.T)
+    if info or info_q or info_p:
+        raise NumericalError("pivoted QR of the whitened points failed")
     u = np.zeros(pts.shape[0])
     u[picks[:n] - 1] = 1.0 / n  # dgeqp3 numbers the columns from 1
     return u
@@ -359,19 +356,21 @@ def _newton_polish(pts: np.ndarray, u: np.ndarray, state: _Moments, tol: float):
     """Newton steps on log det M(u) over the support of u plus its most
     violated point (Todd, Minimum-Volume Ellipsoids, SIAM 2016, ch. 3).
 
-    ``state`` holds the exact moments of u (:func:`_exact_moments`). On the
-    support S the Hessian of log det is -Q with Q = (W_S^T W_S)^2 entrywise,
-    W = L^-1 P^T, so the step d solves Q d = g_S - lambda 1 with 1^T d = 0;
-    Q is factored by Cholesky. A step that would take a weight below 0 stops
-    at that weight, sets it to exactly 0 and is kept. A full step is kept
-    only if its exact recompute shows a lower max_i g_i or a higher log det M:
-    the first step often raises the leverage of a point outside S, which
-    then joins the support, while near the optimum log det stops moving
-    before max_i g_i does. The polish stops when max_i g_i / n - 1 <= tol,
-    when a full step is refused, after n(n+1) steps, twice the n(n+1)/2
-    support bound of a basic optimum, or when Q does not factor or M is
-    singular. Returns (u, state, steps): the weights of lowest max_i g_i
-    seen, their exact moments, and the steps taken.
+    ``state`` holds the exact M, M^-1 P^T and leverages of u
+    (:func:`_exact_moments`). On the support S the Hessian of log det is -Q
+    with Q = (P_S (M^-1 P^T)_S)^2 entrywise, so the step d solves
+    Q d = g_S - lambda 1 with 1^T d = 0; Q is factored by Cholesky. A step
+    that would take a weight below 0 stops at that weight, sets it to
+    exactly 0 and is kept. A full step is kept only if it lowers the exact
+    max_i g_i or raises log det M: the first step often raises the leverage
+    of a point outside S, which then joins the support, while near the
+    optimum log det stops moving before max_i g_i does. The polish stops
+    when max_i g_i / n - 1 <= tol, when a full step is refused, after
+    n(n+1) steps, twice the n(n+1)/2 support bound of a basic optimum, or
+    when Q does not factor or M is singular.
+
+    Returns (u, state, steps): the weights of lowest max_i g_i seen, their
+    exact moments, and the steps taken.
     """
     n = pts.shape[1]
     g_max = float(state.g.max())
@@ -380,8 +379,7 @@ def _newton_polish(pts: np.ndarray, u: np.ndarray, state: _Moments, tol: float):
         support = u > 0.0
         support[int(np.argmax(state.g))] = True
         support = np.flatnonzero(support)
-        white = state.white[support]
-        chol, info = dpotrf((white @ white.T) ** 2)
+        chol, info = dpotrf((pts[support] @ state.sol[:, support]) ** 2)
         if info:
             break
         q_inv_g = dpotrs(chol, state.g[support])[0]
@@ -407,8 +405,10 @@ def _newton_polish(pts: np.ndarray, u: np.ndarray, state: _Moments, tol: float):
             break
         steps += 1
         new_g_max = float(new.g.max())
-        if blocking is None and not (new_g_max < g_max or new.logdet > state.logdet):
-            break
+        if blocking is None and not new_g_max < g_max:
+            # log det M is computed only when max_i g_i does not decide.
+            if not np.linalg.slogdet(new.mat)[1] > np.linalg.slogdet(state.mat)[1]:
+                break
         state, g_max = new, new_g_max
         if g_max < best_g_max:
             best, best_g_max = (u, state), g_max

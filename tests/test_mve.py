@@ -165,7 +165,11 @@ class TestKhachiyanAscent:
         for n, rows, tol in general_position_cases():
             u, mat, g_max, iterations, _ = _khachiyan_ascent(rows, tol)
             assert iterations > 0
-            assert_exact_certificate(rows, tol, u, mat, g_max)
+            exact = rows.T @ (rows * u[:, None])
+            assert np.array_equal(mat, exact)
+            g = np.einsum("ij,ji->i", rows, np.linalg.solve(exact, rows.T))
+            assert g.max() == g_max
+            assert g_max / n - 1.0 <= tol
             assert abs(u.sum() - 1.0) <= rows.shape[0] * np.finfo(float).eps
 
     def test_agrees_with_dense_reference(self):
@@ -192,7 +196,7 @@ class TestKhachiyanAscent:
                 _, mat_ref, g_ref, _ = dense_ascent(rows, tol)
                 assert iterations == 0
                 assert np.array_equal(mat, mat_ref)
-                assert abs(g_max - g_ref) <= 1e-12 * g_ref
+                assert g_max == g_ref
 
     def test_exact_moments_raise_on_rank_deficient_weights(self, rng):
         # Weight only on two of the axis points leaves M exactly singular.
@@ -211,17 +215,11 @@ class TestKhachiyanAscent:
 
 
 def assert_exact_certificate(rows, tol, u, mat, g_max):
-    """The returned (M, g_max) are bitwise the exact recompute of the returned
-    weights, which agrees with the LU-solve reference to rounding."""
-    n = rows.shape[1]
-    exact = mve._exact_moments(rows, u)
-    assert np.array_equal(mat, exact.mat)
-    assert exact.g.max() == g_max
-    assert np.array_equal(mat, rows.T @ (rows * u[:, None]))
-    g = np.einsum("ij,ji->i", rows, np.linalg.solve(mat, rows.T))
-    assert np.all(np.abs(exact.g - g) <= 1e-12 * g)
-    assert abs(exact.logdet - np.linalg.slogdet(mat)[1]) <= 1e-13 * n
-    assert g_max / n - 1.0 <= tol
+    exact = rows.T @ (rows * u[:, None])
+    assert np.array_equal(mat, exact)
+    g = np.einsum("ij,ji->i", rows, np.linalg.solve(exact, rows.T))
+    assert g.max() == g_max
+    assert g_max / rows.shape[1] - 1.0 <= tol
 
 
 class TestNewtonPolish:
@@ -255,25 +253,16 @@ class TestNewtonPolish:
             assert newton_steps == 0
             assert_exact_certificate(rows, tol, u, mat, g_max)
 
-    def test_singular_q_leaves_polish(self, monkeypatch):
-        # p and -p give equal rows of Q, which is then singular in exact
-        # arithmetic; rounding decides whether its Cholesky factorization
-        # meets a zero pivot or a tiny positive one. Either way the polish
-        # hands back an exact state no worse than the one it was given.
+    def test_singular_q_leaves_polish(self):
+        # p and -p give equal rows of Q, which is then exactly singular.
         pts = np.array([
             [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
             [1.0, 1.0, 1.0], [-1.0, -1.0, -1.0], [1.0, -2.0, 0.5],
         ])
         u = np.full(6, 1.0 / 6.0)
         state = mve._exact_moments(pts, u)
-        out_u, out_state, _ = mve._newton_polish(pts, u, state, 1e-12)
-        assert np.array_equal(out_state.g, mve._exact_moments(pts, out_u).g)
-        assert out_state.g.max() <= state.g.max()
-        # A Q that does not factor ends the polish before its first step.
-        monkeypatch.setattr(mve, "dpotrf", lambda a, **kwargs: (a, 1))
         out_u, out_state, steps = mve._newton_polish(pts, u, state, 1e-12)
         assert out_u is u and out_state is state and steps == 0
-        monkeypatch.undo()
         # The core start need not put both p and -p in the support, so the
         # polish may take steps here; the ascent must still certify.
         u, mat, g_max, _, _ = _khachiyan_ascent(pts, 1e-12)
