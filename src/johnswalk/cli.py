@@ -55,8 +55,7 @@ def emit_samples(samples: np.ndarray, path: str) -> None:
     n = samples.shape[1]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(f"x{j + 1}" for j in range(n)) + "\n")
-        for row in samples:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        np.savetxt(fh, samples, fmt="%.17g", delimiter=",")
 
 
 # Annotation of a scalar manifest field -> (accepted JSON value types, wording).

@@ -27,8 +27,8 @@ Two routes that share no solver are provided, so each checks the other:
       s.t.    <X, a_i a_i^T> <= 1 for every row, X >= I/n,
   is handed to the volumetric cutting-plane engine after a Dikin
   preconditioning step that makes the unit ball a known inscribed ellipsoid.
-  It certifies by weak duality at the John weights of the rows within slack
-  max(1e-6, gap/(2n)) of the boundary (:func:`_contact_dyads`).
+  It certifies by weak duality at the John weights of the reduced rows
+  within slack max(1e-6, gap/(2n)) of the boundary (:func:`_contact_dyads`).
   Symmetric matrices travel through the engine as vectors of the upper
   triangle with off-diagonal entries scaled by sqrt(2), so the Frobenius
   inner product of matrices equals the dot product of their vectors.
@@ -574,7 +574,7 @@ def _solve_mve_vaidya(body: SymmetricPolytope, gap: float) -> JohnSolution:
     ell = _fit_inside(body, np.sqrt(vals), vecs)
     try:
         rows, _, weights = _contact_dyads(ell, body, gap)
-        gap_bound = max(0.0, _weak_dual_bound(body.A[rows], weights) - ell.logdet)
+        gap_bound = max(0.0, _weak_dual_bound(rows, weights) - ell.logdet)
         problem = f"certifies gap {gap_bound:.3e} > requested {gap:.3e}"
     except NumericalError as exc:
         gap_bound, problem = np.inf, f"has no certificate: {exc}"
@@ -628,27 +628,24 @@ def solve_mve(
 
 
 def _contact_dyads(ell: Ellipsoid, body: SymmetricPolytope, gap: float):
-    """Contact dyads of an inscribed ellipsoid solved at ``gap``: rows with
-    1 - |E a_i| <= max(1e-6, gap/(2n)), the ascent's tolerance at that gap,
-    touch at the unit points +-u_i, u_i = E a_i / |E a_i|, and touch points
-    that coincide up to sign share one dyad u u^T, whose first touching row
-    stands for it. Returns (rows, units, weights) of the dyads that get a
-    positive weight c_k in the nonnegative least-squares solution of
-    sum_k c_k u_k u_k^T = I."""
+    """Contact dyads of an inscribed ellipsoid solved at ``gap``, taken among
+    the rows both routes solve on (:func:`_distinct_rows`), one per
+    direction: rows with 1 - |E a_i| <= max(1e-6, gap/(2n)), the ascent's
+    tolerance at that gap, touch at the unit points +-u_i,
+    u_i = E a_i / |E a_i|, and each gives one dyad u_i u_i^T. Returns
+    (rows, units, weights) of the dyads that get a positive weight c_k in
+    the nonnegative least-squares solution of sum_k c_k u_k u_k^T = I."""
     slack = max(_CONTACT_SLACK, gap / (2 * body.n))
-    images = body.A @ ell.mat  # row i is (E a_i)^T since E is symmetric
+    rows = _distinct_rows(body)
+    images = rows @ ell.mat  # row i is (E a_i)^T since E is symmetric
     norms = np.linalg.norm(images, axis=1)
     tight = np.nonzero(1.0 - norms <= slack)[0]
-    dyads: dict[tuple, tuple] = {}
-    for i, u in zip(tight, images[tight] / norms[tight, None]):
-        canon = u if u[int(np.argmax(np.abs(u)))] > 0.0 else -u
-        dyads.setdefault(tuple(np.round(canon, 7)), (i, u))
-    if len(dyads) < body.n:
+    if tight.size < body.n:
         raise NumericalError(
-            f"contact set rank-deficient: only {len(dyads)} touch directions "
+            f"contact set rank-deficient: only {tight.size} touch directions "
             f"within slack {slack:.1e} (need at least {body.n})"
         )
-    rows, units = (np.array(v) for v in zip(*dyads.values()))
+    rows, units = rows[tight], images[tight] / norms[tight, None]
     design = np.column_stack([sym_to_vec(np.outer(u, u)) for u in units])
     dyad_weights, _ = nnls(design, sym_to_vec(np.eye(body.n)))
     kept = dyad_weights > 0.0

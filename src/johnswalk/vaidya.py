@@ -67,7 +67,6 @@ class CutState:
 
     g_rows: np.ndarray
     h_offs: np.ndarray
-    permanent: np.ndarray
     iterate: np.ndarray
     peak_rows: int = 0
     drops: int = 0
@@ -88,7 +87,6 @@ class SmallVolumeCertificate:
 
     log_volume_bound: float
     log_threshold: float
-    oracle_calls: int
 
 
 @dataclass(frozen=True)
@@ -130,19 +128,14 @@ class _IterateOutside(NumericalError):
 
 
 class _Engine:
-    def __init__(self, d: int, level: float, rho: float):
+    def __init__(self, d: int, rho: float):
         self.d = d
-        self.level = level
-        g_rows = np.vstack([np.eye(d), -np.eye(d)])
-        h_offs = np.full(2 * d, float(rho))
         self.state = CutState(
-            g_rows=g_rows,
-            h_offs=h_offs,
-            permanent=np.ones(2 * d, dtype=bool),
+            g_rows=np.vstack([np.eye(d), -np.eye(d)]),
+            h_offs=np.full(2 * d, float(rho)),
             iterate=np.zeros(d),
             peak_rows=2 * d,
         )
-        self.cap = MAX_CONSTRAINTS_FACTOR * d
         self._memo = (None, None, None)
         self._recenter()
 
@@ -220,25 +213,23 @@ class _Engine:
         self.state.iterate = x - 0.5 * dtrtrs(chol, u, lower=1, trans=1)[0] / width
         self.state.g_rows = np.vstack([self.state.g_rows, w_row])
         self.state.h_offs = np.append(self.state.h_offs, offset)
-        self.state.permanent = np.append(self.state.permanent, False)
         self.state.peak_rows = max(self.state.peak_rows, self.state.rows)
         self._recenter()
 
     def drop_min_leverage(self, threshold: Optional[float]) -> bool:
-        """Drop the droppable cut of smallest leverage. With a threshold,
-        only drop when that leverage falls below it. The starting box rows
-        are permanent so the localization stays bounded."""
-        droppable = ~self.state.permanent
-        if not np.any(droppable):
+        """Drop the cut of smallest leverage. With a threshold, only drop
+        when that leverage falls below it. The starting box rows are the
+        first 2d rows, since cuts are appended after them; they are never
+        dropped, so the localization stays bounded."""
+        box = 2 * self.d
+        if self.state.rows == box:
             return False
-        sigma = self._barrier(self.state.iterate)[2]
-        masked = np.where(droppable, sigma, np.inf)
-        i = int(np.argmin(masked))
-        if threshold is not None and masked[i] >= threshold:
+        sigma = self._barrier(self.state.iterate)[2][box:]
+        i = int(np.argmin(sigma))
+        if threshold is not None and sigma[i] >= threshold:
             return False
-        self.state.g_rows = np.delete(self.state.g_rows, i, axis=0)
-        self.state.h_offs = np.delete(self.state.h_offs, i)
-        self.state.permanent = np.delete(self.state.permanent, i)
+        self.state.g_rows = np.delete(self.state.g_rows, box + i, axis=0)
+        self.state.h_offs = np.delete(self.state.h_offs, box + i)
         self.state.drops += 1
         self._recenter()
         return True
@@ -264,10 +255,6 @@ class _Engine:
         return (self.d * math.log(2.0 * self.state.rows) + neg_half_logdet
                 + _log_unit_ball_volume(self.d))
 
-    def log_threshold(self) -> float:
-        d = self.d
-        return -self.level * d * math.log(2.0) + _log_unit_ball_volume(d)
-
 
 def vaidya_minimize(
     oracle: Callable[[np.ndarray], tuple],
@@ -285,24 +272,26 @@ def vaidya_minimize(
     iterate immediately. Raises SolverError carrying the volume certificate
     when no feasible iterate was ever seen.
     """
-    engine = _Engine(d, level, rho)
+    engine = _Engine(d, rho)
     budget = min(iteration_bound(d, level, rho), _CALL_CAP)
+    # log vol of the 2^-level ball, the small-volume threshold
+    log_threshold = -level * d * math.log(2.0) + _log_unit_ball_volume(d)
+    cap = MAX_CONSTRAINTS_FACTOR * d
     history: list[tuple[np.ndarray, float]] = []
-    feasible = np.empty((0, d))
     calls = 0
     status = "budget"
     try:
         while calls < budget:
             if engine.drop_min_leverage(EPS):
                 continue
-            if engine.state.rows >= engine.cap:
-                # Permanent box rows weaken the automatic <= 201 d argument, so
+            if engine.state.rows >= cap:
+                # Never-dropped box rows weaken the automatic <= 201 d argument, so
                 # enforce the cap directly before adding.
                 if not engine.drop_min_leverage(None):
                     raise NumericalError("constraint cap reached with no droppable row")
                 continue
             if calls % _VOLUME_CHECK_EVERY == 0 and calls > 0:
-                if engine.log_volume_bound() < engine.log_threshold():
+                if engine.log_volume_bound() < log_threshold:
                     status = "small_volume"
                     break
             x = np.array(engine.state.iterate)
@@ -311,11 +300,11 @@ def vaidya_minimize(
             w = np.asarray(cut, dtype=float)
             if value is None:
                 tol = 1e-9 * (1.0 + float(np.linalg.norm(w)))
-                if np.any((feasible - x) @ w > tol):
+                seen = np.array([point for point, _ in history]).reshape(-1, d)
+                if np.any((seen - x) @ w > tol):
                     raise OracleInconsistencyError("cut excludes a previously feasible point")
             else:
                 history.append((x, float(value)))
-                feasible = np.vstack([feasible, x])
                 if float(np.linalg.norm(w)) == 0.0:
                     # zero subgradient: this iterate is optimal over the target set
                     return MinimizeResult(x, history[-1][1], history, calls,
@@ -329,7 +318,7 @@ def vaidya_minimize(
     if history:
         best = min(history, key=lambda rec: rec[1])
         return MinimizeResult(best[0], best[1], history, calls, status, engine.state)
-    cert = SmallVolumeCertificate(engine.log_volume_bound(), engine.log_threshold(), calls)
+    cert = SmallVolumeCertificate(engine.log_volume_bound(), log_threshold)
     raise SolverError(
         f"no feasible iterate found after {calls} oracle calls",
         best=MinimizeResult(None, None, [], calls, "infeasible", engine.state, cert),

@@ -110,12 +110,11 @@ def init_state(
     poly: Polytope,
     x0: np.ndarray,
     config: WalkConfig,
-    chain_index: int = 0,
 ) -> WalkState:
-    """Build the starting state (one solver call). Chains draw from streams
-    keyed by (seed, chain_index) so parallel chains never share randomness."""
+    """Build the starting state (one solver call). The chain draws from the
+    stream keyed by (seed, 0)."""
     x0 = np.asarray(x0, dtype=float)
-    rng = np.random.default_rng([config.seed, chain_index])
+    rng = np.random.default_rng([config.seed, 0])
     return WalkState(x=x0, ellipsoid=_ellipsoid_at(poly, x0, config), rng=rng)
 
 
@@ -173,7 +172,6 @@ def run_chain(
     x0: np.ndarray,
     steps: int,
     config: WalkConfig,
-    chain_index: int = 0,
 ):
     """Run ``steps`` John-walk steps from x0.
 
@@ -184,7 +182,7 @@ def run_chain(
 
     def start(x: np.ndarray):
         nonlocal state
-        state = init_state(poly, x, config, chain_index)
+        state = init_state(poly, x, config)
         return lambda _: john_step(poly, state, config).x
 
     samples = _trajectory(poly, x0, steps, start)

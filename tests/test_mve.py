@@ -789,6 +789,20 @@ class TestContactExtraction:
             # balance bound from the decomposition: |sum c u| <= sqrt(n)
             assert res.balance <= np.sqrt(3)
 
+    @pytest.mark.parametrize("method", ["oracle", "vaidya"])
+    def test_nearly_parallel_rows_touch_apart(self, method):
+        # A third row 1e-9 rad from e_1 touches the disk with e_1 itself;
+        # _distinct_rows keeps the two apart, so each is a contact of its own.
+        angle, gap = 1e-9, 1e-9
+        a = np.array([[1.0, 0.0], [np.cos(angle), np.sin(angle)], [0.0, 1.0]])
+        body = SymmetricPolytope(a, np.zeros(2))
+        sol = solve_mve(body, method=method, gap=gap)
+        assert sol.logdet_gap <= gap
+        reach = np.linalg.norm(a @ sol.ellipsoid.mat, axis=1)
+        assert np.all(1.0 - reach[:2] <= 1e-6)
+        res = verify_john_conditions(extract_contacts(sol, body, gap), 2)
+        assert max(res) <= 1e-8
+
     def test_rank_deficient_contact_set(self):
         body = centered_body(cube(2))
         shrunk = Ellipsoid(0.5 * np.eye(2), np.zeros(2))
