@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog
@@ -29,6 +31,11 @@ MEMBERSHIP_RTOL = 1e-12
 # Condition number of an ellipsoid factor beyond which local norms are
 # considered unreliable.
 COND_LIMIT = 1e14
+
+# Sign-normalised unit rows that differ by at most this much in every
+# component count as parallel; normalising the same row at two scales
+# differs by at most 2 ulp.
+_PARALLEL_TOL = 8.0 * float(np.finfo(float).eps)
 
 
 def _as_float_array(x, name: str) -> np.ndarray:
@@ -87,6 +94,42 @@ class Polytope:
             )
         return self.b - self.A @ x
 
+    @cached_property
+    def row_facts(self) -> tuple[Optional[tuple], bool]:
+        """(:func:`parallel_classes` of the rows, whether the unit rows span
+        R^n): facts that no positive row scaling changes, computed once."""
+        units = self.A / np.linalg.norm(self.A, axis=1)[:, None]
+        return parallel_classes(self.A), bool(np.linalg.matrix_rank(units) == self.n)
+
+
+def parallel_classes(a: np.ndarray) -> Optional[tuple]:
+    """Classes of exactly parallel rows of a, of either sign: rows whose
+    sign-normalised unit rows differ by at most ``_PARALLEL_TOL`` in every
+    component. Returns (order, runs, first): class k holds the rows
+    ``order[runs == k]``, and ``first`` marks the first of each class in
+    ``order``. None when no two rows are parallel."""
+    norms = np.sqrt(np.einsum("ij,ij->i", a, a))
+    # Parallel rows have equal |cosine| with a fixed generic direction, so
+    # sorted by it they are neighbours; the cosine's sign also orients them.
+    key = (a @ np.cos(np.arange(1.0, a.shape[1] + 1.0))) / norms
+    order = np.argsort(np.abs(key))
+    units = a[order] * (np.sign(key[order]) / norms[order])[:, None]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (np.abs(units[1:] - units[:-1]) > _PARALLEL_TOL).any(axis=1)
+    return None if first.all() else (order, np.cumsum(first), first)
+
+
+def longest_per_class(a: np.ndarray, classes: Optional[tuple]) -> np.ndarray:
+    """Indices, in increasing order, of the longest row of a in each of the
+    :func:`parallel_classes`, the first of them on a tie; every index when
+    ``classes`` is None."""
+    if classes is None:
+        return np.arange(a.shape[0])
+    order, runs, first = classes
+    norms = np.sqrt(np.einsum("ij,ij->i", a, a))
+    longest_first = np.lexsort((order, -norms[order], runs))
+    return np.sort(order[longest_first[first]])
+
 
 @dataclass(frozen=True)
 class SymmetricPolytope:
@@ -96,11 +139,13 @@ class SymmetricPolytope:
     membership of y and -y always coincide. A row listed with its negation
     describes the same body, only redundantly. ``anchor`` records the center
     of symmetry in the original coordinates of the body this was derived
-    from.
+    from. ``distinct``, set by :func:`symmetrize` when the rows span, holds
+    the indices of one row per direction (:func:`longest_per_class`).
     """
 
     A: np.ndarray
     anchor: np.ndarray
+    distinct: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         A = _as_float_array(self.A, "A")
@@ -190,8 +235,9 @@ def symmetrize(poly: Polytope, x: np.ndarray) -> SymmetricPolytope:
 
     The result is expressed in coordinates centered at x: each original row
     a_i, divided by its slack s_i = b_i - a_i.x, becomes the constraint pair
-    |a_i . y| <= s_i. Raises GeometryError naming the violated row when x is
-    not strictly interior.
+    |a_i . y| <= s_i. When the rows span, it carries the indices of the
+    longest row of each of the polytope's parallel classes. Raises
+    GeometryError naming the violated row when x is not strictly interior.
     """
     x = np.asarray(x, dtype=float)
     s = poly.slacks(x)
@@ -200,7 +246,9 @@ def symmetrize(poly: Polytope, x: np.ndarray) -> SymmetricPolytope:
         raise GeometryError(
             f"point is not strictly interior: row {row} has slack {s[row]:.6e}"
         )
-    return SymmetricPolytope(poly.A / s[:, None], x.copy())
+    a = poly.A / s[:, None]
+    classes, spans = poly.row_facts
+    return SymmetricPolytope(a, x.copy(), longest_per_class(a, classes) if spans else None)
 
 
 def local_norm(ell: Ellipsoid, y: np.ndarray) -> float:
@@ -281,6 +329,16 @@ def ball_points(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     u = sphere_points(n, count, rng)
     radii = rng.random(count) ** (1.0 / n)
     return u * radii[:, None]
+
+
+def ball_point(n: int, rng: np.random.Generator) -> np.ndarray:
+    """One uniform point in the unit ball in R^n: the draws and the bits of
+    ``ball_points(n, 1, rng)[0]``, on the same (1, n) arrays."""
+    while True:
+        z = rng.standard_normal((1, n))
+        norm = np.linalg.norm(z, axis=1)
+        if norm[0] != 0.0:  # zero has probability zero, as in sphere_points
+            return (z / norm[:, None] * (rng.random(1) ** (1.0 / n))[:, None])[0]
 
 
 def _log_unit_ball_volume(n: int) -> float:

@@ -38,10 +38,13 @@ A symmetric body holds one row per constraint pair (see
 :func:`dikin_precondition`, whose barrier sums over half-spaces, spells out
 both halves. Both routes solve on one row per direction
 (:func:`_distinct_rows`): of exactly parallel rows only the longest binds,
-so boxes and other bodies with parallel facets shrink to fewer rows. Both
-return an ellipsoid checked against every row of the body, shrunk if
-rounding left it outside one, together with an upper bound ``logdet_gap`` on
-how far its log volume can sit below the optimum.
+so boxes and other bodies with parallel facets shrink to fewer rows. The
+row classes and the span test are facts of the polytope a body was
+symmetrized from, computed once; a body built directly is classed and
+span-checked (:func:`_check_spans`) per solve. Both return an ellipsoid
+checked against every row of the body, shrunk if rounding left it outside
+one, together with an upper bound ``logdet_gap`` on how far its log volume
+can sit below the optimum.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from scipy.optimize import nnls
 
 from . import vaidya as _vaidya
 from .errors import GeometryError, NumericalError, SolverError, UnboundedPolytopeError
-from .geometry import Ellipsoid, SymmetricPolytope
+from .geometry import Ellipsoid, SymmetricPolytope, longest_per_class, parallel_classes
 
 _ASCENT_MAX_ITER = 500_000
 # Ascent iterations between exact recomputes of the moment matrix.
@@ -66,11 +69,6 @@ _EXACT_EVERY = 50
 _NEWTON_FROM = 0.1
 _CONTACT_SLACK = 1e-6
 _EPS = float(np.finfo(float).eps)
-
-# Sign-normalised unit rows that differ by at most this much in every
-# component count as parallel; normalising the same row at two scales
-# differs by at most 2 ulp.
-_PARALLEL_TOL = 8.0 * _EPS
 
 
 # ---------------------------------------------------------------------------
@@ -107,34 +105,23 @@ def vec_to_sym(v: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
-@lru_cache(maxsize=None)
-def _generic_direction(n: int) -> np.ndarray:
-    return np.cos(np.arange(1.0, n + 1.0))
-
-
 def _distinct_rows(body: SymmetricPolytope) -> np.ndarray:
     """One row per direction of the symmetric body {y : |a_i . y| <= 1}.
 
-    Cuts each class of exactly parallel rows, of either sign, down to its
+    Keeps, of each class of exactly parallel rows, of either sign, the
     longest row, the first of them on a tie; that row's constraint implies
     the others'. Symmetrizing a body with parallel facets, a box for one,
     yields such classes, and so does a body that lists a row with both
-    signs. Both solver routes run on these rows, in the body's order; they
-    give the same optimum as all rows.
+    signs. The classes are a fact of the polytope a body was symmetrized
+    from, which :func:`~johnswalk.geometry.symmetrize` attaches as
+    ``body.distinct``; a body built directly is classed here, per call.
+    Both solver routes run on these rows, in the body's order; they give
+    the same optimum as all rows.
     """
-    a = body.A
-    norms = np.sqrt(np.einsum("ij,ij->i", a, a))
-    # Parallel rows have equal |cosine| with a fixed generic direction, so
-    # sorted by it they are neighbours; the cosine's sign also orients them.
-    key = (a @ _generic_direction(body.n)) / norms
-    order = np.argsort(np.abs(key))
-    units = a[order] * (np.sign(key[order]) / norms[order])[:, None]
-    first = np.ones(order.size, dtype=bool)  # first of its class in `order`
-    first[1:] = (np.abs(units[1:] - units[:-1]) > _PARALLEL_TOL).any(axis=1)
-    if first.all():
-        return a
-    longest_first = np.lexsort((order, -norms[order], np.cumsum(first)))
-    return a[np.sort(order[longest_first[first]])]
+    keep = body.distinct
+    if keep is None:
+        keep = longest_per_class(body.A, parallel_classes(body.A))
+    return body.A if keep.size == body.rows else body.A[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +192,7 @@ class _Moments(NamedTuple):
     g: np.ndarray  # leverages g_i = p_i^T M^-1 p_i
 
 
-def _khachiyan_ascent(points: np.ndarray, tol: float):
+def _khachiyan_ascent(points: np.ndarray, tol: float, spans: bool = False):
     """Maximize log det sum_i u_i p_i p_i^T over the simplex in two phases:
     a coarse multiplicative-weight ascent with away steps (Khachiyan, Math.
     Oper. Res. 1996), then Newton steps on the support of the weights
@@ -244,12 +231,14 @@ def _khachiyan_ascent(points: np.ndarray, tol: float):
 
     Stops once max_i p_i^T M^-1 p_i <= n (1 + tol), within
     ``_ASCENT_MAX_ITER`` ascent iterations. Returns (u, M, g_max,
-    iterations, newton_steps).
+    iterations, newton_steps). Unless ``spans`` says the caller knows the
+    points span R^n, :func:`_check_spans` tests that first.
     """
     pts = np.asarray(points, dtype=float)
     m, n = pts.shape
     u = np.full(m, 1.0 / m)
-    _check_spans(pts.T @ (pts * u[:, None]), m)
+    if not spans:
+        _check_spans(pts.T @ (pts * u[:, None]), m)
     if m > n:
         u = _core_start(pts)
     state = _exact_moments(pts, u)
@@ -453,7 +442,8 @@ def _fit_inside(
 def _solve_mve_oracle(body: SymmetricPolytope, gap: float) -> JohnSolution:
     n = body.n
     tol = gap / (2.0 * n)
-    _, mat, g_max, iterations, steps = _khachiyan_ascent(_distinct_rows(body), tol)
+    _, mat, g_max, iterations, steps = _khachiyan_ascent(
+        _distinct_rows(body), tol, spans=body.distinct is not None)
     # Polar conversion: the unscaled inscribed factor is (n M)^(-1/2); the
     # certificate scale sqrt(g_max / n) shrinks it onto the feasible side.
     vals, vecs = np.linalg.eigh(n * mat)
@@ -484,7 +474,8 @@ def _weak_dual_bound(rows: np.ndarray, weights: np.ndarray) -> float:
 def dual_logdet_bound(body: SymmetricPolytope, tol: float = 1e-9) -> float:
     """:func:`_weak_dual_bound` at the oracle route's ascent weights, tight to
     about n * tol / 2: the reference the tests hold both routes' gaps to."""
-    u, _, _, _, _ = _khachiyan_ascent(rows := _distinct_rows(body), tol)
+    rows = _distinct_rows(body)
+    u, _, _, _, _ = _khachiyan_ascent(rows, tol, spans=body.distinct is not None)
     return _weak_dual_bound(rows, u)
 
 

@@ -12,6 +12,7 @@ from johnswalk.geometry import (
     _damped_newton,
     _log_barrier,
     analytic_center,
+    ball_point,
     ball_points,
     chord,
     contains,
@@ -240,6 +241,13 @@ class TestSpherePoints:
     def test_unit_norm(self, rng):
         pts = sphere_points(4, 100, rng)
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0)
+
+    def test_one_point_draw_matches_batch(self):
+        # The walks draw one point at a time: same draws, same bits.
+        for n in (1, 2, 5, 10):
+            batch, single = np.random.default_rng(n), np.random.default_rng(n)
+            for _ in range(500):
+                assert np.array_equal(ball_point(n, single), ball_points(n, 1, batch)[0])
 
     def test_ball_points_inside(self, rng):
         pts = ball_points(4, 500, rng)

@@ -461,8 +461,10 @@ class TestSolveMveProperties:
 
     def test_unbounded_body_raises(self):
         a = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        with pytest.raises(UnboundedPolytopeError):
-            solve_mve(SymmetricPolytope(a, np.zeros(2)))
+        for body in (SymmetricPolytope(a, np.zeros(2)),
+                     symmetrize(Polytope(a, np.ones(2)), np.zeros(2))):
+            with pytest.raises(UnboundedPolytopeError):
+                solve_mve(body)
 
 
 @st.composite
@@ -497,8 +499,9 @@ def assert_inscribed_and_certified(body, sol, gap):
 
 
 # Rounding in the oracle route's ascent breaks the requested gap on thin and
-# badly scaled bodies, and its span check rejects some bounded bodies whose
-# row norms span ~1e12 (ROADMAP item 2).
+# badly scaled bodies, or leaves a moment matrix singular (ROADMAP item 2).
+# The span test no longer rejects bounded bodies whose row norms span ~1e12:
+# it runs on the polytope's unit rows (test_scaled_body_spans).
 _ORACLE_ROUNDING = pytest.mark.xfail(
     strict=True, reason="oracle route loses its gap to rounding (ROADMAP item 2)"
 )
@@ -523,6 +526,22 @@ class TestSolveMveHardBodies:
     def test_oracle_route(self, shape, data, log_gap):
         body = data.draw(hard_bodies(st.integers(2, 6), shape))
         gap = 10.0 ** log_gap
+        assert_inscribed_and_certified(body, solve_mve(body, gap=gap), gap)
+
+    def test_scaled_body_spans(self):
+        # Seed 7 of a numpy replica of hard_bodies("scaled"): n = 5, k = 9,
+        # row norms from 1e-6 to 1e6. The span check on the moment matrix of
+        # the slack-scaled rows called this bounded body unbounded.
+        rng = np.random.default_rng([2026, 7])
+        n = int(rng.integers(2, 7))
+        k = int(rng.integers(0, 2 * n + 1))
+        rows = np.vstack([np.eye(n), rng.standard_normal((k, n))])
+        rows *= 10.0 ** rng.uniform(-6.0, 6.0, n + k)[:, None]
+        poly = Polytope(np.vstack([rows, -rows]), np.ones(2 * (n + k)))
+        direction = rng.standard_normal(n)
+        x = rng.uniform(0.0, 0.9) * direction / np.max(poly.A @ direction)
+        assert (n, k) == (5, 9)
+        body, gap = symmetrize(poly, x), _effective_gap(None, n)
         assert_inscribed_and_certified(body, solve_mve(body, gap=gap), gap)
 
     @pytest.mark.parametrize("shape", ["scaled", "thin", "parallel"])
@@ -616,6 +635,14 @@ class TestCuttingPlaneCertificate:
         assert_inscribed_and_certified(body, solve_mve(body, method="vaidya", gap=gap), gap)
 
 
+def assert_symmetrize_picks_standalone_rows(body):
+    """The rows symmetrize kept from the polytope's classes are, bitwise, the
+    rows the same body built directly is reduced to per solve."""
+    standalone = SymmetricPolytope(body.A, body.anchor)
+    assert body.distinct is not None and standalone.distinct is None
+    assert np.array_equal(_distinct_rows(body), _distinct_rows(standalone))
+
+
 class TestDistinctRows:
     def test_mapped_box_keeps_one_row_per_axis(self, rng):
         # Under a linear map the rows a/s_i and -a/s_j of each axis stay
@@ -628,6 +655,7 @@ class TestDistinctRows:
             body = symmetrize(mapped, x)
             rows = _distinct_rows(body)
             assert rows.shape == (n, n)
+            assert_symmetrize_picks_standalone_rows(body)
             # the kept row of each axis is the tighter of its two facets
             norms = np.linalg.norm(body.A[:n], axis=1)
             norms_neg = np.linalg.norm(body.A[n : 2 * n], axis=1)
@@ -637,13 +665,15 @@ class TestDistinctRows:
     def test_nearly_parallel_rows_stay(self):
         angle = 1e-9
         a = np.array([[1.0, 0.0], [np.cos(angle), np.sin(angle)], [0.0, 1.0]])
-        body = SymmetricPolytope(np.vstack([a, -a]), np.zeros(2))
+        body = symmetrize(Polytope(np.vstack([a, -a]), np.ones(6)), np.zeros(2))
         assert _distinct_rows(body).shape == (3, 2)
+        assert_symmetrize_picks_standalone_rows(body)
 
     def test_no_parallel_rows_keeps_half(self, rng):
         normals = rng.standard_normal((10, 4))
         body = centered_body(Polytope(normals, np.ones(10)))
         assert np.array_equal(_distinct_rows(body), body.A)
+        assert_symmetrize_picks_standalone_rows(body)
 
     def test_reduced_solve_matches_full_ascent(self, rng):
         # The reference runs the ascent on every row; the polar of its
@@ -661,6 +691,7 @@ class TestDistinctRows:
         ):
             body = symmetrize(poly, x)
             assert _distinct_rows(body).shape[0] < body.rows
+            assert_symmetrize_picks_standalone_rows(body)
             gap, tol = 1e-9, 1e-10
             reduced = solve_mve(body, gap=gap)
             full = -0.5 * np.linalg.slogdet(enclosing_shape(body.A, tol=tol))[1]

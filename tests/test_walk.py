@@ -5,10 +5,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from johnswalk import walk
+from johnswalk import geometry, mve, walk
 from johnswalk.diagnostics import ess, uniformity_chi_square
 from johnswalk.errors import GeometryError
-from johnswalk.geometry import Ellipsoid, Polytope, contains, local_norm, symmetrize
+from johnswalk.geometry import (
+    Ellipsoid,
+    Polytope,
+    analytic_center,
+    contains,
+    local_norm,
+    symmetrize,
+)
 from johnswalk.mve import solve_mve
 from johnswalk.walk import (
     Tallies,
@@ -25,7 +32,7 @@ from johnswalk.walk import (
     transition_density,
 )
 
-from conftest import box, cube, random_polytope
+from conftest import box, cube, random_polytope, unit_normal_polytope
 
 
 def interval() -> Polytope:
@@ -245,6 +252,30 @@ class TestRunChain:
     def test_non_interior_start_raises(self):
         with pytest.raises(GeometryError):
             run_chain(cube(2), np.array([1.0, 0.0]), 10, WalkConfig())
+
+    # A cutting-plane chain on the (10, 60) body takes about 80 s, so that
+    # route runs on a (3, 9) body, which has no parallel rows either.
+    @pytest.mark.parametrize("solver, make", [
+        ("oracle", lambda: cube(3)),
+        ("oracle", lambda: unit_normal_polytope(10, 60, 0)),
+        ("vaidya", lambda: cube(3)),
+        ("vaidya", lambda: unit_normal_polytope(3, 9, 0)),
+    ], ids=["oracle-cube3", "oracle-rand10x60", "vaidya-cube3", "vaidya-rand3x9"])
+    def test_no_class_or_span_work_per_point(self, monkeypatch, solver, make):
+        # The row classes and the span test are facts of the polytope,
+        # computed once, here before the chain starts.
+        poly = make()
+        assert poly.row_facts[1]
+
+        def per_point(*args):
+            raise AssertionError("a step re-derived a fact of the polytope")
+
+        for module, name in ((geometry, "parallel_classes"), (mve, "parallel_classes"),
+                             (mve, "_check_spans")):
+            monkeypatch.setattr(module, name, per_point)
+        _, tallies = run_chain(poly, analytic_center(poly), 50,
+                               WalkConfig(seed=1, solver=solver))
+        assert tallies.total == 50 and tallies.lazy_hold < 50
 
     def test_lazy_coin_frequency(self):
         # The coin alone holds half the time: 4 sigma over the run length.
