@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog
@@ -95,18 +94,27 @@ class Polytope:
         return self.b - self.A @ x
 
     @cached_property
-    def row_facts(self) -> tuple[Optional[tuple], bool]:
+    def row_facts(self) -> tuple:
         """(:func:`parallel_classes` of the rows, whether the unit rows span
         R^n): facts that no positive row scaling changes, computed once."""
         units = self.A / np.linalg.norm(self.A, axis=1)[:, None]
-        return parallel_classes(self.A), bool(np.linalg.matrix_rank(units) == self.n)
+        return parallel_classes(self.A), moments_span(units.T @ units, self.m)
 
 
-def parallel_classes(a: np.ndarray) -> Optional[tuple]:
-    """Classes of exactly parallel rows of a, of either sign: rows whose
-    sign-normalised unit rows differ by at most ``_PARALLEL_TOL`` in every
-    component. Returns (order, runs, first): class k holds the rows
-    ``order[runs == k]``, and ``first`` marks the first of each class in
+def moments_span(mat: np.ndarray, m: int) -> bool:
+    """Whether the m points with moment matrix ``mat`` (any positive multiple
+    of sum_i p_i p_i^T) span R^n, up to the rounding of an m-term sum. The
+    test runs on ``mat`` rescaled to unit diagonal, so a body that is merely
+    thin along a coordinate axis passes."""
+    diag = np.sqrt(np.diagonal(mat))
+    return bool(m >= diag.size and diag.min() > 0.0 and np.linalg.eigvalsh(
+        mat / np.outer(diag, diag))[0] > m * np.finfo(float).eps)
+
+
+def parallel_classes(a: np.ndarray) -> tuple | None:
+    """(order, first) for the classes of parallel rows of a, of either sign,
+    whose sign-normalised unit rows differ by at most ``_PARALLEL_TOL`` in
+    every component: ``first`` marks the first row of each class in
     ``order``. None when no two rows are parallel."""
     norms = np.sqrt(np.einsum("ij,ij->i", a, a))
     # Parallel rows have equal |cosine| with a fixed generic direction, so
@@ -116,19 +124,17 @@ def parallel_classes(a: np.ndarray) -> Optional[tuple]:
     units = a[order] * (np.sign(key[order]) / norms[order])[:, None]
     first = np.ones(order.size, dtype=bool)
     first[1:] = (np.abs(units[1:] - units[:-1]) > _PARALLEL_TOL).any(axis=1)
-    return None if first.all() else (order, np.cumsum(first), first)
+    return None if first.all() else (order, first)
 
 
-def longest_per_class(a: np.ndarray, classes: Optional[tuple]) -> np.ndarray:
-    """Indices, in increasing order, of the longest row of a in each of the
-    :func:`parallel_classes`, the first of them on a tie; every index when
-    ``classes`` is None."""
+def longest_per_class(a: np.ndarray, classes: tuple | None) -> np.ndarray:
+    """Increasing indices of the longest row of a in each of its
+    :func:`parallel_classes`, the first on a tie; all when there are none."""
     if classes is None:
         return np.arange(a.shape[0])
-    order, runs, first = classes
+    order, first = classes
     norms = np.sqrt(np.einsum("ij,ij->i", a, a))
-    longest_first = np.lexsort((order, -norms[order], runs))
-    return np.sort(order[longest_first[first]])
+    return np.sort(order[np.lexsort((order, -norms[order], np.cumsum(first)))[first]])
 
 
 @dataclass(frozen=True)
@@ -145,7 +151,7 @@ class SymmetricPolytope:
 
     A: np.ndarray
     anchor: np.ndarray
-    distinct: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    distinct: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         A = _as_float_array(self.A, "A")
@@ -235,9 +241,8 @@ def symmetrize(poly: Polytope, x: np.ndarray) -> SymmetricPolytope:
 
     The result is expressed in coordinates centered at x: each original row
     a_i, divided by its slack s_i = b_i - a_i.x, becomes the constraint pair
-    |a_i . y| <= s_i. When the rows span, it carries the indices of the
-    longest row of each of the polytope's parallel classes. Raises
-    GeometryError naming the violated row when x is not strictly interior.
+    |a_i . y| <= s_i; ``distinct`` comes from the polytope's ``row_facts``.
+    Raises GeometryError naming the violated row when x is not strictly interior.
     """
     x = np.asarray(x, dtype=float)
     s = poly.slacks(x)
@@ -246,9 +251,11 @@ def symmetrize(poly: Polytope, x: np.ndarray) -> SymmetricPolytope:
         raise GeometryError(
             f"point is not strictly interior: row {row} has slack {s[row]:.6e}"
         )
-    a = poly.A / s[:, None]
+    body = SymmetricPolytope(poly.A / s[:, None], x.copy())
     classes, spans = poly.row_facts
-    return SymmetricPolytope(a, x.copy(), longest_per_class(a, classes) if spans else None)
+    if spans:
+        object.__setattr__(body, "distinct", longest_per_class(body.A, classes))
+    return body
 
 
 def local_norm(ell: Ellipsoid, y: np.ndarray) -> float:
@@ -317,7 +324,7 @@ def sphere_points(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` independent uniform points on the unit sphere in R^n."""
     z = rng.standard_normal((count, n))
     norms = np.linalg.norm(z, axis=1)
-    while np.any(norms == 0.0):  # probability zero, but keep it total
+    while not norms.all():  # probability zero, but keep it total
         bad = norms == 0.0
         z[bad] = rng.standard_normal((int(bad.sum()), n))
         norms = np.linalg.norm(z, axis=1)
@@ -329,16 +336,6 @@ def ball_points(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     u = sphere_points(n, count, rng)
     radii = rng.random(count) ** (1.0 / n)
     return u * radii[:, None]
-
-
-def ball_point(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One uniform point in the unit ball in R^n: the draws and the bits of
-    ``ball_points(n, 1, rng)[0]``, on the same (1, n) arrays."""
-    while True:
-        z = rng.standard_normal((1, n))
-        norm = np.linalg.norm(z, axis=1)
-        if norm[0] != 0.0:  # zero has probability zero, as in sphere_points
-            return (z / norm[:, None] * (rng.random(1) ** (1.0 / n))[:, None])[0]
 
 
 def _log_unit_ball_volume(n: int) -> float:

@@ -59,7 +59,8 @@ from scipy.optimize import nnls
 
 from . import vaidya as _vaidya
 from .errors import GeometryError, NumericalError, SolverError, UnboundedPolytopeError
-from .geometry import Ellipsoid, SymmetricPolytope, longest_per_class, parallel_classes
+from .geometry import (Ellipsoid, SymmetricPolytope, longest_per_class, moments_span,
+                       parallel_classes)
 
 _ASCENT_MAX_ITER = 500_000
 # Ascent iterations between exact recomputes of the moment matrix.
@@ -405,17 +406,12 @@ def _newton_polish(pts: np.ndarray, u: np.ndarray, state: _Moments, tol: float):
 
 
 def _check_spans(mat: np.ndarray, m: int) -> None:
-    """Raise when the m points whose uniform moment matrix is ``mat`` do not
-    span R^n. The test runs on the matrix rescaled to unit diagonal, so a
-    body that is merely thin along a coordinate axis passes; what it flags
-    is rank deficiency up to the rounding of an m-term sum."""
-    diag = np.sqrt(np.diagonal(mat))
-    if m >= diag.size and diag.min() > 0.0:
-        if np.linalg.eigvalsh(mat / np.outer(diag, diag))[0] > m * _EPS:
-            return
-    raise UnboundedPolytopeError(
-        "point set does not span; the polar body is unbounded"
-    )
+    """Raise unless the m points whose uniform moment matrix is ``mat`` span
+    R^n (:func:`~johnswalk.geometry.moments_span`)."""
+    if not moments_span(mat, m):
+        raise UnboundedPolytopeError(
+            "point set does not span; the polar body is unbounded"
+        )
 
 
 def _fit_inside(

@@ -31,7 +31,7 @@ from .geometry import (
     Ellipsoid,
     Polytope,
     _log_unit_ball_volume,
-    ball_point,
+    ball_points,
     chord,
     contains,
     local_norm,
@@ -122,7 +122,7 @@ def propose(ell: Ellipsoid, r: float, rng: np.random.Generator) -> np.ndarray:
     """Uniform draw from the ellipsoid shrunk by factor r about its center."""
     if r <= 0.0:
         raise GeometryError("proposal radius must be positive")
-    u = ball_point(ell.n, rng)
+    u = ball_points(ell.n, 1, rng)[0]
     return ell.center + r * (ell.mat @ u)
 
 
@@ -222,7 +222,7 @@ def ball_walk_step(
     if not 0.0 < delta < math.inf:
         raise GeometryError(f"ball walk radius must be positive and finite, not {delta}")
     x = np.asarray(x, dtype=float)
-    z = x + delta * ball_point(poly.n, rng)
+    z = x + delta * ball_points(poly.n, 1, rng)[0]
     if contains(poly, z):
         return z
     if not contains(poly, x):

@@ -9,10 +9,10 @@ from johnswalk.errors import (
 from johnswalk.geometry import (
     Ellipsoid,
     Polytope,
+    SymmetricPolytope,
     _damped_newton,
     _log_barrier,
     analytic_center,
-    ball_point,
     ball_points,
     chord,
     contains,
@@ -117,6 +117,14 @@ class TestSymmetrize:
         rows1 = sorted(map(tuple, np.round(np.vstack([s.A, -s.A]), 12)))
         rows2 = sorted(map(tuple, np.round(s2.A, 12)))
         assert rows1 == rows2
+
+    def test_only_symmetrize_attaches_row_indices(self):
+        # The solver trusts the indices to pick rows and skip the span test,
+        # so a caller cannot hand them in.
+        with pytest.raises(TypeError):
+            SymmetricPolytope(np.eye(2), np.zeros(2), distinct=np.arange(1))
+        assert SymmetricPolytope(np.eye(2), np.zeros(2)).distinct is None
+        assert np.array_equal(symmetrize(cube(2), np.zeros(2)).distinct, [0, 1])
 
 
 class TestEllipsoid:
@@ -242,12 +250,16 @@ class TestSpherePoints:
         pts = sphere_points(4, 100, rng)
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0)
 
-    def test_one_point_draw_matches_batch(self):
-        # The walks draw one point at a time: same draws, same bits.
+    def test_one_point_draw_bits(self):
+        # The walks draw one point at a time: a normal draw put on the
+        # sphere, then scaled by U^(1/n), on (1, n) arrays, bit for bit.
         for n in (1, 2, 5, 10):
-            batch, single = np.random.default_rng(n), np.random.default_rng(n)
+            draws, ref = np.random.default_rng(n), np.random.default_rng(n)
             for _ in range(500):
-                assert np.array_equal(ball_point(n, single), ball_points(n, 1, batch)[0])
+                z = ref.standard_normal((1, n))
+                radius = (ref.random(1) ** (1.0 / n))[:, None]
+                expected = z / np.linalg.norm(z, axis=1)[:, None] * radius
+                assert np.array_equal(ball_points(n, 1, draws)[0], expected[0])
 
     def test_ball_points_inside(self, rng):
         pts = ball_points(4, 500, rng)

@@ -466,6 +466,17 @@ class TestSolveMveProperties:
             with pytest.raises(UnboundedPolytopeError):
                 solve_mve(body)
 
+    def test_near_flat_body_raises_on_both_paths(self):
+        # These rows span R^2, but their unit rows' smallest singular value,
+        # 3.5e-11, is below the span test's resolution (lambda_min of the
+        # unit-diagonal moment matrix above m eps): a body built directly
+        # and a symmetrized one are both called unbounded.
+        a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10]])
+        for body in (SymmetricPolytope(a, np.zeros(2)),
+                     symmetrize(Polytope(a, np.ones(2)), np.zeros(2))):
+            with pytest.raises(UnboundedPolytopeError):
+                solve_mve(body)
+
 
 @st.composite
 def hard_bodies(draw, dims, shape):
