@@ -3,7 +3,7 @@
 ``check_step_lemmas`` probes the three local facts the walk's step-size
 choice leans on, in the frame where the inscribed ellipsoid at the base
 point is the unit ball: for |y| <= c n^(-5/2) the inscribed ellipsoid at y
-keeps det within O(n^-2) of 1 and its smallest eigenvalue within O(n^-1) of
+keeps det within O(n^-2) of 1 and its smallest semi-axis within O(n^-1) of
 1, and the chord cross-ratio dominates the local norm divided by sqrt(n).
 
 The remaining helpers are a Monte Carlo estimate of the total-variation
@@ -62,7 +62,7 @@ def check_step_lemmas(
 ) -> LemmaReport:
     """Sample displacements |y| <= c n^(-5/2) in the normalized frame at a
     base point (the analytic center unless ``x`` is given) and record the
-    worst det / min-eigenvalue deviations of the inscribed ellipsoid at y,
+    worst det / smallest semi-axis deviations of the inscribed ellipsoid at y,
     scaled by n^2 and n respectively, plus any cross-ratio violations. Every
     ellipsoid is the walk's under ``WalkConfig(c=c)``, at gap 2 n^-10.
 
@@ -101,7 +101,7 @@ def check_step_lemmas(
         y = r * ball_points(n, 1, rng)[0]
         ell_y = _ellipsoid_at(normalized, y, config)
         det_y = math.exp(ell_y.logdet)
-        eig_min = float(np.linalg.eigvalsh(ell_y.mat)[0])
+        eig_min = float(np.linalg.svd(ell_y.mat, compute_uv=False)[-1])  # semi-axis
         max_det_dev = max(max_det_dev, abs(det_y - 1.0) * n * n)
         min_eig_dev = max(min_eig_dev, (1.0 - eig_min) * n)
         sigma = cross_ratio(normalized, origin, y)

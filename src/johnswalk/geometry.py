@@ -5,8 +5,8 @@ interior point x intersects the body with its point reflection through x,
 which yields an origin-symmetric body {y : |Ay| <= 1} in coordinates
 centered at x, stored with one slack-scaled row per constraint pair; only
 ``SymmetricPolytope.as_polytope`` spells out the two half-spaces of a row.
-Ellipsoids are stored by their positive definite linear factor: the point
-set {mat @ u + center for |u| <= 1}.
+Ellipsoids are stored by an invertible linear factor and its inverse: the
+point set {mat @ u + center for |u| <= 1}.
 
 Boundedness of a polytope is never verified up front. Operations that would
 be meaningless on an unbounded body (chords, inscribed ellipsoids, the
@@ -26,10 +26,6 @@ from .errors import GeometryError, NumericalError, UnboundedPolytopeError
 
 # Relative slack used by membership tests.
 MEMBERSHIP_RTOL = 1e-12
-
-# Condition number of an ellipsoid factor beyond which local norms are
-# considered unreliable.
-COND_LIMIT = 1e14
 
 # Sign-normalised unit rows that differ by at most this much in every
 # component count as parallel; normalising the same row at two scales
@@ -176,16 +172,18 @@ class SymmetricPolytope:
 
 @dataclass(frozen=True, eq=False)
 class Ellipsoid:
-    """Ellipsoid {mat @ u + center : |u| <= 1} with SPD factor ``mat``.
+    """Ellipsoid {mat @ u + center : |u| <= 1} with invertible factor ``mat``.
 
-    ``logdet`` is computed once at construction and equals
-    log det(mat); it is the log volume up to the unit-ball constant.
+    Any square root F of the shape F F^T will do: F and F Q, for an
+    orthogonal Q, describe the same ellipsoid. ``inv`` = F^-1 and ``logdet``
+    = log |det F|, the log volume up to the unit-ball constant, are computed
+    once at construction.
     """
 
     mat: np.ndarray
     center: np.ndarray
+    inv: np.ndarray = field(init=False, repr=False)
     logdet: float = field(init=False)
-    _cond: float = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = _as_float_array(self.mat, "mat")
@@ -194,35 +192,24 @@ class Ellipsoid:
             raise GeometryError("ellipsoid factor must be square")
         if center.shape != (mat.shape[0],):
             raise GeometryError("ellipsoid center dimension mismatch")
-        scale = max(1.0, float(np.abs(mat).max()))
-        if np.abs(mat - mat.T).max() > 1e-12 * scale:
-            raise GeometryError("ellipsoid factor is not symmetric")
-        mat = 0.5 * (mat + mat.T)
-        eigvals = np.linalg.eigvalsh(mat)
-        if eigvals[0] <= 0.0:
-            raise GeometryError(
-                f"ellipsoid factor is not positive definite "
-                f"(min eigenvalue {eigvals[0]:.3e})"
-            )
-        self._set(mat, center, eigvals)
+        sign, logdet = np.linalg.slogdet(mat)
+        if sign == 0.0:
+            raise GeometryError("ellipsoid factor is singular")
+        self._set(mat, np.linalg.inv(mat), logdet, center)
 
-    def _set(self, mat: np.ndarray, center: np.ndarray, eigvals: np.ndarray) -> None:
+    def _set(self, mat, inv, logdet, center) -> None:
         object.__setattr__(self, "mat", np.ascontiguousarray(mat))
         object.__setattr__(self, "center", np.ascontiguousarray(center))
-        object.__setattr__(self, "logdet", float(np.sum(np.log(eigvals))))
-        object.__setattr__(self, "_cond", float(eigvals.max() / eigvals.min()))
+        object.__setattr__(self, "inv", inv)
+        object.__setattr__(self, "logdet", float(logdet))
 
     @classmethod
-    def from_eigh(
-        cls, radii: np.ndarray, axes: np.ndarray, center: np.ndarray
-    ) -> "Ellipsoid":
-        """Ellipsoid with factor axes @ diag(radii) @ axes.T, for positive
-        radii and orthonormal axes from a symmetric eigendecomposition.
-        Log det and condition number are read off the radii, so no second
-        eigendecomposition runs."""
-        mat = (axes * radii) @ axes.T
+    def factored(cls, mat: np.ndarray, inv: np.ndarray, logdet: float,
+                 center: np.ndarray) -> "Ellipsoid":
+        """Ellipsoid with factor ``mat`` whose inverse and log |det| a solver
+        already holds, so neither is recomputed nor checked."""
         ell = object.__new__(cls)
-        ell._set(0.5 * (mat + mat.T), center, radii)
+        ell._set(mat, inv, logdet, center)
         return ell
 
     @property
@@ -259,18 +246,12 @@ def symmetrize(poly: Polytope, x: np.ndarray) -> SymmetricPolytope:
 
 
 def local_norm(ell: Ellipsoid, y: np.ndarray) -> float:
-    """Norm of y - center in the metric of the ellipsoid, i.e.
-    sqrt((y - c)^T mat^-2 (y - c)). Values <= 1 mean y lies inside."""
+    """Norm of y - center in the metric of the ellipsoid, |mat^-1 (y - c)|.
+    Values <= 1 mean y lies inside."""
     y = np.asarray(y, dtype=float)
     if y.shape != (ell.n,):
         raise GeometryError(f"point has shape {y.shape}, expected ({ell.n},)")
-    if ell._cond > COND_LIMIT:
-        raise NumericalError(
-            f"ellipsoid factor condition number {ell._cond:.3e} exceeds "
-            f"{COND_LIMIT:.0e}; local norm is unreliable"
-        )
-    w = np.linalg.solve(ell.mat, y - ell.center)
-    return float(np.linalg.norm(w))
+    return float(np.linalg.norm(ell.inv @ (y - ell.center)))
 
 
 def chord(poly: Polytope, x: np.ndarray, direction: np.ndarray):

@@ -19,8 +19,9 @@ Two routes that share no solver are provided, so each checks the other:
   replace the ascent's linear tail. When they do not certify, the ascent
   resumes from their best weights, so the result never depends on the
   Newton phase converging. Either phase certifies only on an exact
-  recompute (:func:`_exact_moments`, one LU solve), which both share. That
-  certificate converts into a rigorous bound on the log-volume gap.
+  recompute (:func:`_exact_moments`), one QR shared by both: its R, with
+  M = R^T R, gives the leverages, a rigorous bound on the log-volume gap
+  and the inscribed factor R^-1 / sqrt(g_max).
 
 * ``method="vaidya"``: the log-det program over the matrix variable X = E^2,
       minimize -log det X
@@ -54,7 +55,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgeqp3, dgeqrf, dorgqr, dpotrf, dpotrs
+from scipy.linalg.lapack import dgeqp3, dgeqrf, dorgqr, dpotrf, dpotrs, dtrtri
 from scipy.optimize import nnls
 
 from . import vaidya as _vaidya
@@ -187,10 +188,11 @@ class JohnConditions(NamedTuple):
 
 
 class _Moments(NamedTuple):
-    """Exact state of weights u, recomputed from u by :func:`_exact_moments`."""
-    mat: np.ndarray  # M = P^T diag(u) P
-    sol: np.ndarray  # M^-1 P^T
-    g: np.ndarray  # leverages g_i = p_i^T M^-1 p_i
+    """Exact state of weights u (:func:`_exact_moments`); M = R^T R."""
+    r: np.ndarray  # R of the QR of diag(sqrt(u)) P, with positive diagonal
+    r_inv: np.ndarray  # R^-1, so M^-1 = R^-1 R^-T
+    y: np.ndarray  # P R^-1, so M^-1 P^T = R^-1 Y^T
+    g: np.ndarray  # leverages g_i = p_i^T M^-1 p_i = |y_i|^2
 
 
 def _khachiyan_ascent(points: np.ndarray, tol: float, spans: bool = False):
@@ -220,9 +222,10 @@ def _khachiyan_ascent(points: np.ndarray, tol: float, spans: bool = False):
 
     both also scaled by the renormalizing sum. Every ``_EXACT_EVERY``
     iterations, and whenever the updated g meets the tolerance or, before
-    the polish has run, ``_NEWTON_FROM``, M and g are recomputed exactly
-    from u (:func:`_exact_moments`, shared with the polish); only such an
-    exact recompute certifies, so rounding in the updates never reaches it.
+    the polish has run, ``_NEWTON_FROM``, R and g are recomputed exactly
+    from u (:func:`_exact_moments`, shared with the polish), and M^-1
+    restarts from R^-1 R^-T; only such an exact recompute certifies, so
+    rounding in the updates never reaches it.
 
     The first exact recompute with max_i g_i / n - 1 <= ``_NEWTON_FROM``
     (10%) hands the weights and their exact moments to the Newton polish,
@@ -231,17 +234,16 @@ def _khachiyan_ascent(points: np.ndarray, tol: float, spans: bool = False):
     resumes from those weights.
 
     Stops once max_i p_i^T M^-1 p_i <= n (1 + tol), within
-    ``_ASCENT_MAX_ITER`` ascent iterations. Returns (u, M, g_max,
-    iterations, newton_steps). Unless ``spans`` says the caller knows the
-    points span R^n, :func:`_check_spans` tests that first.
+    ``_ASCENT_MAX_ITER`` ascent iterations. Returns (u, state, g_max,
+    iterations, newton_steps), ``state`` the certifying exact recompute.
+    Unless ``spans`` says the caller knows the points span R^n,
+    :func:`_check_spans` tests that first.
     """
     pts = np.asarray(points, dtype=float)
     m, n = pts.shape
-    u = np.full(m, 1.0 / m)
     if not spans:
-        _check_spans(pts.T @ (pts * u[:, None]), m)
-    if m > n:
-        u = _core_start(pts)
+        _check_spans(pts.T @ pts, m)
+    u = _core_start(pts) if m > n else np.full(m, 1.0 / m)
     state = _exact_moments(pts, u)
     g, inv = state.g, None  # copied, then updated in place, by the ascent
     iterations = 0
@@ -257,7 +259,7 @@ def _khachiyan_ascent(points: np.ndarray, tol: float, spans: bool = False):
                 state = _exact_moments(pts, u)
                 g, inv, since_exact = state.g, None, 0
             elif eps_add <= tol:
-                return u, state.mat, g_add, iterations, newton_steps
+                return u, state, g_add, iterations, newton_steps
             else:
                 u, state, newton_steps = _newton_polish(pts, u, state, tol)
                 g, polished = state.g, True
@@ -296,7 +298,7 @@ def _khachiyan_ascent(points: np.ndarray, tol: float, spans: bool = False):
             g, inv, since_exact = state.g, None, 0
             continue
         if inv is None:
-            inv, g = np.linalg.inv(state.mat), g.copy()
+            inv, g = state.r_inv @ state.r_inv.T, g.copy()
         v = inv @ pts[j]
         w = pts @ v
         c = beta / denom
@@ -311,15 +313,22 @@ def _khachiyan_ascent(points: np.ndarray, tol: float, spans: bool = False):
 
 
 def _exact_moments(pts: np.ndarray, u: np.ndarray) -> _Moments:
-    """The moment matrix M = P^T diag(u) P, M^-1 P^T and the leverages
-    g_i = p_i^T M^-1 p_i, all recomputed from u: the only state either phase
-    of :func:`_khachiyan_ascent` certifies from."""
-    mat = pts.T @ (pts * u[:, None])
-    try:
-        sol = np.linalg.solve(mat, pts.T)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("moment matrix of the ascent weights is singular") from exc
-    return _Moments(mat, sol, np.einsum("ij,ji->i", pts, sol))
+    """R, R^-1, Y = P R^-1 and g_i = |y_i|^2 from u by one QR of
+    diag(sqrt(u)) P over the support of u, rows of R signed to a positive
+    diagonal, and one triangular inverse; M is never formed. This is the only
+    state either phase of :func:`_khachiyan_ascent` certifies from. Raises
+    NumericalError when R has a zero diagonal entry: M is singular."""
+    support = u > 0.0
+    n = pts.shape[1]
+    qr, _, _, info = dgeqrf(pts[support] * np.sqrt(u[support])[:, None])
+    if info or qr.shape[0] < n:
+        raise NumericalError("moment matrix of the ascent weights is singular")
+    r = np.triu(qr[:n] * np.sign(np.diagonal(qr))[:, None])
+    r_inv, info = dtrtri(r)
+    if info:
+        raise NumericalError("moment matrix of the ascent weights is singular")
+    y = pts @ r_inv
+    return _Moments(r, r_inv, y, np.einsum("ij,ij->i", y, y))
 
 
 def _core_start(pts: np.ndarray) -> np.ndarray:
@@ -346,9 +355,9 @@ def _newton_polish(pts: np.ndarray, u: np.ndarray, state: _Moments, tol: float):
     """Newton steps on log det M(u) over the support of u plus its most
     violated point (Todd, Minimum-Volume Ellipsoids, SIAM 2016, ch. 3).
 
-    ``state`` holds the exact M, M^-1 P^T and leverages of u
+    ``state`` holds the exact factor and leverages of u
     (:func:`_exact_moments`). On the support S the Hessian of log det is -Q
-    with Q = (P_S (M^-1 P^T)_S)^2 entrywise, so the step d solves
+    with Q = (Y_S Y_S^T)^2 entrywise, Y = P R^-1, so the step d solves
     Q d = g_S - lambda 1 with 1^T d = 0; Q is factored by Cholesky. A step
     that would take a weight below 0 stops at that weight, sets it to
     exactly 0 and is kept. A full step is kept only if it lowers the exact
@@ -369,7 +378,8 @@ def _newton_polish(pts: np.ndarray, u: np.ndarray, state: _Moments, tol: float):
         support = u > 0.0
         support[int(np.argmax(state.g))] = True
         support = np.flatnonzero(support)
-        chol, info = dpotrf((pts[support] @ state.sol[:, support]) ** 2)
+        y_s = state.y[support]
+        chol, info = dpotrf((y_s @ y_s.T) ** 2)
         if info:
             break
         q_inv_g = dpotrs(chol, state.g[support])[0]
@@ -396,13 +406,18 @@ def _newton_polish(pts: np.ndarray, u: np.ndarray, state: _Moments, tol: float):
         steps += 1
         new_g_max = float(new.g.max())
         if blocking is None and not new_g_max < g_max:
-            # log det M is computed only when max_i g_i does not decide.
-            if not np.linalg.slogdet(new.mat)[1] > np.linalg.slogdet(state.mat)[1]:
+            # log det M = 2 sum_i log R_ii decides only when max_i g_i does not.
+            if not _half_logdet(new) > _half_logdet(state):
                 break
         state, g_max = new, new_g_max
         if g_max < best_g_max:
             best, best_g_max = (u, state), g_max
     return (*best, steps)
+
+
+def _half_logdet(state: _Moments) -> float:
+    """1/2 log det M = sum_i log R_ii of an exact recompute."""
+    return float(np.log(np.diagonal(state.r)).sum())
 
 
 def _check_spans(mat: np.ndarray, m: int) -> None:
@@ -414,42 +429,42 @@ def _check_spans(mat: np.ndarray, m: int) -> None:
         )
 
 
-def _fit_inside(
-    body: SymmetricPolytope, radii: np.ndarray, axes: np.ndarray
-) -> Ellipsoid:
-    """Ellipsoid centered at the body's anchor with the given semi-axes,
-    shrunk until max_i |E a_i| <= 1 holds as computed over every row.
+def _fit_inside(body: SymmetricPolytope, mat: np.ndarray, inv: np.ndarray,
+                logdet: float) -> Ellipsoid:
+    """The ellipsoid with factor F = ``mat``, inverse ``inv`` and
+    log |det F| = ``logdet``, centered at the body's anchor, scaled down
+    until max_i |F^T a_i| <= 1 holds as computed over every row.
 
     A certificate places the factor inside only up to rounding, and rows the
     solver never saw (see :func:`_distinct_rows`) are implied only up to
-    rounding; either can leave |E a_i| a few ulp above 1.
+    rounding; either can leave |F^T a_i| a few ulp above 1.
     """
+    scale = 1.0
     while True:
-        ell = Ellipsoid.from_eigh(radii, axes, body.anchor)
+        ell = Ellipsoid.factored(mat * scale, inv / scale,
+                                 logdet + body.n * np.log(scale), body.anchor)
         images = body.A @ ell.mat
         reach_sq = float((images * images).sum(axis=1).max())
         if reach_sq <= 1.0:
             return ell
         if not np.isfinite(reach_sq):
             raise NumericalError("inscribed ellipsoid factor is not finite")
-        radii = radii / (np.sqrt(reach_sq) * (1.0 + 4.0 * _EPS))
+        scale /= np.sqrt(reach_sq) * (1.0 + 4.0 * _EPS)
 
 
 def _solve_mve_oracle(body: SymmetricPolytope, gap: float) -> JohnSolution:
     n = body.n
     tol = gap / (2.0 * n)
-    _, mat, g_max, iterations, steps = _khachiyan_ascent(
+    _, state, g_max, iterations, steps = _khachiyan_ascent(
         _distinct_rows(body), tol, spans=body.distinct is not None)
-    # Polar conversion: the unscaled inscribed factor is (n M)^(-1/2); the
-    # certificate scale sqrt(g_max / n) shrinks it onto the feasible side.
-    vals, vecs = np.linalg.eigh(n * mat)
-    if vals[0] <= 0.0:
-        raise NumericalError("moment matrix lost positive definiteness")
-    radii = 1.0 / (np.sqrt(vals) * np.sqrt(g_max / n))
-    ell = _fit_inside(body, radii, vecs)
+    # Polar conversion: the inscribed ellipsoid {y : g_max y^T M y <= 1} has
+    # the upper triangular factor F = R^-1 / sqrt(g_max), and
+    # |F^T a_i|^2 = g_i / g_max <= 1 certifies it.
+    scale = 1.0 / np.sqrt(g_max)
+    logdet = float(n * np.log(scale) - _half_logdet(state))
+    ell = _fit_inside(body, state.r_inv * scale, state.r / scale, logdet)
     # Any shrink _fit_inside applied widens the gap by the log det it cost.
-    shrink = float(np.sum(np.log(radii))) - ell.logdet
-    gap_bound = max(0.0, 0.5 * n * np.log(g_max / n)) + shrink
+    gap_bound = max(0.0, 0.5 * n * np.log(g_max / n)) + (logdet - ell.logdet)
     return JohnSolution(
         ellipsoid=ell, logdet_gap=gap_bound, solver_tag="oracle",
         iterations=iterations, newton_steps=steps,
@@ -558,7 +573,10 @@ def _solve_mve_vaidya(body: SymmetricPolytope, gap: float) -> JohnSolution:
     vals, vecs = np.linalg.eigh(0.5 * (shape + shape.T))
     if vals[0] <= 0.0:
         raise NumericalError("cutting-plane matrix is not positive definite")
-    ell = _fit_inside(body, np.sqrt(vals), vecs)
+    radii = np.sqrt(vals)
+    mat = (vecs * radii) @ vecs.T
+    ell = _fit_inside(body, 0.5 * (mat + mat.T), (vecs / radii) @ vecs.T,
+                      np.sum(np.log(radii)))
     try:
         rows, _, weights = _contact_dyads(ell, body, gap)
         gap_bound = max(0.0, _weak_dual_bound(rows, weights) - ell.logdet)
@@ -592,14 +610,13 @@ def solve_mve(
 
     Returns:
         JohnSolution whose ellipsoid, centered at ``body.anchor``, is
-        strictly feasible: |mat @ a_i| <= 1 for every row, with the
+        strictly feasible: |mat^T a_i| <= 1 for every row, with the
         certified logdet_gap. The oracle route certifies it from its own
-        ascent; the cutting-plane route from the John weights of its own
-        contact points, and it raises SolverError when it finds fewer than n
-        contact directions or a bound above ``gap``. The routes share no
-        solver. On thin or badly scaled bodies rounding in the ascent can
-        leave the oracle route's certified gap above ``gap``; it then reports
-        that larger gap rather than raising.
+        ascent, at most gap/4 plus the log det of any shrink that rounding
+        forced, which it reports rather than raises; the cutting-plane route
+        from the John weights of its own contact points, and it raises
+        SolverError when it finds fewer than n contact directions or a bound
+        above ``gap``. The routes share no solver.
     """
     if not 0.0 < gap < np.inf:
         raise GeometryError(f"gap must be positive and finite, not {gap}")
@@ -624,7 +641,7 @@ def _contact_dyads(ell: Ellipsoid, body: SymmetricPolytope, gap: float):
     the nonnegative least-squares solution of sum_k c_k u_k u_k^T = I."""
     slack = max(_CONTACT_SLACK, gap / (2 * body.n))
     rows = _distinct_rows(body)
-    images = rows @ ell.mat  # row i is (E a_i)^T since E is symmetric
+    images = rows @ ell.mat  # row i is (F^T a_i)^T
     norms = np.linalg.norm(images, axis=1)
     tight = np.nonzero(1.0 - norms <= slack)[0]
     if tight.size < body.n:

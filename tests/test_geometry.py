@@ -132,20 +132,31 @@ class TestEllipsoid:
         e = Ellipsoid(np.diag([2.0, 1.0]), np.zeros(2))
         assert np.isclose(e.logdet, np.log(2.0))
 
-    def test_asymmetric_rejected(self):
-        with pytest.raises(GeometryError):
-            Ellipsoid(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
+    def test_triangular_factor_accepted(self):
+        e = Ellipsoid(np.array([[2.0, 0.5], [0.0, 1.0]]), np.zeros(2))
+        assert np.isclose(e.logdet, np.log(2.0))
+        assert np.allclose(e.inv @ e.mat, np.eye(2))
 
-    def test_indefinite_rejected(self):
-        with pytest.raises(GeometryError):
-            Ellipsoid(np.diag([1.0, -1.0]), np.zeros(2))
+    def test_reflected_factor_accepted(self):
+        # diag(1, -1) maps the unit ball onto itself.
+        e = Ellipsoid(np.diag([1.0, -1.0]), np.zeros(2))
+        assert e.logdet == 0.0
+        assert np.isclose(local_norm(e, np.array([3.0, 4.0])), 5.0)
 
-    def test_from_eigh_matches_validated(self, rng):
-        vals, vecs = np.linalg.eigh(np.cov(rng.normal(size=(3, 20))))
-        fast = Ellipsoid.from_eigh(vals, vecs, np.zeros(3))
-        checked = Ellipsoid(fast.mat, np.zeros(3))
-        assert np.isclose(fast.logdet, checked.logdet, rtol=0.0, atol=1e-12)
-        assert np.isclose(fast._cond, checked._cond, rtol=1e-12)
+    def test_singular_factor_raises(self):
+        with pytest.raises(GeometryError, match="singular"):
+            Ellipsoid(np.array([[1.0, 2.0], [0.5, 1.0]]), np.zeros(2))
+
+    def test_rotated_factor_same_norm_and_logdet(self, rng):
+        # F and F Q, Q orthogonal, are two square roots of one ellipsoid.
+        for n in (2, 3, 6):
+            f = np.triu(rng.normal(size=(n, n))) + 3.0 * np.eye(n)
+            q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            center = rng.normal(size=n)
+            e, e_rot = Ellipsoid(f, center), Ellipsoid(f @ q, center)
+            assert np.isclose(e.logdet, e_rot.logdet, rtol=0.0, atol=1e-12)
+            for y in center + rng.normal(size=(5, n)):
+                assert np.isclose(local_norm(e, y), local_norm(e_rot, y), rtol=1e-12)
 
 
 class TestLocalNorm:
@@ -166,11 +177,6 @@ class TestLocalNorm:
             e = Ellipsoid(mat, np.zeros(3))
             direct = float(y @ np.linalg.solve(mat @ mat, y))
             assert np.isclose(local_norm(e, y) ** 2, direct, rtol=1e-9)
-
-    def test_near_singular_raises(self):
-        e = Ellipsoid(np.diag([1.0, 1e-15]), np.zeros(2))
-        with pytest.raises(NumericalError):
-            local_norm(e, np.ones(2))
 
 
 class TestChord:
