@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 input error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -53,9 +54,10 @@ def emit_samples(samples: np.ndarray, path: str) -> None:
     floats (exact binary64 round trip)."""
     samples = np.asarray(samples, dtype=float)
     n = samples.shape[1]
+    row = ",".join(["%.17g"] * n) + "\n"  # np.savetxt's lines, without its wrappers
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(f"x{j + 1}" for j in range(n)) + "\n")
-        np.savetxt(fh, samples, fmt="%.17g", delimiter=",")
+        fh.writelines(row % tuple(values.tolist()) for values in samples)
 
 
 # Annotation of a scalar manifest field -> (accepted JSON value types, wording).
@@ -103,8 +105,7 @@ class RunManifest:
     def write(self) -> None:
         try:
             with open(self.manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-                json.dump(asdict(self), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                fh.write(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
         except OSError as exc:
             raise InputDataError(f"cannot write manifest {self.manifest_path}: {exc}") from exc
 
@@ -171,7 +172,7 @@ def _cmd_sample(args) -> int:
     outputs = dict(artifact_version=__version__, command="sample",
                    samples_path=f"{args.out}.samples.csv",
                    manifest_path=f"{args.out}.manifest.json")
-    if args.manifest:
+    if args.manifest is not None:
         manifest = replace(RunManifest.read(args.manifest), **outputs)
         poly = load_polytope(manifest.polytope_path)
         _check_point(manifest.start, poly)
@@ -179,7 +180,7 @@ def _cmd_sample(args) -> int:
         if not args.polytope:
             raise InputDataError("either --polytope or --manifest is required")
         poly = load_polytope(args.polytope)
-        start = _parse_vector(args.start, poly) if args.start else analytic_center(poly)
+        start = analytic_center(poly) if args.start is None else _parse_vector(args.start, poly)
         manifest = RunManifest(
             polytope_path=args.polytope,
             walk=args.walk,
@@ -218,7 +219,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_mve(args) -> int:
     poly = load_polytope(args.polytope)
-    point = _parse_vector(args.point, poly) if args.point else analytic_center(poly)
+    point = analytic_center(poly) if args.point is None else _parse_vector(args.point, poly)
     body = symmetrize(poly, point)
     sol = solve_mve(body, method=args.solver, gap=args.gap)
     contacts = extract_contacts(sol, body, args.gap)
@@ -271,7 +272,9 @@ def _cmd_diagnose(args) -> int:
     return 0 if failures == 0 else 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="johnswalk",
         description="Uniform polytope sampling with inscribed-ellipsoid walks.",

@@ -108,10 +108,11 @@ def moments_span(mat: np.ndarray, m: int) -> bool:
 
 
 def parallel_classes(a: np.ndarray) -> tuple | None:
-    """(order, first) for the classes of parallel rows of a, of either sign,
-    whose sign-normalised unit rows differ by at most ``_PARALLEL_TOL`` in
-    every component: ``first`` marks the first row of each class in
-    ``order``. None when no two rows are parallel."""
+    """(order, first, label) for the classes of parallel rows of a, of either
+    sign, whose sign-normalised unit rows differ by at most ``_PARALLEL_TOL``
+    in every component: ``first`` marks the first row of each class in
+    ``order``, and ``label`` numbers the classes along it. None when no two
+    rows are parallel."""
     norms = np.sqrt(np.einsum("ij,ij->i", a, a))
     # Parallel rows have equal |cosine| with a fixed generic direction, so
     # sorted by it they are neighbours; the cosine's sign also orients them.
@@ -120,7 +121,7 @@ def parallel_classes(a: np.ndarray) -> tuple | None:
     units = a[order] * (np.sign(key[order]) / norms[order])[:, None]
     first = np.ones(order.size, dtype=bool)
     first[1:] = (np.abs(units[1:] - units[:-1]) > _PARALLEL_TOL).any(axis=1)
-    return None if first.all() else (order, first)
+    return None if first.all() else (order, first, np.cumsum(first))
 
 
 def longest_per_class(a: np.ndarray, classes: tuple | None) -> np.ndarray:
@@ -128,9 +129,11 @@ def longest_per_class(a: np.ndarray, classes: tuple | None) -> np.ndarray:
     :func:`parallel_classes`, the first on a tie; all when there are none."""
     if classes is None:
         return np.arange(a.shape[0])
-    order, first = classes
+    order, first, label = classes
     norms = np.sqrt(np.einsum("ij,ij->i", a, a))
-    return np.sort(order[np.lexsort((order, -norms[order], np.cumsum(first)))[first]])
+    keep = order[np.lexsort((order, -norms[order], label))[first]]
+    keep.sort()
+    return keep
 
 
 @dataclass(frozen=True)
@@ -143,6 +146,11 @@ class SymmetricPolytope:
     of symmetry in the original coordinates of the body this was derived
     from. ``distinct``, set by :func:`symmetrize` when the rows span, holds
     the indices of one row per direction (:func:`longest_per_class`).
+
+    A body built directly has its rows and anchor checked: finite, of
+    matching dimensions. :func:`symmetrize` derives its rows from a validated
+    :class:`Polytope` and builds the body through ``_derived``, which checks
+    nothing.
     """
 
     A: np.ndarray
@@ -156,6 +164,17 @@ class SymmetricPolytope:
             raise GeometryError("row matrix and anchor dimensions disagree")
         object.__setattr__(self, "A", np.ascontiguousarray(A))
         object.__setattr__(self, "anchor", np.ascontiguousarray(anchor))
+
+    @classmethod
+    def _derived(cls, A: np.ndarray, anchor: np.ndarray,
+                 distinct: np.ndarray | None) -> "SymmetricPolytope":
+        """Body with finite contiguous rows A and anchor of matching
+        dimensions, which the caller guarantees, so nothing is checked."""
+        body = object.__new__(cls)
+        object.__setattr__(body, "A", A)
+        object.__setattr__(body, "anchor", anchor)
+        object.__setattr__(body, "distinct", distinct)
+        return body
 
     @property
     def n(self) -> int:
@@ -220,7 +239,7 @@ class Ellipsoid:
 def contains(poly: Polytope, x: np.ndarray) -> bool:
     """Membership test Ax <= b with the polytope's per-row relative slack."""
     s = poly.slacks(np.asarray(x, dtype=float))
-    return bool(np.all(s >= poly._min_slack))
+    return bool((s >= poly._min_slack).all())
 
 
 def symmetrize(poly: Polytope, x: np.ndarray) -> SymmetricPolytope:
@@ -229,20 +248,26 @@ def symmetrize(poly: Polytope, x: np.ndarray) -> SymmetricPolytope:
     The result is expressed in coordinates centered at x: each original row
     a_i, divided by its slack s_i = b_i - a_i.x, becomes the constraint pair
     |a_i . y| <= s_i; ``distinct`` comes from the polytope's ``row_facts``.
-    Raises GeometryError naming the violated row when x is not strictly interior.
+    The rows of a validated polytope are not validated again. Two checks
+    remain, each raising GeometryError naming the row: x must be strictly
+    interior, and no row may overflow when divided by a tiny slack.
     """
     x = np.asarray(x, dtype=float)
     s = poly.slacks(x)
-    if np.any(s <= 0.0):
+    if (s <= 0.0).any():
         row = int(np.argmin(s))
         raise GeometryError(
             f"point is not strictly interior: row {row} has slack {s[row]:.6e}"
         )
-    body = SymmetricPolytope(poly.A / s[:, None], x.copy())
+    rows = poly.A / s[:, None]
+    if not np.isfinite(rows).all():
+        row = int(np.argmin(np.isfinite(rows).all(axis=1)))
+        raise GeometryError(
+            f"row {row} divided by its slack {s[row]:.6e} is not finite"
+        )
     classes, spans = poly.row_facts
-    if spans:
-        object.__setattr__(body, "distinct", longest_per_class(body.A, classes))
-    return body
+    return SymmetricPolytope._derived(
+        rows, x.copy(), longest_per_class(rows, classes) if spans else None)
 
 
 def local_norm(ell: Ellipsoid, y: np.ndarray) -> float:
@@ -251,7 +276,8 @@ def local_norm(ell: Ellipsoid, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=float)
     if y.shape != (ell.n,):
         raise GeometryError(f"point has shape {y.shape}, expected ({ell.n},)")
-    return float(np.linalg.norm(ell.inv @ (y - ell.center)))
+    d = ell.inv @ (y - ell.center)
+    return math.sqrt(d.dot(d))  # np.linalg.norm's sum, without its overhead
 
 
 def chord(poly: Polytope, x: np.ndarray, direction: np.ndarray):
@@ -269,7 +295,7 @@ def chord(poly: Polytope, x: np.ndarray, direction: np.ndarray):
     if dnorm == 0.0:
         raise GeometryError("chord direction must be nonzero")
     s = poly.slacks(x)
-    if np.any(s <= 0.0):
+    if (s <= 0.0).any():
         row = int(np.argmin(s))
         raise GeometryError(
             f"chord base point is not strictly interior "
@@ -278,7 +304,7 @@ def chord(poly: Polytope, x: np.ndarray, direction: np.ndarray):
     speed = poly.A @ direction
     fwd = speed > 0.0
     bwd = speed < 0.0
-    if not np.any(fwd) or not np.any(bwd):
+    if not fwd.any() or not bwd.any():
         raise UnboundedPolytopeError("polytope is unbounded along direction")
     t_plus = float(np.min(s[fwd] / speed[fwd]))
     t_minus = float(np.max(s[bwd] / speed[bwd]))
@@ -319,6 +345,18 @@ def ball_points(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return u * radii[:, None]
 
 
+def ball_point(n: int, rng: np.random.Generator) -> np.ndarray:
+    """One uniform point in the unit ball in R^n: bitwise
+    ``ball_points(n, 1, rng)[0]`` from the same generator, without the
+    bookkeeping of a batch, for the walks' one draw per step."""
+    z = rng.standard_normal(n)
+    norm = np.sqrt(np.add.reduce(z * z))
+    while not norm:  # probability zero, as in sphere_points
+        z = rng.standard_normal(n)
+        norm = np.sqrt(np.add.reduce(z * z))
+    return z / norm * (rng.random(1) ** (1.0 / n))
+
+
 def _log_unit_ball_volume(n: int) -> float:
     """Natural log of the volume of the unit ball in R^n."""
     return 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0)
@@ -340,7 +378,7 @@ def _log_barrier(A: np.ndarray, b: np.ndarray):
         return step, -float(grad @ step)
 
     def inside(x: np.ndarray) -> bool:
-        return bool(np.all(b - A @ x > 0.0))
+        return bool((b - A @ x > 0.0).all())
 
     return newton, inside
 

@@ -84,6 +84,11 @@ def _triu_indices(n: int):
     return iu, ju, weights
 
 
+@lru_cache(maxsize=None)
+def _strict_lower(n: int):
+    return np.tril_indices(n, -1)
+
+
 def sym_dim(n: int) -> int:
     """Dimension n(n+1)/2 of the space of symmetric n x n matrices."""
     return n * (n + 1) // 2
@@ -251,7 +256,7 @@ def _khachiyan_ascent(points: np.ndarray, tol: float, spans: bool = False):
     polished = False
     since_exact = 0  # rank-one updates since `state` was recomputed from u
     while True:
-        j_add = int(np.argmax(g))
+        j_add = int(g.argmax())
         g_add = float(g[j_add])
         eps_add = g_add / n - 1.0
         if eps_add <= (tol if polished else max(tol, _NEWTON_FROM)):
@@ -270,7 +275,7 @@ def _khachiyan_ascent(points: np.ndarray, tol: float, spans: bool = False):
                 f"within {_ASCENT_MAX_ITER} iterations",
                 best=None,
             )
-        j_away = int(np.argmin(np.where(u > 0.0, g, np.inf)))
+        j_away = int(np.where(u > 0.0, g, np.inf).argmin())
         g_away = float(g[j_away])
         drop = False
         if eps_add >= 1.0 - g_away / n:
@@ -323,7 +328,8 @@ def _exact_moments(pts: np.ndarray, u: np.ndarray) -> _Moments:
     qr, _, _, info = dgeqrf(pts[support] * np.sqrt(u[support])[:, None])
     if info or qr.shape[0] < n:
         raise NumericalError("moment matrix of the ascent weights is singular")
-    r = np.triu(qr[:n] * np.sign(np.diagonal(qr))[:, None])
+    r = qr[:n] * np.sign(qr.diagonal())[:, None]
+    r[_strict_lower(n)] = 0.0  # dgeqrf's Householder vectors
     r_inv, info = dtrtri(r)
     if info:
         raise NumericalError("moment matrix of the ascent weights is singular")
@@ -376,7 +382,7 @@ def _newton_polish(pts: np.ndarray, u: np.ndarray, state: _Moments, tol: float):
     best, best_g_max, steps = (u, state), g_max, 0
     while steps < n * (n + 1) and g_max / n - 1.0 > tol:
         support = u > 0.0
-        support[int(np.argmax(state.g))] = True
+        support[state.g.argmax()] = True
         support = np.flatnonzero(support)
         y_s = state.y[support]
         chol, info = dpotrf((y_s @ y_s.T) ** 2)
@@ -391,7 +397,7 @@ def _newton_polish(pts: np.ndarray, u: np.ndarray, state: _Moments, tol: float):
         falling = np.flatnonzero(d < 0.0)
         if falling.size:
             ratios = u_s[falling] / -d[falling]
-            k = int(np.argmin(ratios))
+            k = int(ratios.argmin())
             if ratios[k] < 1.0:
                 step, blocking = float(ratios[k]), support[falling[k]]
         u = u.copy()
@@ -417,7 +423,7 @@ def _newton_polish(pts: np.ndarray, u: np.ndarray, state: _Moments, tol: float):
 
 def _half_logdet(state: _Moments) -> float:
     """1/2 log det M = sum_i log R_ii of an exact recompute."""
-    return float(np.log(np.diagonal(state.r)).sum())
+    return float(np.log(state.r.diagonal()).sum())
 
 
 def _check_spans(mat: np.ndarray, m: int) -> None:
@@ -440,9 +446,8 @@ def _fit_inside(body: SymmetricPolytope, mat: np.ndarray, inv: np.ndarray,
     rounding; either can leave |F^T a_i| a few ulp above 1.
     """
     scale = 1.0
+    ell = Ellipsoid.factored(mat, inv, logdet, body.anchor)
     while True:
-        ell = Ellipsoid.factored(mat * scale, inv / scale,
-                                 logdet + body.n * np.log(scale), body.anchor)
         images = body.A @ ell.mat
         reach_sq = float((images * images).sum(axis=1).max())
         if reach_sq <= 1.0:
@@ -450,6 +455,8 @@ def _fit_inside(body: SymmetricPolytope, mat: np.ndarray, inv: np.ndarray,
         if not np.isfinite(reach_sq):
             raise NumericalError("inscribed ellipsoid factor is not finite")
         scale /= np.sqrt(reach_sq) * (1.0 + 4.0 * _EPS)
+        ell = Ellipsoid.factored(mat * scale, inv / scale,
+                                 logdet + body.n * np.log(scale), body.anchor)
 
 
 def _solve_mve_oracle(body: SymmetricPolytope, gap: float) -> JohnSolution:

@@ -31,7 +31,7 @@ from .geometry import (
     Ellipsoid,
     Polytope,
     _log_unit_ball_volume,
-    ball_points,
+    ball_point,
     chord,
     contains,
     local_norm,
@@ -122,7 +122,7 @@ def propose(ell: Ellipsoid, r: float, rng: np.random.Generator) -> np.ndarray:
     """Uniform draw from the ellipsoid shrunk by factor r about its center."""
     if r <= 0.0:
         raise GeometryError("proposal radius must be positive")
-    u = ball_points(ell.n, 1, rng)[0]
+    u = ball_point(ell.n, rng)
     return ell.center + r * (ell.mat @ u)
 
 
@@ -135,7 +135,7 @@ def john_step(poly: Polytope, state: WalkState, config: WalkConfig) -> WalkState
         tallies.lazy_hold += 1
         return state
     z = propose(state.ellipsoid, r, rng)
-    if np.any(poly.slacks(z) <= 0.0):
+    if (poly.slacks(z) <= 0.0).any():
         tallies.reject_outside += 1
         return state
     ell_z = _ellipsoid_at(poly, z, config)
@@ -157,7 +157,7 @@ def _trajectory(poly: Polytope, x0: np.ndarray, steps: int, start) -> np.ndarray
     if steps < 0:
         raise GeometryError("steps must be nonnegative")
     x = np.asarray(x0, dtype=float)
-    if np.any(poly.slacks(x) <= 0.0):
+    if (poly.slacks(x) <= 0.0).any():
         raise GeometryError(f"start point {x.tolist()} is not strictly interior")
     step = start(x)
     samples = np.empty((steps + 1, poly.n))
@@ -222,7 +222,7 @@ def ball_walk_step(
     if not 0.0 < delta < math.inf:
         raise GeometryError(f"ball walk radius must be positive and finite, not {delta}")
     x = np.asarray(x, dtype=float)
-    z = x + delta * ball_points(poly.n, 1, rng)[0]
+    z = x + delta * ball_point(poly.n, rng)
     if contains(poly, z):
         return z
     if not contains(poly, x):

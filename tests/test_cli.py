@@ -92,6 +92,18 @@ class TestEmitSamples:
         back = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(back, original)
 
+    def test_lines_match_savetxt(self, tmp_path, rng):
+        # np.savetxt is the reference for the sample lines, signed zeros,
+        # subnormals and extreme exponents included.
+        samples = rng.standard_normal((30, 4)) * 10.0 ** rng.integers(-320, 308, size=(30, 4))
+        samples[0] = [-0.0, 0.0, 5e-324, -1.7976931348623157e308]
+        path = tmp_path / "s.csv"
+        emit_samples(samples, str(path))
+        with open(tmp_path / "ref.csv", "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("x1,x2,x3,x4\n")
+            np.savetxt(fh, samples, fmt="%.17g", delimiter=",")
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
 
 class TestParseNRange:
     def test_colon_range(self):
@@ -262,6 +274,8 @@ class TestSampleCommand:
         pytest.param(["--start", "1,0"], "point [1.0, 0.0] is not strictly interior",
                      id="start-boundary"),
         pytest.param(["--seed", "-1"], "seed must be nonnegative, not -1", id="seed"),
+        pytest.param(["--start="], "cannot parse vector ''", id="start-empty"),
+        pytest.param(["--manifest="], "cannot read manifest", id="manifest-empty"),
     ])
     @pytest.mark.parametrize("walk", ["john", "ball", "hitrun"])
     def test_refused_start_or_seed_writes_nothing(self, square, tmp_path, capsys,
@@ -306,6 +320,25 @@ class TestSampleCommand:
         assert code == 2
         assert "non-finite entries" in capsys.readouterr().err
         assert list(tmp_path.glob("b.*")) == []
+
+    def test_reused_parser_carries_no_state(self, square, tmp_path):
+        # The parser is built once per process: a call that sets every walk
+        # flag must leave the next call's defaults as they were.
+        def run(name, *flags):
+            assert main(["sample", "--polytope", square, "--steps", "10", "--seed", "4",
+                         *flags, "--out", str(tmp_path / name)]) == 0
+            manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+            return manifest, (tmp_path / f"{name}.samples.csv").read_bytes()
+
+        first, csv = run("a")
+        middle, _ = run("b", "--no-lazy", "--c", "2", "--solver", "vaidya", "--gap", "1e-5",
+                        "--start", "0.1,-0.2")
+        assert (middle["lazy"], middle["c"], middle["solver"], middle["gap"]) \
+            == (False, 2.0, "vaidya", 1e-5)
+        third, csv_third = run("c")
+        assert (third["lazy"], third["c"], third["solver"], third["gap"], third["start"]) \
+            == (True, 0.5, "oracle", None, [0.0, 0.0])
+        assert csv_third == csv
 
     def test_requires_polytope_or_manifest(self, capsys):
         assert main(["sample"]) == 2
@@ -370,6 +403,13 @@ class TestMveCommand:
     def test_non_finite_point_exits_two(self, square, capsys):
         assert main(["mve", "--polytope", square, "--point", "nan,0"]) == 2
         assert "point [nan, 0.0] has non-finite entries" in capsys.readouterr().err
+
+    def test_empty_point_exits_two(self, square, capsys):
+        # An empty value is a malformed point, not a request for the center.
+        assert main(["mve", "--polytope", square, "--point="]) == 2
+        captured = capsys.readouterr()
+        assert "cannot parse vector ''" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("solver, gap", [
         pytest.param("oracle", "1e-9", id="oracle"),

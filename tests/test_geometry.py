@@ -13,6 +13,7 @@ from johnswalk.geometry import (
     _damped_newton,
     _log_barrier,
     analytic_center,
+    ball_point,
     ball_points,
     chord,
     contains,
@@ -108,6 +109,14 @@ class TestSymmetrize:
     def test_non_interior_point_names_row(self):
         with pytest.raises(GeometryError, match="row 0"):
             symmetrize(cube(2), np.array([1.0, 0.0]))
+
+    def test_row_overflowing_its_slack_raises(self):
+        # The derived rows are not validated again, but a row of norm 1e300
+        # divided by its slack of 1e-10 is not finite.
+        with np.errstate(over="ignore"), pytest.raises(GeometryError, match="row 0"):
+            poly = Polytope(np.array([[1e300, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+                            np.array([1e-10, 1.0, 1.0, 1.0]))
+            symmetrize(poly, np.zeros(2))
 
     def test_involution_at_origin(self, rng):
         # Symmetrizing an already symmetric body at its center reproduces
@@ -270,6 +279,12 @@ class TestSpherePoints:
     def test_ball_points_inside(self, rng):
         pts = ball_points(4, 500, rng)
         assert np.all(np.linalg.norm(pts, axis=1) <= 1.0 + 1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 10])
+    def test_ball_point_is_first_of_ball_points(self, n):
+        one, batch = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(200):
+            assert ball_point(n, one).tobytes() == ball_points(n, 1, batch)[0].tobytes()
 
     def test_ball_radial_law(self, rng):
         # P(|u| <= t) = t^n for uniform ball draws.

@@ -277,6 +277,22 @@ class TestRunChain:
                                WalkConfig(seed=1, solver=solver))
         assert tallies.total == 50 and tallies.lazy_hold < 50
 
+    @pytest.mark.parametrize("make", [lambda: cube(3), lambda: unit_normal_polytope(10, 60, 0)],
+                             ids=["cube3", "rand10x60"])
+    def test_no_validation_per_point(self, monkeypatch, make):
+        # symmetrize derives each body from the validated polytope, and the
+        # oracle route hands over a factored ellipsoid, so no step validates
+        # an array again.
+        poly = make()
+        start = analytic_center(poly)
+
+        def validate(*args):
+            raise AssertionError("a step validated an array again")
+
+        monkeypatch.setattr(geometry, "_as_float_array", validate)
+        _, tallies = run_chain(poly, start, 50, WalkConfig(seed=1))
+        assert tallies.total == 50 and tallies.lazy_hold < 50
+
     def test_lazy_coin_frequency(self):
         # The coin alone holds half the time: 4 sigma over the run length.
         steps = 100_000
