@@ -91,10 +91,16 @@ class Polytope:
 
     @cached_property
     def row_facts(self) -> tuple:
-        """(:func:`parallel_classes` of the rows, whether the unit rows span
-        R^n): facts that no positive row scaling changes, computed once."""
-        units = self.A / np.linalg.norm(self.A, axis=1)[:, None]
-        return parallel_classes(self.A), moments_span(units.T @ units, self.m)
+        """:func:`row_facts` of A, computed once."""
+        return row_facts(self.A)
+
+
+def row_facts(a: np.ndarray) -> tuple:
+    """(:func:`parallel_classes` of the rows of a, whether its unit rows span
+    R^n): facts that no positive row scaling changes, so a body symmetrized
+    anywhere has those of the polytope it came from."""
+    units = a / np.linalg.norm(a, axis=1)[:, None]
+    return parallel_classes(a), moments_span(units.T @ units, a.shape[0])
 
 
 def moments_span(mat: np.ndarray, m: int) -> bool:
@@ -144,37 +150,45 @@ class SymmetricPolytope:
     membership of y and -y always coincide. A row listed with its negation
     describes the same body, only redundantly. ``anchor`` records the center
     of symmetry in the original coordinates of the body this was derived
-    from. ``distinct``, set by :func:`symmetrize` when the rows span, holds
-    the indices of one row per direction (:func:`longest_per_class`).
+    from.
 
     A body built directly has its rows and anchor checked: finite, of
-    matching dimensions. :func:`symmetrize` derives its rows from a validated
-    :class:`Polytope` and builds the body through ``_derived``, which checks
-    nothing.
+    matching dimensions, no row zero. :func:`symmetrize` derives its rows
+    from a validated :class:`Polytope` and builds the body through
+    ``_derived``, which checks nothing.
     """
 
     A: np.ndarray
     anchor: np.ndarray
-    distinct: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         A = _as_float_array(self.A, "A")
         anchor = _as_float_array(self.anchor, "anchor")
         if A.ndim != 2 or anchor.ndim != 1 or A.shape[1] != anchor.shape[0]:
             raise GeometryError("row matrix and anchor dimensions disagree")
+        if not (norms := np.linalg.norm(A, axis=1)).all():
+            raise GeometryError(f"row {int(np.argmin(norms))} of A is identically zero")
         object.__setattr__(self, "A", np.ascontiguousarray(A))
         object.__setattr__(self, "anchor", np.ascontiguousarray(anchor))
 
     @classmethod
-    def _derived(cls, A: np.ndarray, anchor: np.ndarray,
-                 distinct: np.ndarray | None) -> "SymmetricPolytope":
+    def _derived(cls, A: np.ndarray, anchor: np.ndarray) -> "SymmetricPolytope":
         """Body with finite contiguous rows A and anchor of matching
         dimensions, which the caller guarantees, so nothing is checked."""
         body = object.__new__(cls)
         object.__setattr__(body, "A", A)
         object.__setattr__(body, "anchor", anchor)
-        object.__setattr__(body, "distinct", distinct)
         return body
+
+    @cached_property
+    def distinct(self) -> np.ndarray:
+        """Increasing indices of the longest row per class of parallel rows,
+        which every solver route runs on. Raises UnboundedPolytopeError
+        unless the rows span R^n (:func:`row_facts`): the body is unbounded."""
+        classes, spans = row_facts(self.A)
+        if not spans:
+            raise UnboundedPolytopeError("row set does not span; the body is unbounded")
+        return longest_per_class(self.A, classes)
 
     @property
     def n(self) -> int:
@@ -247,10 +261,10 @@ def symmetrize(poly: Polytope, x: np.ndarray) -> SymmetricPolytope:
 
     The result is expressed in coordinates centered at x: each original row
     a_i, divided by its slack s_i = b_i - a_i.x, becomes the constraint pair
-    |a_i . y| <= s_i; ``distinct`` comes from the polytope's ``row_facts``.
-    The rows of a validated polytope are not validated again. Two checks
-    remain, each raising GeometryError naming the row: x must be strictly
-    interior, and no row may overflow when divided by a tiny slack.
+    |a_i . y| <= s_i; ``distinct`` comes from ``poly.row_facts`` if they
+    span. The rows of a validated polytope are not validated again. Two
+    checks remain, each raising GeometryError naming the row: x must be
+    strictly interior, and no row may overflow when divided by a tiny slack.
     """
     x = np.asarray(x, dtype=float)
     s = poly.slacks(x)
@@ -265,9 +279,11 @@ def symmetrize(poly: Polytope, x: np.ndarray) -> SymmetricPolytope:
         raise GeometryError(
             f"row {row} divided by its slack {s[row]:.6e} is not finite"
         )
+    body = SymmetricPolytope._derived(rows, x.copy())
     classes, spans = poly.row_facts
-    return SymmetricPolytope._derived(
-        rows, x.copy(), longest_per_class(rows, classes) if spans else None)
+    if spans:
+        body.__dict__["distinct"] = longest_per_class(rows, classes)
+    return body
 
 
 def local_norm(ell: Ellipsoid, y: np.ndarray) -> float:

@@ -40,12 +40,12 @@ A symmetric body holds one row per constraint pair (see
 both halves. Both routes solve on one row per direction
 (:func:`_distinct_rows`): of exactly parallel rows only the longest binds,
 so boxes and other bodies with parallel facets shrink to fewer rows. The
-row classes and the span test are facts of the polytope a body was
-symmetrized from, computed once; a body built directly is classed and
-span-checked (:func:`_check_spans`) per solve. Both return an ellipsoid
-checked against every row of the body, shrunk if rounding left it outside
-one, together with an upper bound ``logdet_gap`` on how far its log volume
-can sit below the optimum.
+body picks them and makes the one span test (``SymmetricPolytope.distinct``),
+so both routes raise the same UnboundedPolytopeError on an unbounded body
+before any solver work; a symmetrized body takes both from its polytope,
+computed once. Both return an ellipsoid checked against every row of the
+body, shrunk if rounding left it outside one, together with an upper bound
+``logdet_gap`` on how far its log volume can sit below the optimum.
 """
 
 from __future__ import annotations
@@ -59,9 +59,8 @@ from scipy.linalg.lapack import dgeqp3, dgeqrf, dorgqr, dpotrf, dpotrs, dtrtri
 from scipy.optimize import nnls
 
 from . import vaidya as _vaidya
-from .errors import GeometryError, NumericalError, SolverError, UnboundedPolytopeError
-from .geometry import (Ellipsoid, SymmetricPolytope, longest_per_class, moments_span,
-                       parallel_classes)
+from .errors import GeometryError, NumericalError, SolverError
+from .geometry import Ellipsoid, SymmetricPolytope
 
 _ASCENT_MAX_ITER = 500_000
 # Ascent iterations between exact recomputes of the moment matrix.
@@ -113,21 +112,16 @@ def vec_to_sym(v: np.ndarray, n: int) -> np.ndarray:
 
 
 def _distinct_rows(body: SymmetricPolytope) -> np.ndarray:
-    """One row per direction of the symmetric body {y : |a_i . y| <= 1}.
-
-    Keeps, of each class of exactly parallel rows, of either sign, the
-    longest row, the first of them on a tie; that row's constraint implies
-    the others'. Symmetrizing a body with parallel facets, a box for one,
-    yields such classes, and so does a body that lists a row with both
-    signs. The classes are a fact of the polytope a body was symmetrized
-    from, which :func:`~johnswalk.geometry.symmetrize` attaches as
-    ``body.distinct``; a body built directly is classed here, per call.
-    Both solver routes run on these rows, in the body's order; they give
-    the same optimum as all rows.
+    """One row per direction of the symmetric body {y : |a_i . y| <= 1}:
+    of each class of exactly parallel rows, of either sign, the longest,
+    whose constraint implies the others'. Symmetrizing a body with parallel
+    facets, a box for one, yields such classes, and so does a body that
+    lists a row with both signs. The body picks them and decides that they
+    span (``body.distinct``, which raises UnboundedPolytopeError when they
+    do not). Both solver routes run on these rows, in the body's order;
+    they give the same optimum as all rows.
     """
     keep = body.distinct
-    if keep is None:
-        keep = longest_per_class(body.A, parallel_classes(body.A))
     return body.A if keep.size == body.rows else body.A[keep]
 
 
@@ -200,7 +194,7 @@ class _Moments(NamedTuple):
     g: np.ndarray  # leverages g_i = p_i^T M^-1 p_i = |y_i|^2
 
 
-def _khachiyan_ascent(points: np.ndarray, tol: float, spans: bool = False):
+def _khachiyan_ascent(points: np.ndarray, tol: float):
     """Maximize log det sum_i u_i p_i p_i^T over the simplex in two phases:
     a coarse multiplicative-weight ascent with away steps (Khachiyan, Math.
     Oper. Res. 1996), then Newton steps on the support of the weights
@@ -241,13 +235,11 @@ def _khachiyan_ascent(points: np.ndarray, tol: float, spans: bool = False):
     Stops once max_i p_i^T M^-1 p_i <= n (1 + tol), within
     ``_ASCENT_MAX_ITER`` ascent iterations. Returns (u, state, g_max,
     iterations, newton_steps), ``state`` the certifying exact recompute.
-    Unless ``spans`` says the caller knows the points span R^n,
-    :func:`_check_spans` tests that first.
+    The points must span R^n; the solver routes take them from
+    ``body.distinct``, which tests that.
     """
     pts = np.asarray(points, dtype=float)
     m, n = pts.shape
-    if not spans:
-        _check_spans(pts.T @ pts, m)
     u = _core_start(pts) if m > n else np.full(m, 1.0 / m)
     state = _exact_moments(pts, u)
     g, inv = state.g, None  # copied, then updated in place, by the ascent
@@ -426,15 +418,6 @@ def _half_logdet(state: _Moments) -> float:
     return float(np.log(state.r.diagonal()).sum())
 
 
-def _check_spans(mat: np.ndarray, m: int) -> None:
-    """Raise unless the m points whose uniform moment matrix is ``mat`` span
-    R^n (:func:`~johnswalk.geometry.moments_span`)."""
-    if not moments_span(mat, m):
-        raise UnboundedPolytopeError(
-            "point set does not span; the polar body is unbounded"
-        )
-
-
 def _fit_inside(body: SymmetricPolytope, mat: np.ndarray, inv: np.ndarray,
                 logdet: float) -> Ellipsoid:
     """The ellipsoid with factor F = ``mat``, inverse ``inv`` and
@@ -462,8 +445,7 @@ def _fit_inside(body: SymmetricPolytope, mat: np.ndarray, inv: np.ndarray,
 def _solve_mve_oracle(body: SymmetricPolytope, gap: float) -> JohnSolution:
     n = body.n
     tol = gap / (2.0 * n)
-    _, state, g_max, iterations, steps = _khachiyan_ascent(
-        _distinct_rows(body), tol, spans=body.distinct is not None)
+    _, state, g_max, iterations, steps = _khachiyan_ascent(_distinct_rows(body), tol)
     # Polar conversion: the inscribed ellipsoid {y : g_max y^T M y <= 1} has
     # the upper triangular factor F = R^-1 / sqrt(g_max), and
     # |F^T a_i|^2 = g_i / g_max <= 1 certifies it.
@@ -493,7 +475,7 @@ def dual_logdet_bound(body: SymmetricPolytope, tol: float = 1e-9) -> float:
     """:func:`_weak_dual_bound` at the oracle route's ascent weights, tight to
     about n * tol / 2: the reference the tests hold both routes' gaps to."""
     rows = _distinct_rows(body)
-    u, _, _, _, _ = _khachiyan_ascent(rows, tol, spans=body.distinct is not None)
+    u, _, _, _, _ = _khachiyan_ascent(rows, tol)
     return _weak_dual_bound(rows, u)
 
 
@@ -516,7 +498,8 @@ def dikin_precondition(body: SymmetricPolytope):
     vals, vecs = np.linalg.eigh(hess)
     if vals[0] <= 1e-14 * max(vals[-1], 1.0):
         raise NumericalError(
-            "barrier Hessian is singular; rows do not span (body unbounded)"
+            "barrier Hessian is too ill-conditioned to precondition: its "
+            f"eigenvalues run from {vals[0]:.1e} to {vals[-1]:.1e}"
         )
     inv_sqrt = (vecs * (1.0 / np.sqrt(vals))) @ vecs.T
     return inv_sqrt, SymmetricPolytope(a @ inv_sqrt, body.anchor.copy())

@@ -38,8 +38,13 @@ class TestPolytope:
             Polytope(np.eye(2), np.ones(3))
 
     def test_zero_row_rejected(self):
-        with pytest.raises(GeometryError):
-            Polytope(np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2))
+        # A symmetric body built directly is checked as a polytope is: a
+        # zero row has no unit row for the span test.
+        a = np.array([[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(GeometryError, match="row 1"):
+            Polytope(a, np.ones(2))
+        with pytest.raises(GeometryError, match="row 1"):
+            SymmetricPolytope(a, np.zeros(2))
 
     def test_non_finite_rejected(self):
         with pytest.raises(GeometryError):
@@ -128,12 +133,16 @@ class TestSymmetrize:
         assert rows1 == rows2
 
     def test_only_symmetrize_attaches_row_indices(self):
-        # The solver trusts the indices to pick rows and skip the span test,
-        # so a caller cannot hand them in.
+        # The solvers trust the indices to pick rows that span, so a caller
+        # cannot hand them in: symmetrize attaches the polytope's, and a
+        # body built directly derives the same ones on first use.
         with pytest.raises(TypeError):
             SymmetricPolytope(np.eye(2), np.zeros(2), distinct=np.arange(1))
-        assert SymmetricPolytope(np.eye(2), np.zeros(2)).distinct is None
-        assert np.array_equal(symmetrize(cube(2), np.zeros(2)).distinct, [0, 1])
+        body = symmetrize(cube(2), np.zeros(2))
+        twin = SymmetricPolytope(body.A, body.anchor)
+        assert "distinct" in vars(body) and "distinct" not in vars(twin)
+        assert np.array_equal(body.distinct, [0, 1])
+        assert np.array_equal(twin.distinct, body.distinct)
 
 
 class TestEllipsoid:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from johnswalk import geometry, mve, walk
+from johnswalk import geometry, walk
 from johnswalk.diagnostics import ess, uniformity_chi_square
 from johnswalk.errors import GeometryError
 from johnswalk.geometry import (
@@ -263,16 +263,16 @@ class TestRunChain:
     ], ids=["oracle-cube3", "oracle-rand10x60", "vaidya-cube3", "vaidya-rand3x9"])
     def test_no_class_or_span_work_per_point(self, monkeypatch, solver, make):
         # The row classes and the span test are facts of the polytope,
-        # computed once, here before the chain starts.
+        # computed once, here before the chain starts; every body the walk
+        # solves is symmetrized from it, so neither route runs them again.
         poly = make()
         assert poly.row_facts[1]
 
         def per_point(*args):
             raise AssertionError("a step re-derived a fact of the polytope")
 
-        for module, name in ((geometry, "parallel_classes"), (mve, "parallel_classes"),
-                             (mve, "_check_spans")):
-            monkeypatch.setattr(module, name, per_point)
+        for name in ("parallel_classes", "moments_span"):
+            monkeypatch.setattr(geometry, name, per_point)
         _, tallies = run_chain(poly, analytic_center(poly), 50,
                                WalkConfig(seed=1, solver=solver))
         assert tallies.total == 50 and tallies.lazy_hold < 50
