@@ -51,13 +51,21 @@ def load_polytope(path: str) -> Polytope:
 
 def emit_samples(samples: np.ndarray, path: str) -> None:
     """Write samples as CSV with header x1..xn and 17-significant-digit
-    floats (exact binary64 round trip)."""
-    samples = np.asarray(samples, dtype=float)
+    floats (exact binary64 round trip). A chain repeats its state at every
+    lazy hold and rejection, so each run of bitwise equal rows is formatted
+    once; the bits decide, since -0.0 == 0.0 prints differently."""
+    samples = np.ascontiguousarray(samples, dtype=float)
     n = samples.shape[1]
     row = ",".join(["%.17g"] * n) + "\n"  # np.savetxt's lines, without its wrappers
+    bits = samples.view(np.uint64)
+    fresh = np.ones(samples.shape[0], dtype=bool)
+    fresh[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    starts = np.flatnonzero(fresh)
+    repeats = np.diff(np.append(starts, samples.shape[0]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(f"x{j + 1}" for j in range(n)) + "\n")
-        fh.writelines(row % tuple(values.tolist()) for values in samples)
+        fh.writelines((row % tuple(values)) * k
+                      for values, k in zip(samples[starts].tolist(), repeats.tolist()))
 
 
 # Annotation of a scalar manifest field -> (accepted JSON value types, wording).

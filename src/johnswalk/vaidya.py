@@ -27,7 +27,9 @@ natural logarithms:
               + 0.5 ln((1 + TAU) / (1 - EPS)) + 2 ln rho - ln 2) / DELTA_V)
 
 A run makes at most min(T, 20000) oracle calls and stops when an iterate
-has no strict slack left. A feasibility search is the minimization of the
+has no strict slack left, or at the first improving feasible iterate that
+the caller's own stop test certifies.
+A feasibility search is the minimization of the
 zero function, which ends at the first accepted point. Small volume is
 certified only by a bound: at the analytic center of an N-row polytope the
 body lies inside the radius-N Dikin ellipsoid (Sonnevend), so
@@ -91,8 +93,8 @@ class SmallVolumeCertificate:
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    """Status "optimal_subgradient", "small_volume", "stagnated" or "budget"
-    from ``vaidya_minimize``, "point" or "small_volume" from
+    """Status "optimal_subgradient", "certified", "small_volume", "stagnated"
+    or "budget" from ``vaidya_minimize``, "point" or "small_volume" from
     ``vaidya_feasibility``, and "infeasible" on the result a SolverError
     carries."""
 
@@ -261,6 +263,7 @@ def vaidya_minimize(
     d: int,
     level: float,
     rho: float,
+    stop: Optional[Callable[[np.ndarray], bool]] = None,
 ) -> MinimizeResult:
     """Minimize a convex function f over a convex target set through one
     first-order oracle, starting from the box {|z_i| <= rho}.
@@ -269,8 +272,13 @@ def vaidya_minimize(
     asserting that the set lies in {z : w^T (z - x) <= 0}, and (f(x), g)
     with g a subgradient of f at x when x is inside. Feasible iterates are
     recorded and the best one is returned; a zero subgradient returns its
-    iterate immediately. Raises SolverError carrying the volume certificate
-    when no feasible iterate was ever seen.
+    iterate immediately. ``stop(x)``, when given, is asked at each feasible
+    iterate that lowers the best value, and the first iterate it holds at is
+    returned with status "certified": the caller's own certificate ends the
+    run. Without it, or while it does not hold, the run ends at small
+    volume, at an iterate with no strict slack left, or at the budget, and
+    returns its best iterate. Raises SolverError carrying the volume certificate when no feasible
+    iterate was ever seen.
     """
     engine = _Engine(d, rho)
     budget = min(iteration_bound(d, level, rho), _CALL_CAP)
@@ -278,6 +286,7 @@ def vaidya_minimize(
     log_threshold = -level * d * math.log(2.0) + _log_unit_ball_volume(d)
     cap = MAX_CONSTRAINTS_FACTOR * d
     history: list[tuple[np.ndarray, float]] = []
+    best_value = math.inf
     calls = 0
     status = "budget"
     try:
@@ -309,6 +318,11 @@ def vaidya_minimize(
                     # zero subgradient: this iterate is optimal over the target set
                     return MinimizeResult(x, history[-1][1], history, calls,
                                           "optimal_subgradient", engine.state)
+                if history[-1][1] < best_value:
+                    best_value = history[-1][1]
+                    if stop is not None and stop(x):
+                        return MinimizeResult(x, best_value, history, calls,
+                                              "certified", engine.state)
             engine.add_cut(w)
     except _IterateOutside:
         # A cut through an optimum on the target's boundary can leave the

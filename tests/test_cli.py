@@ -104,6 +104,18 @@ class TestEmitSamples:
             np.savetxt(fh, samples, fmt="%.17g", delimiter=",")
         assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    def test_repeated_rows_match_savetxt(self, tmp_path, rng):
+        # Runs of equal rows are formatted once, but only bitwise equal rows
+        # share a line: 0.0 and -0.0 compare equal and print differently.
+        a, b = rng.standard_normal((2, 2))
+        samples = np.array([a, a, a, b, b, a, [0.0, 1.5], [-0.0, 1.5], [-0.0, 1.5]])
+        path = tmp_path / "s.csv"
+        emit_samples(samples, str(path))
+        with open(tmp_path / "ref.csv", "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("x1,x2\n")
+            np.savetxt(fh, samples, fmt="%.17g", delimiter=",")
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
 
 class TestParseNRange:
     def test_colon_range(self):

@@ -1,4 +1,6 @@
+import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from johnswalk.mve import (
     vec_to_sym,
     verify_john_conditions,
 )
+from johnswalk.vaidya import vaidya_minimize
 from johnswalk.walk import _effective_gap
 
 from conftest import (
@@ -50,6 +53,24 @@ from conftest import (
 
 def centered_body(poly):
     return symmetrize(poly, np.zeros(poly.n))
+
+
+def exact_weak_dual_bound(rows, weights):
+    """mve._weak_dual_bound in rational arithmetic on the binary64 inputs:
+    the moment matrix and its determinant are exact, and only the final
+    float conversion and log round."""
+    n = rows.shape[1]
+    w = [Fraction(float(x)) for x in weights]
+    a = [[Fraction(float(x)) for x in row] for row in rows]
+    m = [[sum(n * wi / sum(w) * ai[j] * ai[k] for wi, ai in zip(w, a)) for k in range(n)]
+         for j in range(n)]
+    det = Fraction(1)
+    for i in range(n):  # Gaussian elimination; the moment matrix is PD
+        det *= m[i][i]
+        for r in range(i + 1, n):
+            f = m[r][i] / m[i][i]
+            m[r] = [x - f * y for x, y in zip(m[r], m[i])]
+    return -0.5 * math.log(det)
 
 
 def diamond_body():
@@ -591,9 +612,11 @@ class TestSolveMveHardBodies:
 
 
 class TestSolveMveVaidyaBreakdown:
-    """Bodies whose localization polytope grows too ill-conditioned to
-    factor before the run ends; the run stops with its best iterate, which
-    still certifies the requested gap."""
+    """Bodies whose localization polytope, run on to the engine's volume
+    stop, grew too ill-conditioned to factor: the engine stopped "stagnated"
+    there, after 432, 527 and 868 oracle calls on the seed-0 bodies. The
+    route now stops at its first improving point that certifies the
+    requested gap, long before that breakdown."""
 
     @pytest.mark.parametrize("n, m, gap", [(5, 15, 2e-7), (6, 18, 1e-5)])
     def test_certifies_within_five_seconds(self, n, m, gap):
@@ -604,6 +627,21 @@ class TestSolveMveVaidyaBreakdown:
         assert time.perf_counter() - start < 5.0
         assert sol.logdet_gap <= gap
         assert np.all(np.linalg.norm(body.A @ sol.ellipsoid.mat, axis=1) <= 1.0)
+
+    @pytest.mark.parametrize("n, m, gap", [(5, 15, 2e-7), (6, 18, 1e-5), (8, 24, 1e-5)])
+    def test_stops_certified_not_stagnated(self, monkeypatch, n, m, gap):
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(vaidya_minimize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(mve._vaidya, "vaidya_minimize", recording)
+        body = _at_center(unit_normal_polytope(n, m, 0))
+        sol = solve_mve(body, method="vaidya", gap=gap)
+        assert [r.status for r in results] == ["certified"]
+        assert sol.logdet_gap <= gap
+        assert sol.iterations == results[0].oracle_calls
 
 
 def _at_center(poly):
@@ -646,11 +684,27 @@ class TestCuttingPlaneCertificate:
         sol = solve_mve(body, method="vaidya", gap=gap)
         monkeypatch.undo()
         assert_inscribed_and_certified(body, sol, gap)
+        # The route stops at its first answer that certifies the request, so
+        # its own bound sits just under the gap: at least the true gap, read
+        # from a tight dual reference, and at most what was asked.
         logdet = sol.ellipsoid.logdet
-        reference = max(0.0, dual_logdet_bound(body, tol=gap / (2 * body.n)) - logdet)
-        assert abs(sol.logdet_gap - reference) <= 1e-13
+        tight = max(0.0, dual_logdet_bound(body, tol=1e-13) - logdet)
+        assert tight - 1e-13 <= sol.logdet_gap <= gap
         oracle = solve_mve(body, method="oracle", gap=gap)
         assert sol.logdet_gap >= oracle.ellipsoid.logdet - logdet - 1e-12
+
+    @pytest.mark.parametrize("seed", [7, 12, 19, 33])
+    def test_dual_bound_holds_to_rounding(self, seed):
+        # A log det of the formed moment matrix erred by 1.05 to 2.3 times
+        # the tolerance below on these bodies' contacts. With 3 contacts in
+        # R^3 the bound is the optimum to second order, so such an error put
+        # it below the oracle route's answer.
+        body = _at_center(unit_normal_polytope(3, 9, seed))
+        sol = solve_mve(body, method="vaidya", gap=1e-5)
+        rows, _, weights = mve._contact_dyads(sol.ellipsoid, body, 1e-5)
+        exact = exact_weak_dual_bound(rows, weights)
+        got = mve._weak_dual_bound(rows, weights)
+        assert abs(got - exact) <= 16 * np.finfo(float).eps * (1.0 + abs(exact))
 
     def test_tall_body_certifies_the_walks_default_gap(self):
         body = _at_center(unit_normal_polytope(5, 1000, 0))
@@ -869,7 +923,9 @@ class TestContactExtraction:
         reach = np.linalg.norm(a @ sol.ellipsoid.mat, axis=1)
         assert np.all(1.0 - reach[:2] <= 1e-6)
         res = verify_john_conditions(extract_contacts(sol, body, gap), 2)
-        assert max(res) <= 1e-8
+        # The cutting-plane route stops at its first certified answer, whose
+        # contact weights meet the John conditions only to about sqrt(gap).
+        assert max(res) <= (1e-8 if method == "oracle" else np.sqrt(gap))
 
     def test_rank_deficient_contact_set(self):
         body = centered_body(cube(2))

@@ -5,8 +5,15 @@ import pytest
 
 from johnswalk import vaidya
 from johnswalk.errors import OracleInconsistencyError, SolverError
-from johnswalk.geometry import symmetrize
-from johnswalk.mve import solve_mve
+from johnswalk.geometry import SymmetricPolytope, symmetrize
+from johnswalk.mve import (
+    _distinct_rows,
+    dikin_precondition,
+    separation_oracle_mve,
+    solve_mve,
+    sym_dim,
+    vec_to_sym,
+)
 from johnswalk.vaidya import (
     _NEWTON_TOL,
     DELTA_V,
@@ -20,7 +27,7 @@ from johnswalk.vaidya import (
     vaidya_minimize,
 )
 
-from conftest import box
+from conftest import box, cube
 
 
 def ball_oracle(center, radius):
@@ -387,3 +394,66 @@ class TestMinimize:
         res = vaidya_minimize(first_order(f, sg, box_feas_oracle(0.9)), 2, 11.0, 1.0)
         assert res.state.peak_rows <= 201 * 2
         assert res.value <= 0.05
+
+
+
+def cube_mve_program(n, gap=1e-5):
+    """The log-det program that the cutting-plane route hands the engine for
+    the n-cube at ``gap``: (oracle, d, level, rho). The oracle keeps every
+    query as (point, value), value None at an infeasible point."""
+    body = symmetrize(cube(n), np.zeros(n))
+    image = dikin_precondition(SymmetricPolytope(_distinct_rows(body), body.anchor))[1]
+    queries = []
+
+    def oracle(v):
+        ans = separation_oracle_mve(vec_to_sym(v, n), image)
+        queries.append((v, ans.value))
+        return ans.value, ans.cut
+
+    oracle.queries = queries
+    return oracle, sym_dim(n), np.log2(4.0 / gap) + 1.0, float(2 * image.rows)
+
+
+class TestStop:
+    def test_never_holding_stop_changes_nothing(self):
+        plain = vaidya_minimize(*cube_mve_program(2))
+        asked = []
+        never = vaidya_minimize(*cube_mve_program(2), stop=lambda x: asked.append(x) or False)
+        assert asked
+        assert never.oracle_calls == plain.oracle_calls
+        assert np.array_equal(never.point, plain.point)
+        assert never.status == plain.status
+        assert never.state.newton_steps == plain.state.newton_steps
+
+    def test_asked_only_at_improving_feasible_iterates(self):
+        # On the 3-cube 8 of the 119 feasible iterates do not improve.
+        program = cube_mve_program(3)
+        asked = []
+        vaidya_minimize(*program, stop=lambda x: asked.append(x) or False)
+        feasible = [(x, value) for x, value in program[0].queries if value is not None]
+        best, improving = math.inf, []
+        for x, value in feasible:
+            if value < best:
+                best = value
+                improving.append(x)
+        assert 0 < len(improving) < len(feasible)
+        assert len(asked) == len(improving)
+        assert all(a is b for a, b in zip(asked, improving))
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_first_holding_call_ends_the_run(self, k):
+        program = cube_mve_program(2)
+        queries = program[0].queries
+        asked = []
+
+        def stop(x):
+            asked.append((x, len(queries)))
+            return len(asked) == k
+
+        res = vaidya_minimize(*program, stop=stop)
+        point, calls = asked[-1]
+        assert len(asked) == k
+        assert res.status == "certified"
+        assert res.point is point is queries[-1][0]
+        assert res.value == queries[-1][1]
+        assert res.oracle_calls == calls == len(queries)
