@@ -32,7 +32,8 @@ Two routes that share no solver are provided, so each checks the other:
   within slack max(1e-6, gap/(2n)) of the boundary (:func:`_contact_dyads`),
   and the engine stops at the first improving point whose own certificate
   meets the requested gap (:func:`_vaidya_answer` builds it), so the answer
-  certifies just under the request.
+  certifies just under the request; only with n rows near contact by the
+  oracle's row values a_i^T X a_i does the stop test build it.
   Symmetric matrices travel through the engine as vectors of the upper
   triangle with off-diagonal entries scaled by sqrt(2), so the Frobenius
   inner product of matrices equals the dot product of their vectors.
@@ -110,7 +111,7 @@ def vec_to_sym(v: np.ndarray, n: int) -> np.ndarray:
     x = np.zeros((n, n))
     x[iu, ju] = v / w
     x = x + x.T
-    x[np.diag_indices(n)] *= 0.5
+    x.flat[::n + 1] *= 0.5
     return x
 
 
@@ -518,20 +519,23 @@ class OracleAnswer:
     """Answer of the inscribed-ellipsoid separation oracle at a symmetric
     matrix X, already vectorized for the cutting-plane engine.
 
-    kind is "feasible" (value = -logdet X, cut = its gradient -X^-1),
-    "constraint" (cut = a_i a_i^T for the first violated row i) or "psd"
-    (cut = -v v^T for an eigenvector v with eigenvalue below 1/n).
+    kind is "feasible" (value = -logdet X, cut = its gradient -X^-1, and
+    ``rows`` the values a_i^T X a_i of every row), "constraint"
+    (cut = a_i a_i^T for the first violated row i) or "psd" (cut = -v v^T
+    for an eigenvector v with eigenvalue below 1/n).
     """
 
     kind: str
     cut: np.ndarray
     value: Optional[float] = None
+    rows: Optional[np.ndarray] = None
 
 
 def separation_oracle_mve(x_mat: np.ndarray, body: SymmetricPolytope) -> OracleAnswer:
     """Separate the matrix X from the feasible set {<X, a_i a_i^T> <= 1,
     X >= I/n} of the inscribed-ellipsoid program, or report feasibility
-    together with the objective -logdet X and its gradient."""
+    together with the objective -logdet X, its gradient and the row values
+    a_i^T X a_i, each |X^(1/2) a_i|^2."""
     x_mat = np.asarray(x_mat, dtype=float)
     n = body.n
     if x_mat.shape != (n, n):
@@ -550,7 +554,8 @@ def separation_oracle_mve(x_mat: np.ndarray, body: SymmetricPolytope) -> OracleA
         return OracleAnswer(kind="psd", cut=sym_to_vec(-np.outer(v, v)))
     # Every eigenvalue is at least 1/n here: the eigh gives logdet X and X^-1.
     inv = (vecs / vals) @ vecs.T
-    return OracleAnswer(kind="feasible", cut=sym_to_vec(-inv), value=-float(np.log(vals).sum()))
+    return OracleAnswer(kind="feasible", cut=sym_to_vec(-inv),
+                        value=-float(np.log(vals).sum()), rows=vals_rows)
 
 
 def _vaidya_answer(body: SymmetricPolytope, inv_sqrt_h: np.ndarray,
@@ -586,14 +591,24 @@ def _solve_mve_vaidya(body: SymmetricPolytope, gap: float) -> JohnSolution:
     rho = float(2 * image.rows)
     level = np.log2(4.0 / gap) + 1.0
 
+    # _fit_inside only shrinks the factor F, so a contact a_i of _contact_dyads
+    # has |F^T a_i|^2 >= (1 - slack)^2, which is a^T X a for its image row a;
+    # one more slack covers rounding.
+    near = max(0.0, 1.0 - 2.0 * max(_CONTACT_SLACK, gap / (2 * n))) ** 2
+    answered = [None, None]  # the point the oracle last answered, its row values
+
     def oracle(v: np.ndarray):
         ans = separation_oracle_mve(vec_to_sym(v, n), image)
+        answered[:] = v, ans.rows
         return ans.value, ans.cut
 
     last = [None, None]  # the point the engine last asked about, its answer
 
     def certified(v: np.ndarray) -> bool:
         last[:] = v, None
+        # With fewer than n rows near contact _contact_dyads would find none.
+        if answered[0] is v and np.count_nonzero(answered[1] >= near) < n:
+            return False
         try:
             last[1] = _vaidya_answer(body, inv_sqrt_h, v, gap)
         except NumericalError:
@@ -603,7 +618,7 @@ def _solve_mve_vaidya(body: SymmetricPolytope, gap: float) -> JohnSolution:
     # The engine raises SolverError when it finds no feasible matrix. It
     # stops at the first improving point that certifies the gap; a run that
     # ends otherwise returns its best point, the last one asked about, whose
-    # answer is recomputed only to raise what the stop test caught.
+    # answer is built again only to raise what the stop test caught or skipped.
     result = _vaidya.vaidya_minimize(oracle, sym_dim(n), level, rho, stop=certified)
     point, answer = last
     if point is not result.point or answer is None:

@@ -11,11 +11,13 @@ method steps with, and Q <= Hess V <= 3Q (Anstreicher, Math. Oper. Res.
 one: far looser than the proximity the method was analysed with, and no
 certificate rests on it. Each system gets one LAPACK Cholesky factor. The
 factor of H at an iterate serves the last Newton step, the drop test and
-the next cut.
+the next cut; the slacks h - Gz of a trial point serve its domain test and step.
 Each round either drops the constraint of smallest leverage (below
 ``EPS``) or queries the oracle and adds the returned cut through the
 current iterate, backing the iterate off by half a Dikin radius so it stays
-strictly interior.
+strictly interior. The cuts, and the feasible points each cut is checked
+against, live in buffers that double when full; a drop shifts the later
+rows up, so the rows keep the order ``np.delete`` gives.
 
 The conformance constants are fixed module constants: EPS = 0.005,
 TAU = 0.007, DELTA_V = 0.00037, and at most MAX_CONSTRAINTS_FACTOR = 201
@@ -129,22 +131,27 @@ class _IterateOutside(NumericalError):
     Hessian there is too ill-conditioned to factor in binary64."""
 
 
+def _with_room(buf: np.ndarray, k: int) -> np.ndarray:
+    """``buf``, or a copy twice as long when it has no row k."""
+    return buf if k < len(buf) else np.concatenate([buf, np.empty_like(buf)])
+
+
 class _Engine:
     def __init__(self, d: int, rho: float):
         self.d = d
-        self.state = CutState(
-            g_rows=np.vstack([np.eye(d), -np.eye(d)]),
-            h_offs=np.full(2 * d, float(rho)),
-            iterate=np.zeros(d),
-            peak_rows=2 * d,
-        )
-        self._memo = (None, None, None)
+        self._g, self._h = np.vstack([np.eye(d), -np.eye(d)]), np.full(2 * d, float(rho))
+        self.state = CutState(self._g[:], self._h[:], np.zeros(d), peak_rows=2 * d)
+        self._memo = self._slack_memo = (None, None, None)
         self._recenter()
 
     # -- barrier quantities -------------------------------------------------
 
     def _slacks(self, x: np.ndarray) -> np.ndarray:
-        return self.state.h_offs - self.state.g_rows @ x
+        """h - Gx, kept until the point object or the rows change."""
+        rows = self.state.g_rows
+        if self._slack_memo[0] is not x or self._slack_memo[1] is not rows:
+            self._slack_memo = (x, rows, self.state.h_offs - rows @ x)
+        return self._slack_memo[2]
 
     def _barrier(self, x: np.ndarray):
         """(w, chol, sigma) at x: the rows over their slacks, the lower
@@ -156,7 +163,7 @@ class _Engine:
         if self._memo[0] is x and self._memo[1] is rows:
             return self._memo[2]
         s = self._slacks(x)
-        if np.any(s <= 0.0):
+        if (s <= 0.0).any():
             raise _IterateOutside("iterate left the localization polytope")
         w = rows / s[:, None]
         chol, info = dpotrf(w.T @ w, lower=1)
@@ -189,7 +196,7 @@ class _Engine:
         before = self.state.newton_steps
         self.state.iterate, converged = _damped_newton(
             self.state.iterate, self._newton_step,
-            lambda x: bool(np.all(self._slacks(x) > 0.0)),
+            lambda x: bool((self._slacks(x) > 0.0).all()),
             _NEWTON_TOL, _NEWTON_MAX_STEPS,
         )
         if not converged:
@@ -213,9 +220,11 @@ class _Engine:
         if not np.isfinite(width) or width <= 0.0:
             raise NumericalError("degenerate cut direction")
         self.state.iterate = x - 0.5 * dtrtrs(chol, u, lower=1, trans=1)[0] / width
-        self.state.g_rows = np.vstack([self.state.g_rows, w_row])
-        self.state.h_offs = np.append(self.state.h_offs, offset)
-        self.state.peak_rows = max(self.state.peak_rows, self.state.rows)
+        k = self.state.rows
+        self._g, self._h = _with_room(self._g, k), _with_room(self._h, k)
+        self._g[k], self._h[k] = w_row, offset
+        self.state.g_rows, self.state.h_offs = self._g[:k + 1], self._h[:k + 1]
+        self.state.peak_rows = max(self.state.peak_rows, k + 1)
         self._recenter()
 
     def drop_min_leverage(self, threshold: Optional[float]) -> bool:
@@ -230,8 +239,9 @@ class _Engine:
         i = int(np.argmin(sigma))
         if threshold is not None and sigma[i] >= threshold:
             return False
-        self.state.g_rows = np.delete(self.state.g_rows, box + i, axis=0)
-        self.state.h_offs = np.delete(self.state.h_offs, box + i)
+        k, j = self.state.rows, box + i
+        self._g[j:k - 1], self._h[j:k - 1] = self._g[j + 1:k], self._h[j + 1:k]
+        self.state.g_rows, self.state.h_offs = self._g[:k - 1], self._h[:k - 1]
         self.state.drops += 1
         self._recenter()
         return True
@@ -277,8 +287,8 @@ def vaidya_minimize(
     returned with status "certified": the caller's own certificate ends the
     run. Without it, or while it does not hold, the run ends at small
     volume, at an iterate with no strict slack left, or at the budget, and
-    returns its best iterate. Raises SolverError carrying the volume certificate when no feasible
-    iterate was ever seen.
+    returns its best iterate. Raises SolverError carrying the volume
+    certificate when no feasible iterate was ever seen.
     """
     engine = _Engine(d, rho)
     budget = min(iteration_bound(d, level, rho), _CALL_CAP)
@@ -286,6 +296,7 @@ def vaidya_minimize(
     log_threshold = -level * d * math.log(2.0) + _log_unit_ball_volume(d)
     cap = MAX_CONSTRAINTS_FACTOR * d
     history: list[tuple[np.ndarray, float]] = []
+    seen = np.empty((1, d))  # the feasible points of history, in its first rows
     best_value = math.inf
     calls = 0
     status = "budget"
@@ -309,10 +320,11 @@ def vaidya_minimize(
             w = np.asarray(cut, dtype=float)
             if value is None:
                 tol = 1e-9 * (1.0 + float(np.linalg.norm(w)))
-                seen = np.array([point for point, _ in history]).reshape(-1, d)
-                if np.any((seen - x) @ w > tol):
+                if np.any((seen[:len(history)] - x) @ w > tol):
                     raise OracleInconsistencyError("cut excludes a previously feasible point")
             else:
+                seen = _with_room(seen, len(history))
+                seen[len(history)] = x
                 history.append((x, float(value)))
                 if float(np.linalg.norm(w)) == 0.0:
                     # zero subgradient: this iterate is optimal over the target set

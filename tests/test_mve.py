@@ -726,6 +726,67 @@ class TestCuttingPlaneCertificate:
         assert_inscribed_and_certified(body, solve_mve(body, method="vaidya", gap=gap), gap)
 
 
+def stop_tests(monkeypatch, body, gap):
+    """Solve ``body`` on the cutting-plane route at ``gap`` and return, for
+    every stop test the engine asked, (point, skipped): skipped when the test
+    returned without building the answer (:func:`mve._vaidya_answer`)."""
+    answer, built, calls = mve._vaidya_answer, [], []
+
+    def counting(*args):
+        built.append(args)
+        return answer(*args)
+
+    def minimize(oracle, d, level, rho, stop=None):
+        def wrapped(x):
+            before = len(built)
+            held = stop(x)
+            calls.append((x, len(built) == before))
+            assert not (held and calls[-1][1])
+            return held
+        return vaidya_minimize(oracle, d, level, rho, stop=wrapped)
+
+    monkeypatch.setattr(mve, "_vaidya_answer", counting)
+    monkeypatch.setattr(mve._vaidya, "vaidya_minimize", minimize)
+    solve_mve(body, method="vaidya", gap=gap)
+    monkeypatch.undo()
+    return calls
+
+
+class TestStopTestSkip:
+    """The stop test builds its answer only when at least n rows are near
+    contact by the oracle's row values a_i^T X a_i. A skipped test must be
+    one the full answer would not have certified."""
+
+    @pytest.mark.parametrize("gap", [1e-5, 1e-3])
+    @pytest.mark.parametrize("n, m", [(2, 6), (3, 9), (4, 12), (5, 15)])
+    def test_skip_is_conservative(self, monkeypatch, n, m, gap):
+        poly = unit_normal_polytope(n, m, 4)
+        skipped = total = 0
+        for x in (analytic_center(poly),
+                  interior_points(poly, 1, np.random.default_rng([n, m]), shrink=0.5)[0]):
+            body = symmetrize(poly, x)
+            inv_sqrt_h = dikin_precondition(
+                SymmetricPolytope(_distinct_rows(body), body.anchor))[0]
+            calls = stop_tests(monkeypatch, body, gap)
+            for point, skip in calls:
+                if not skip:
+                    continue
+                try:
+                    bound = mve._vaidya_answer(body, inv_sqrt_h, point, gap)[1]
+                except NumericalError:
+                    continue
+                assert bound > gap
+            skipped += sum(skip for _, skip in calls)
+            total += len(calls)
+        assert 2 * skipped >= total > 0
+
+    def test_loose_gap_counts_every_row_near(self, monkeypatch):
+        # At gap / (2n) >= 1/2 the near-contact threshold is clamped at 0;
+        # unclamped, (1 - 2 gap / (2n))^2 would be 1 here.
+        calls = stop_tests(monkeypatch, centered_body(cube(2)), 4.0)
+        assert calls and not any(skip for _, skip in calls)
+
+
 def assert_symmetrize_picks_standalone_rows(body):
     """The rows symmetrize kept from the polytope's classes are, bitwise, the
     rows the same body built directly derives from its own on first use."""
@@ -864,13 +925,16 @@ class TestSeparationOracle:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_feasible_answer_matches_dense_forms(self, n):
         # The feasible answer is read off the oracle's eigendecomposition:
-        # value -logdet X and cut -X^-1, as slogdet and inv give them.
+        # value -logdet X and cut -X^-1, as slogdet and inv give them; its
+        # row values are a_i^T X a_i.
         rng = np.random.default_rng([5, n])
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         x = (q * rng.uniform(1.0 / n, 1.0, size=n)) @ q.T
         x = 0.5 * (x + x.T)
-        ans = separation_oracle_mve(x, centered_body(cube(n)))
+        body = centered_body(cube(n))
+        ans = separation_oracle_mve(x, body)
         assert ans.kind == "feasible"
+        assert ans.rows == pytest.approx(np.sum((body.A @ x) * body.A, axis=1), rel=1e-12)
         sign, logdet = np.linalg.slogdet(x)
         assert sign > 0
         assert ans.value == pytest.approx(-logdet, rel=1e-12)

@@ -165,6 +165,29 @@ class TestEngine:
                     + vaidya._log_unit_ball_volume(3))
         assert engine.log_volume_bound() == pytest.approx(expected, rel=1e-10)
 
+    def test_cut_buffers_match_stacked_rows(self):
+        # The engine keeps its cuts in buffers that grow by doubling; its
+        # rows must equal, bitwise, rows kept by np.vstack and np.delete.
+        rng = np.random.default_rng(17)
+        d, box = 3, 6
+        engine = _Engine(d, 1.0)
+        g_rows, h_offs = engine.state.g_rows.copy(), engine.state.h_offs.copy()
+        for _ in range(48):
+            if rng.random() < 0.7 or engine.state.rows == box:
+                direction, x = rng.standard_normal(d), engine.state.iterate
+                w_row = direction / float(np.linalg.norm(direction))
+                g_rows = np.vstack([g_rows, w_row])
+                h_offs = np.append(h_offs, float(w_row @ x))
+                engine.add_cut(direction)
+            else:
+                sigma = engine._barrier(engine.state.iterate)[2][box:]
+                i = box + int(np.argmin(sigma))
+                g_rows, h_offs = np.delete(g_rows, i, axis=0), np.delete(h_offs, i)
+                assert engine.drop_min_leverage(None)
+            assert np.array_equal(engine.state.g_rows, g_rows)
+            assert np.array_equal(engine.state.h_offs, h_offs)
+        assert engine.state.peak_rows > 4 * d
+
     def test_singular_barrier_hessian_leaves_iterate(self):
         # Rows +-e_1 only: H = w^T w is singular, and its factor fails.
         engine = _Engine(2, 1.0)
@@ -370,6 +393,28 @@ class TestMinimize:
         with pytest.raises(OracleInconsistencyError):
             vaidya_minimize(oracle, 3, 8.0, 1.0)
         assert len(seen) == 3
+
+    @pytest.mark.parametrize("excluded", [0, 8], ids=["first", "last"])
+    def test_cut_excluding_one_point_of_a_long_history_detected(self, excluded):
+        # Nine feasible iterates, more than the first capacities of the
+        # engine's store of feasible points, then a cut that excludes only
+        # one of them; in R^10 the nine offsets leave such a cut to solve for.
+        rng = np.random.default_rng(23)
+        seen = []
+
+        def oracle(x):
+            if len(seen) < 9:
+                seen.append(x)
+                return 0.0, rng.standard_normal(10)
+            offsets = np.array(seen) - x
+            target = np.where(np.arange(9) == excluded, 1.0, -1.0)
+            w = np.linalg.lstsq(offsets, target, rcond=None)[0]
+            assert np.allclose(offsets @ w, target)
+            return None, w
+
+        with pytest.raises(OracleInconsistencyError):
+            vaidya_minimize(oracle, 10, 8.0, 1.0)
+        assert len(seen) == 9
 
     def test_box_rows_stay_first_after_drops(self):
         # drop_min_leverage takes the starting box for the first 2d rows.
