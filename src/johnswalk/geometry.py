@@ -131,15 +131,15 @@ def parallel_classes(a: np.ndarray) -> tuple | None:
 
 
 def longest_per_class(a: np.ndarray, classes: tuple | None) -> np.ndarray:
-    """Increasing indices of the longest row of a in each of its
-    :func:`parallel_classes`, the first on a tie; all when there are none."""
+    """The longest row of a in each of its :func:`parallel_classes`, the
+    first on a tie, in the order of a; a itself when there are none."""
     if classes is None:
-        return np.arange(a.shape[0])
+        return a
     order, first, label = classes
     norms = np.sqrt(np.einsum("ij,ij->i", a, a))
     keep = order[np.lexsort((order, -norms[order], label))[first]]
     keep.sort()
-    return keep
+    return a[keep]
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,8 @@ class SymmetricPolytope:
     A body built directly has its rows and anchor checked: finite, of
     matching dimensions, no row zero. :func:`symmetrize` derives its rows
     from a validated :class:`Polytope` and builds the body through
-    ``_derived``, which checks nothing.
+    ``_derived``, which checks nothing; so does the cutting-plane route
+    from the ``distinct`` rows of a body.
     """
 
     A: np.ndarray
@@ -182,9 +183,10 @@ class SymmetricPolytope:
 
     @cached_property
     def distinct(self) -> np.ndarray:
-        """Increasing indices of the longest row per class of parallel rows,
-        which every solver route runs on. Raises UnboundedPolytopeError
-        unless the rows span R^n (:func:`row_facts`): the body is unbounded."""
+        """The longest row per class of parallel rows, of either sign, in the
+        order of ``A`` (``A`` itself when no two rows are parallel): the rows
+        every solver route runs on. Raises UnboundedPolytopeError unless the
+        rows span R^n (:func:`row_facts`): the body is unbounded."""
         classes, spans = row_facts(self.A)
         if not spans:
             raise UnboundedPolytopeError("row set does not span; the body is unbounded")
@@ -256,19 +258,21 @@ def contains(poly: Polytope, x: np.ndarray) -> bool:
     return bool((s >= poly._min_slack).all())
 
 
-def symmetrize(poly: Polytope, x: np.ndarray) -> SymmetricPolytope:
+def symmetrize(poly: Polytope, x: np.ndarray,
+               slacks: np.ndarray | None = None) -> SymmetricPolytope:
     """Intersect the body with its reflection through the interior point x.
 
     The result is expressed in coordinates centered at x: each original row
     a_i, divided by its slack s_i = b_i - a_i.x, becomes the constraint pair
     |a_i . y| <= s_i; ``distinct`` comes from ``poly.row_facts`` if they
-    span. The rows of a validated polytope are not validated again. Two
-    checks remain, each raising GeometryError naming the row: x must be
-    strictly interior, and no row may overflow when divided by a tiny slack.
+    span. Given ``slacks`` must be ``poly.slacks(x)``. The rows of a
+    validated polytope are not validated again. Two checks remain, each
+    raising GeometryError naming the row: x must be strictly interior, and
+    no row may overflow when divided by a tiny slack.
     """
     x = np.asarray(x, dtype=float)
-    s = poly.slacks(x)
-    if (s <= 0.0).any():
+    s = poly.slacks(x) if slacks is None else slacks
+    if not (s > 0.0).all():
         row = int(np.argmin(s))
         raise GeometryError(
             f"point is not strictly interior: row {row} has slack {s[row]:.6e}"
@@ -311,7 +315,7 @@ def chord(poly: Polytope, x: np.ndarray, direction: np.ndarray):
     if dnorm == 0.0:
         raise GeometryError("chord direction must be nonzero")
     s = poly.slacks(x)
-    if (s <= 0.0).any():
+    if not (s > 0.0).all():
         row = int(np.argmin(s))
         raise GeometryError(
             f"chord base point is not strictly interior "
@@ -335,7 +339,7 @@ def cross_ratio(poly: Polytope, x: np.ndarray, y: np.ndarray) -> float:
     diff = y - x
     if float(np.linalg.norm(diff)) == 0.0:
         raise GeometryError("cross-ratio is undefined for coincident points")
-    if np.any(poly.slacks(y) <= 0.0):
+    if not (poly.slacks(y) > 0.0).all():
         raise GeometryError("cross-ratio endpoint y is not strictly interior")
     p, q = chord(poly, x, diff)
     num = np.linalg.norm(x - y) * np.linalg.norm(p - q)

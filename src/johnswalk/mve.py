@@ -41,13 +41,14 @@ Two routes that share no solver are provided, so each checks the other:
 A symmetric body holds one row per constraint pair (see
 :class:`~johnswalk.geometry.SymmetricPolytope`); only
 :func:`dikin_precondition`, whose barrier sums over half-spaces, spells out
-both halves. Both routes solve on one row per direction
-(:func:`_distinct_rows`): of exactly parallel rows only the longest binds,
-so boxes and other bodies with parallel facets shrink to fewer rows. The
-body picks them and makes the one span test (``SymmetricPolytope.distinct``),
-so both routes raise the same UnboundedPolytopeError on an unbounded body
-before any solver work; a symmetrized body takes both from its polytope,
-computed once. Both return an ellipsoid checked against every row of the
+both halves. Both routes solve on one row per direction, the body's
+``SymmetricPolytope.distinct``: of exactly parallel rows, of either sign,
+only the longest binds, so boxes, other bodies with parallel facets and
+bodies that list a row with both signs shrink to fewer rows with the same
+optimum. The body picks them and makes the one span test, so both routes
+raise the same UnboundedPolytopeError on an unbounded body before any
+solver work; a symmetrized body takes both from its polytope, computed
+once. Both return an ellipsoid checked against every row of the
 body, shrunk if rounding left it outside one, together with an upper bound
 ``logdet_gap`` on how far its log volume can sit below the optimum.
 """
@@ -113,20 +114,6 @@ def vec_to_sym(v: np.ndarray, n: int) -> np.ndarray:
     x = x + x.T
     x.flat[::n + 1] *= 0.5
     return x
-
-
-def _distinct_rows(body: SymmetricPolytope) -> np.ndarray:
-    """One row per direction of the symmetric body {y : |a_i . y| <= 1}:
-    of each class of exactly parallel rows, of either sign, the longest,
-    whose constraint implies the others'. Symmetrizing a body with parallel
-    facets, a box for one, yields such classes, and so does a body that
-    lists a row with both signs. The body picks them and decides that they
-    span (``body.distinct``, which raises UnboundedPolytopeError when they
-    do not). Both solver routes run on these rows, in the body's order;
-    they give the same optimum as all rows.
-    """
-    keep = body.distinct
-    return body.A if keep.size == body.rows else body.A[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +416,7 @@ def _fit_inside(body: SymmetricPolytope, mat: np.ndarray, inv: np.ndarray,
     until max_i |F^T a_i| <= 1 holds as computed over every row.
 
     A certificate places the factor inside only up to rounding, and rows the
-    solver never saw (see :func:`_distinct_rows`) are implied only up to
+    solver never saw (see ``body.distinct``) are implied only up to
     rounding; either can leave |F^T a_i| a few ulp above 1.
     """
     scale = 1.0
@@ -449,7 +436,7 @@ def _fit_inside(body: SymmetricPolytope, mat: np.ndarray, inv: np.ndarray,
 def _solve_mve_oracle(body: SymmetricPolytope, gap: float) -> JohnSolution:
     n = body.n
     tol = gap / (2.0 * n)
-    _, state, g_max, iterations, steps = _khachiyan_ascent(_distinct_rows(body), tol)
+    _, state, g_max, iterations, steps = _khachiyan_ascent(body.distinct, tol)
     # Polar conversion: the inscribed ellipsoid {y : g_max y^T M y <= 1} has
     # the upper triangular factor F = R^-1 / sqrt(g_max), and
     # |F^T a_i|^2 = g_i / g_max <= 1 certifies it.
@@ -483,7 +470,7 @@ def _weak_dual_bound(rows: np.ndarray, weights: np.ndarray) -> float:
 def dual_logdet_bound(body: SymmetricPolytope, tol: float = 1e-9) -> float:
     """:func:`_weak_dual_bound` at the oracle route's ascent weights, tight to
     about n * tol / 2: the reference the tests hold both routes' gaps to."""
-    rows = _distinct_rows(body)
+    rows = body.distinct
     u, _, _, _, _ = _khachiyan_ascent(rows, tol)
     return _weak_dual_bound(rows, u)
 
@@ -585,7 +572,7 @@ def _vaidya_answer(body: SymmetricPolytope, inv_sqrt_h: np.ndarray,
 
 def _solve_mve_vaidya(body: SymmetricPolytope, gap: float) -> JohnSolution:
     n = body.n
-    reduced = SymmetricPolytope(_distinct_rows(body), body.anchor)
+    reduced = SymmetricPolytope._derived(body.distinct, body.anchor)
     inv_sqrt_h, image = dikin_precondition(reduced)
     # Any feasible X has spectral norm <= the image's half-space count.
     rho = float(2 * image.rows)
@@ -674,14 +661,14 @@ def solve_mve(
 
 def _contact_dyads(ell: Ellipsoid, body: SymmetricPolytope, gap: float):
     """Contact dyads of an inscribed ellipsoid solved at ``gap``, taken among
-    the rows both routes solve on (:func:`_distinct_rows`), one per
+    the rows both routes solve on (``body.distinct``), one per
     direction: rows with 1 - |E a_i| <= max(1e-6, gap/(2n)), the ascent's
     tolerance at that gap, touch at the unit points +-u_i,
     u_i = E a_i / |E a_i|, and each gives one dyad u_i u_i^T. Returns
     (rows, units, weights) of the dyads that get a positive weight c_k in
     the nonnegative least-squares solution of sum_k c_k u_k u_k^T = I."""
     slack = max(_CONTACT_SLACK, gap / (2 * body.n))
-    rows = _distinct_rows(body)
+    rows = body.distinct
     images = rows @ ell.mat  # row i is (F^T a_i)^T
     norms = np.linalg.norm(images, axis=1)
     tight = np.nonzero(1.0 - norms <= slack)[0]

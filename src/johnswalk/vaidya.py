@@ -98,11 +98,12 @@ class MinimizeResult:
     """Status "optimal_subgradient", "certified", "small_volume", "stagnated"
     or "budget" from ``vaidya_minimize``, "point" or "small_volume" from
     ``vaidya_feasibility``, and "infeasible" on the result a SolverError
-    carries."""
+    carries. ``point`` and ``value`` are the returned feasible iterate and
+    its value, None when there is none; the other feasible iterates are not
+    kept."""
 
     point: Optional[np.ndarray]
     value: Optional[float]
-    history: list
     oracle_calls: int
     status: str
     state: CutState
@@ -280,9 +281,10 @@ def vaidya_minimize(
 
     ``oracle(x)`` returns (None, w) when x is outside the target set, w
     asserting that the set lies in {z : w^T (z - x) <= 0}, and (f(x), g)
-    with g a subgradient of f at x when x is inside. Feasible iterates are
-    recorded and the best one is returned; a zero subgradient returns its
-    iterate immediately. ``stop(x)``, when given, is asked at each feasible
+    with f(x) finite and g a subgradient of f at x when x is inside. Every
+    cut is checked against the feasible iterates seen so far, and only the
+    first of least value is kept for the result; a zero subgradient returns
+    its iterate immediately. ``stop(x)``, when given, is asked at each feasible
     iterate that lowers the best value, and the first iterate it holds at is
     returned with status "certified": the caller's own certificate ends the
     run. Without it, or while it does not hold, the run ends at small
@@ -295,9 +297,9 @@ def vaidya_minimize(
     # log vol of the 2^-level ball, the small-volume threshold
     log_threshold = -level * d * math.log(2.0) + _log_unit_ball_volume(d)
     cap = MAX_CONSTRAINTS_FACTOR * d
-    history: list[tuple[np.ndarray, float]] = []
-    seen = np.empty((1, d))  # the feasible points of history, in its first rows
-    best_value = math.inf
+    seen = np.empty((1, d))  # the feasible iterates, in its first `feasible` rows
+    feasible = 0
+    best_point, best_value = None, math.inf
     calls = 0
     status = "budget"
     try:
@@ -320,34 +322,32 @@ def vaidya_minimize(
             w = np.asarray(cut, dtype=float)
             if value is None:
                 tol = 1e-9 * (1.0 + float(np.linalg.norm(w)))
-                if np.any((seen[:len(history)] - x) @ w > tol):
+                if np.any((seen[:feasible] - x) @ w > tol):
                     raise OracleInconsistencyError("cut excludes a previously feasible point")
             else:
-                seen = _with_room(seen, len(history))
-                seen[len(history)] = x
-                history.append((x, float(value)))
+                value = float(value)
+                seen = _with_room(seen, feasible)
+                seen[feasible] = x
+                feasible += 1
                 if float(np.linalg.norm(w)) == 0.0:
                     # zero subgradient: this iterate is optimal over the target set
-                    return MinimizeResult(x, history[-1][1], history, calls,
-                                          "optimal_subgradient", engine.state)
-                if history[-1][1] < best_value:
-                    best_value = history[-1][1]
+                    return MinimizeResult(x, value, calls, "optimal_subgradient", engine.state)
+                if value < best_value:
+                    best_point, best_value = x, value
                     if stop is not None and stop(x):
-                        return MinimizeResult(x, best_value, history, calls,
-                                              "certified", engine.state)
+                        return MinimizeResult(x, value, calls, "certified", engine.state)
             engine.add_cut(w)
     except _IterateOutside:
         # A cut through an optimum on the target's boundary can leave the
         # iterate with a slack that rounds to zero, or H too ill-conditioned
         # to factor; the run stops there.
         status = "stagnated"
-    if history:
-        best = min(history, key=lambda rec: rec[1])
-        return MinimizeResult(best[0], best[1], history, calls, status, engine.state)
+    if feasible:
+        return MinimizeResult(best_point, best_value, calls, status, engine.state)
     cert = SmallVolumeCertificate(engine.log_volume_bound(), log_threshold)
     raise SolverError(
         f"no feasible iterate found after {calls} oracle calls",
-        best=MinimizeResult(None, None, [], calls, "infeasible", engine.state, cert),
+        best=MinimizeResult(None, None, calls, "infeasible", engine.state, cert),
     )
 
 

@@ -98,10 +98,12 @@ def _effective_gap(gap: Optional[float], n: int) -> float:
     return gap if gap is not None else 2.0 * float(n) ** -10
 
 
-def _ellipsoid_at(poly: Polytope, point: np.ndarray, config: WalkConfig) -> Ellipsoid:
+def _ellipsoid_at(poly: Polytope, point: np.ndarray, config: WalkConfig,
+                  slacks: Optional[np.ndarray] = None) -> Ellipsoid:
     """The walk's ellipsoid at ``point``: the inscribed ellipsoid of the body
-    symmetrized there, centered at the point."""
-    body = symmetrize(poly, point)
+    symmetrized there (from the point's ``slacks`` when given), centered at
+    the point."""
+    body = symmetrize(poly, point, slacks)
     return solve_mve(body, method=config.solver,
                      gap=_effective_gap(config.gap, poly.n)).ellipsoid
 
@@ -135,10 +137,11 @@ def john_step(poly: Polytope, state: WalkState, config: WalkConfig) -> WalkState
         tallies.lazy_hold += 1
         return state
     z = propose(state.ellipsoid, r, rng)
-    if (poly.slacks(z) <= 0.0).any():
+    s = poly.slacks(z)
+    if (s <= 0.0).any():
         tallies.reject_outside += 1
         return state
-    ell_z = _ellipsoid_at(poly, z, config)
+    ell_z = _ellipsoid_at(poly, z, config, s)
     log_ratio = state.ellipsoid.logdet - ell_z.logdet
     if local_norm(ell_z, state.x) > r:
         tallies.reject_reversibility += 1
@@ -150,17 +153,21 @@ def john_step(poly: Polytope, state: WalkState, config: WalkConfig) -> WalkState
     return state
 
 
-def _trajectory(poly: Polytope, x0: np.ndarray, steps: int, start) -> np.ndarray:
-    """The points x_0 = x0, x_1, ..., x_steps of a walk as rows. Once steps
-    is nonnegative and x0 strictly interior, ``start(x0)`` returns the
-    step map x_k -> x_(k+1)."""
+def _start(poly: Polytope, x0: np.ndarray, steps: int) -> np.ndarray:
+    """x0 as a float array, once steps is nonnegative and x0 strictly
+    interior."""
     if steps < 0:
         raise GeometryError("steps must be nonnegative")
     x = np.asarray(x0, dtype=float)
-    if (poly.slacks(x) <= 0.0).any():
+    if not (poly.slacks(x) > 0.0).all():
         raise GeometryError(f"start point {x.tolist()} is not strictly interior")
-    step = start(x)
-    samples = np.empty((steps + 1, poly.n))
+    return x
+
+
+def _trajectory(x: np.ndarray, steps: int, step) -> np.ndarray:
+    """The points x_0 = x, x_1, ..., x_steps of a walk as rows, x_(k+1) =
+    step(x_k)."""
+    samples = np.empty((steps + 1, x.size))
     samples[0] = x
     for k in range(steps):
         samples[k + 1] = step(samples[k])
@@ -178,14 +185,8 @@ def run_chain(
     Returns (samples, tallies) where samples has shape (steps + 1, n) and
     starts with x0; holds repeat the previous point. Tallies sum to steps.
     """
-    state = None
-
-    def start(x: np.ndarray):
-        nonlocal state
-        state = init_state(poly, x, config)
-        return lambda _: john_step(poly, state, config).x
-
-    samples = _trajectory(poly, x0, steps, start)
+    state = init_state(poly, _start(poly, x0, steps), config)
+    samples = _trajectory(state.x, steps, lambda _: john_step(poly, state, config).x)
     return samples, state.tallies
 
 
@@ -255,8 +256,8 @@ def run_ball_walk(
     seed: int = 0,
 ) -> np.ndarray:
     rng = np.random.default_rng([seed, 0])
-    return _trajectory(poly, x0, steps,
-                       lambda _: lambda x: ball_walk_step(poly, x, delta, rng))
+    return _trajectory(_start(poly, x0, steps), steps,
+                       lambda x: ball_walk_step(poly, x, delta, rng))
 
 
 def run_hit_and_run(
@@ -266,4 +267,4 @@ def run_hit_and_run(
     seed: int = 0,
 ) -> np.ndarray:
     rng = np.random.default_rng([seed, 0])
-    return _trajectory(poly, x0, steps, lambda _: lambda x: hit_and_run_step(poly, x, rng))
+    return _trajectory(_start(poly, x0, steps), steps, lambda x: hit_and_run_step(poly, x, rng))

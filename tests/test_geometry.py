@@ -24,7 +24,7 @@ from johnswalk.geometry import (
 )
 from johnswalk.mve import solve_mve
 
-from conftest import cube, interior_points, random_polytope
+from conftest import box, cube, interior_points, random_polytope, unit_normal_polytope
 
 
 class TestPolytope:
@@ -132,17 +132,36 @@ class TestSymmetrize:
         rows2 = sorted(map(tuple, np.round(s2.A, 12)))
         assert rows1 == rows2
 
-    def test_only_symmetrize_attaches_row_indices(self):
-        # The solvers trust the indices to pick rows that span, so a caller
-        # cannot hand them in: symmetrize attaches the polytope's, and a
+    def test_only_symmetrize_attaches_distinct_rows(self):
+        # The solvers trust the rows to span, so a caller cannot hand them
+        # in: symmetrize attaches the rows the polytope's classes pick, and a
         # body built directly derives the same ones on first use.
         with pytest.raises(TypeError):
-            SymmetricPolytope(np.eye(2), np.zeros(2), distinct=np.arange(1))
+            SymmetricPolytope(np.eye(2), np.zeros(2), distinct=np.eye(1, 2))
         body = symmetrize(cube(2), np.zeros(2))
         twin = SymmetricPolytope(body.A, body.anchor)
         assert "distinct" in vars(body) and "distinct" not in vars(twin)
-        assert np.array_equal(body.distinct, [0, 1])
+        assert np.array_equal(body.distinct, body.A[[0, 1]])
         assert np.array_equal(twin.distinct, body.distinct)
+
+    @pytest.mark.parametrize("poly, x", [
+        (cube(2), [0.3, -0.2]),
+        (box([1.0, 1.0, 1.0, 1.0, 0.01]), [0.3, -0.2, 0.1, 0.4, 0.003]),
+        (unit_normal_polytope(5, 15, 0), None),
+    ], ids=["square", "thin5", "rand5x15"])
+    def test_given_slacks_give_the_same_body(self, poly, x):
+        # The walk hands symmetrize the slacks of its own interior test; the
+        # body must be bitwise the one symmetrize builds from the point.
+        x = analytic_center(poly) if x is None else np.array(x)
+        given, computed = symmetrize(poly, x, poly.slacks(x)), symmetrize(poly, x)
+        for name in ("A", "anchor", "distinct"):
+            a, b = getattr(given, name), getattr(computed, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_given_slacks_of_non_interior_point_name_row(self):
+        x = np.array([0.2, -1.0])
+        with pytest.raises(GeometryError, match="not strictly interior: row 3"):
+            symmetrize(cube(2), x, cube(2).slacks(x))
 
 
 class TestEllipsoid:

@@ -25,7 +25,6 @@ from johnswalk import mve
 from johnswalk.mve import (
     ContactSet,
     JohnConditions,
-    _distinct_rows,
     _khachiyan_ascent,
     dikin_precondition,
     dual_logdet_bound,
@@ -182,7 +181,7 @@ def general_position_cases():
         )
         tol = _effective_gap(None, n) / (2.0 * n)
         for x in points:
-            yield n, _distinct_rows(symmetrize(poly, x)), tol
+            yield n, symmetrize(poly, x).distinct, tol
 
 
 class TestKhachiyanAscent:
@@ -212,7 +211,7 @@ class TestKhachiyanAscent:
         for poly in (cube(10), box([1.0, 1.0, 1.0, 1.0, 0.01])):
             for _ in range(3):
                 x = poly.b[: poly.n] * rng.uniform(0.1, 0.5, poly.n)
-                rows = _distinct_rows(symmetrize(poly, x * rng.choice([-1, 1], poly.n)))
+                rows = symmetrize(poly, x * rng.choice([-1, 1], poly.n)).distinct
                 tol = _effective_gap(None, poly.n) / (2.0 * poly.n)
                 u, state, g_max, iterations, _ = _khachiyan_ascent(rows, tol)
                 u_ref, mat_ref, g_ref, _ = dense_ascent(rows, tol)
@@ -316,7 +315,7 @@ class TestCoreStart:
             for seed in range(6):
                 poly = unit_normal_polytope(n, m, seed)
                 for x in [np.zeros(n)] + interior_points(poly, 1, rng, shrink=0.3):
-                    rows = _distinct_rows(symmetrize(poly, x))
+                    rows = symmetrize(poly, x).distinct
                     u = mve._core_start(rows)
                     assert np.count_nonzero(u) == n and u.sum() == pytest.approx(1.0)
                     for _ in range(3):
@@ -329,7 +328,7 @@ class TestCoreStart:
             for seed in range(6):
                 poly = unit_normal_polytope(n, m, seed)
                 for x in [np.zeros(n)] + interior_points(poly, 1, rng, shrink=0.3):
-                    rows = _distinct_rows(symmetrize(poly, x))
+                    rows = symmetrize(poly, x).distinct
                     picks = scipy.linalg.qr(np.linalg.qr(rows)[0].T, mode="economic",
                                             pivoting=True)[2][:n]
                     assert np.array_equal(np.flatnonzero(mve._core_start(rows)),
@@ -347,7 +346,7 @@ class TestCoreStart:
         cases = []
         for n, m in ((10, 60), (20, 120)):
             poly = unit_normal_polytope(n, m, 11)
-            rows = _distinct_rows(symmetrize(poly, analytic_center(poly)))
+            rows = symmetrize(poly, analytic_center(poly)).distinct
             cases.append((rows, _effective_gap(None, n) / (2.0 * n)))
         core = [_khachiyan_ascent(rows, tol)[3] for rows, tol in cases]
         monkeypatch.setattr(
@@ -766,7 +765,7 @@ class TestStopTestSkip:
                   interior_points(poly, 1, np.random.default_rng([n, m]), shrink=0.5)[0]):
             body = symmetrize(poly, x)
             inv_sqrt_h = dikin_precondition(
-                SymmetricPolytope(_distinct_rows(body), body.anchor))[0]
+                SymmetricPolytope(body.distinct, body.anchor))[0]
             calls = stop_tests(monkeypatch, body, gap)
             for point, skip in calls:
                 if not skip:
@@ -792,7 +791,7 @@ def assert_symmetrize_picks_standalone_rows(body):
     rows the same body built directly derives from its own on first use."""
     standalone = SymmetricPolytope(body.A, body.anchor)
     assert "distinct" in vars(body) and "distinct" not in vars(standalone)
-    assert np.array_equal(_distinct_rows(body), _distinct_rows(standalone))
+    assert np.array_equal(body.distinct, standalone.distinct)
 
 
 class TestDistinctRows:
@@ -805,7 +804,7 @@ class TestDistinctRows:
             mapped = Polytope(poly.A @ np.linalg.inv(lin), poly.b)
             x = lin @ (0.8 * poly.b[:n] * rng.uniform(-1.0, 1.0, n))
             body = symmetrize(mapped, x)
-            rows = _distinct_rows(body)
+            rows = body.distinct
             assert rows.shape == (n, n)
             assert_symmetrize_picks_standalone_rows(body)
             # the kept row of each axis is the tighter of its two facets
@@ -818,13 +817,13 @@ class TestDistinctRows:
         angle = 1e-9
         a = np.array([[1.0, 0.0], [np.cos(angle), np.sin(angle)], [0.0, 1.0]])
         body = symmetrize(Polytope(np.vstack([a, -a]), np.ones(6)), np.zeros(2))
-        assert _distinct_rows(body).shape == (3, 2)
+        assert body.distinct.shape == (3, 2)
         assert_symmetrize_picks_standalone_rows(body)
 
     def test_no_parallel_rows_keeps_half(self, rng):
         normals = rng.standard_normal((10, 4))
         body = centered_body(Polytope(normals, np.ones(10)))
-        assert np.array_equal(_distinct_rows(body), body.A)
+        assert body.distinct is body.A
         assert_symmetrize_picks_standalone_rows(body)
 
     def test_reduced_solve_matches_full_ascent(self, rng):
@@ -842,7 +841,7 @@ class TestDistinctRows:
             (parallel, np.zeros(3)),
         ):
             body = symmetrize(poly, x)
-            assert _distinct_rows(body).shape[0] < body.rows
+            assert body.distinct.shape[0] < body.rows
             assert_symmetrize_picks_standalone_rows(body)
             gap, tol = 1e-9, 1e-10
             reduced = solve_mve(body, gap=gap)
@@ -978,7 +977,7 @@ class TestContactExtraction:
     @pytest.mark.parametrize("method", ["oracle", "vaidya"])
     def test_nearly_parallel_rows_touch_apart(self, method):
         # A third row 1e-9 rad from e_1 touches the disk with e_1 itself;
-        # _distinct_rows keeps the two apart, so each is a contact of its own.
+        # body.distinct keeps the two apart, so each is a contact of its own.
         angle, gap = 1e-9, 1e-9
         a = np.array([[1.0, 0.0], [np.cos(angle), np.sin(angle)], [0.0, 1.0]])
         body = SymmetricPolytope(a, np.zeros(2))

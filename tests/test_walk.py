@@ -12,6 +12,7 @@ from johnswalk.geometry import (
     Ellipsoid,
     Polytope,
     analytic_center,
+    chord,
     contains,
     local_norm,
     symmetrize,
@@ -44,6 +45,13 @@ RUNNERS = {
     "john": lambda poly, x0, steps: run_chain(poly, x0, steps, WalkConfig())[0],
     "ball": lambda poly, x0, steps: run_ball_walk(poly, x0, steps, 0.1),
     "hitrun": lambda poly, x0, steps: run_hit_and_run(poly, x0, steps),
+}
+
+# Every entry point that takes a start point, called at x on the square.
+AT_START = {
+    **{name: lambda x, run=run: run(cube(2), x, 3) for name, run in RUNNERS.items()},
+    "chord": lambda x: chord(cube(2), x, np.array([1.0, 0.0])),
+    "symmetrize": lambda x: symmetrize(cube(2), x),
 }
 
 
@@ -253,6 +261,24 @@ class TestRunChain:
         with pytest.raises(GeometryError):
             run_chain(cube(2), np.array([1.0, 0.0]), 10, WalkConfig())
 
+    def test_each_point_has_its_slacks_computed_once(self, monkeypatch):
+        # Two calls at the start (its interior test and its body), then one
+        # per non-lazy step: a proposal's slacks serve both its interior
+        # test and, when it is inside, its body.
+        calls = []
+        slacks = Polytope.slacks
+
+        def counted(poly, x):
+            calls.append(x)
+            return slacks(poly, x)
+
+        monkeypatch.setattr(Polytope, "slacks", counted)
+        steps = 200
+        _, tallies = run_chain(cube(2), np.zeros(2), steps,
+                               WalkConfig(c=8.0, lazy=False, seed=1))
+        assert tallies.reject_outside > 0
+        assert len(calls) == 2 + steps
+
     # A cutting-plane chain on the (10, 60) body takes about 80 s, so that
     # route runs on a (3, 9) body, which has no parallel rows either.
     @pytest.mark.parametrize("solver, make", [
@@ -316,6 +342,13 @@ class TestRunners:
     def test_non_interior_start_raises(self, walk_name, start):
         with pytest.raises(GeometryError, match="not strictly interior"):
             RUNNERS[walk_name](cube(2), np.array(start), 5)
+
+    @pytest.mark.parametrize("entry", AT_START)
+    def test_nan_start_is_not_interior(self, entry):
+        # A NaN slack fails every comparison: (s <= 0).any() lets a NaN
+        # start through, and only not (s > 0).all() refuses it.
+        with pytest.raises(GeometryError, match="not strictly interior"):
+            AT_START[entry](np.array([np.nan, 0.0]))
 
     @pytest.mark.parametrize("walk_name", RUNNERS)
     def test_zero_steps_return_the_start(self, walk_name):
