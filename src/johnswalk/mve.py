@@ -26,8 +26,9 @@ Two routes that share no solver are provided, so each checks the other:
 * ``method="vaidya"``: the log-det program over the matrix variable X = E^2,
       minimize -log det X
       s.t.    <X, a_i a_i^T> <= 1 for every row, X >= I/n,
-  is handed to the volumetric cutting-plane engine after a Dikin
-  preconditioning step that makes the unit ball a known inscribed ellipsoid.
+  is handed to the volumetric cutting-plane engine after the Dikin map
+  T = sqrt(2) R, R from one QR of the reduced rows (T^T T = 2 A^T A is never
+  formed), makes the unit ball a known inscribed ellipsoid.
   It certifies by weak duality at the John weights of the reduced rows
   within slack max(1e-6, gap/(2n)) of the boundary (:func:`_contact_dyads`),
   and the engine stops at the first improving point whose own certificate
@@ -39,18 +40,17 @@ Two routes that share no solver are provided, so each checks the other:
   inner product of matrices equals the dot product of their vectors.
 
 A symmetric body holds one row per constraint pair (see
-:class:`~johnswalk.geometry.SymmetricPolytope`); only
-:func:`dikin_precondition`, whose barrier sums over half-spaces, spells out
-both halves. Both routes solve on one row per direction, the body's
-``SymmetricPolytope.distinct``: of exactly parallel rows, of either sign,
-only the longest binds, so boxes, other bodies with parallel facets and
-bodies that list a row with both signs shrink to fewer rows with the same
-optimum. The body picks them and makes the one span test, so both routes
-raise the same UnboundedPolytopeError on an unbounded body before any
-solver work; a symmetrized body takes both from its polytope, computed
-once. Both return an ellipsoid checked against every row of the
-body, shrunk if rounding left it outside one, together with an upper bound
-``logdet_gap`` on how far its log volume can sit below the optimum.
+:class:`~johnswalk.geometry.SymmetricPolytope`). Both routes solve on one
+row per direction, the body's ``SymmetricPolytope.distinct``: of exactly
+parallel rows, of either sign, only the longest binds, so boxes, other
+bodies with parallel facets and bodies that list a row with both signs
+shrink to fewer rows with the same optimum. The body picks them and makes
+the one span test, so both routes raise the same UnboundedPolytopeError on
+an unbounded body before any solver work; a symmetrized body takes both
+from its polytope, computed once. Both return an ellipsoid checked against
+every row of the body, shrunk if rounding left it outside one, together
+with an upper bound ``logdet_gap`` on how far its log volume can sit below
+the optimum.
 """
 
 from __future__ import annotations
@@ -300,22 +300,30 @@ def _khachiyan_ascent(points: np.ndarray, tol: float):
         since_exact += 1
 
 
-def _exact_moments(pts: np.ndarray, u: np.ndarray) -> _Moments:
-    """R, R^-1, Y = P R^-1 and g_i = |y_i|^2 from u by one QR of
-    diag(sqrt(u)) P over the support of u, rows of R signed to a positive
-    diagonal, and one triangular inverse; M is never formed. This is the only
-    state either phase of :func:`_khachiyan_ascent` certifies from. Raises
-    NumericalError when R has a zero diagonal entry: M is singular."""
-    support = u > 0.0
-    n = pts.shape[1]
-    qr, _, _, info = dgeqrf(pts[support] * np.sqrt(u[support])[:, None])
+def _qr_factor(rows: np.ndarray, what: str):
+    """(R, R^-1) of the QR of ``rows``, R's rows signed to a positive
+    diagonal: every solver's factor of a row matrix, R^T R = rows^T rows
+    never formed. Raises NumericalError "<what> is singular" when R is."""
+    n = rows.shape[1]
+    qr, _, _, info = dgeqrf(rows)
     if info or qr.shape[0] < n:
-        raise NumericalError("moment matrix of the ascent weights is singular")
+        raise NumericalError(f"{what} is singular")
     r = qr[:n] * np.sign(qr.diagonal())[:, None]
     r[_strict_lower(n)] = 0.0  # dgeqrf's Householder vectors
     r_inv, info = dtrtri(r)
     if info:
-        raise NumericalError("moment matrix of the ascent weights is singular")
+        raise NumericalError(f"{what} is singular")
+    return r, r_inv
+
+
+def _exact_moments(pts: np.ndarray, u: np.ndarray) -> _Moments:
+    """R, R^-1, Y = P R^-1 and g_i = |y_i|^2 from u by one QR of
+    diag(sqrt(u)) P over the support of u (:func:`_qr_factor`); M is never
+    formed. This is the only state either phase of :func:`_khachiyan_ascent`
+    certifies from. Raises NumericalError when M is singular."""
+    support = u > 0.0
+    r, r_inv = _qr_factor(pts[support] * np.sqrt(u[support])[:, None],
+                          "moment matrix of the ascent weights")
     y = pts @ r_inv
     return _Moments(r, r_inv, y, np.einsum("ij,ij->i", y, y))
 
@@ -455,16 +463,14 @@ def _weak_dual_bound(rows: np.ndarray, weights: np.ndarray) -> float:
     """-1/2 log det(n sum_i w_i a_i a_i^T), w the weights scaled to sum 1: by
     weak duality a bound on the optimal inscribed log det of any body with
     the rows a_i (Todd, Minimum-Volume Ellipsoids, SIAM 2016). It is
-    -sum_i log |R_ii| for the R of the rows scaled by sqrt(n w_i). The log
+    -sum_i log R_ii for the R of the rows scaled by sqrt(n w_i). The log
     det of the formed moment matrix, whose condition number is the rows'
     squared, erred by up to 37 eps (1 + |bound|) on the contacts of random
     (3, 9) bodies: enough to put a tight bound below the optimum."""
     n = rows.shape[1]
-    r = np.linalg.qr(rows * np.sqrt(n * weights / weights.sum())[:, None], mode="r")
-    diag = np.abs(r.diagonal())
-    if diag.size < n or not diag.min() > 0.0:
-        raise NumericalError("dual moment matrix is singular")
-    return -float(np.log(diag).sum())
+    r, _ = _qr_factor(rows * np.sqrt(n * weights / weights.sum())[:, None],
+                      "dual moment matrix")
+    return -float(np.log(r.diagonal()).sum())
 
 
 def dual_logdet_bound(body: SymmetricPolytope, tol: float = 1e-9) -> float:
@@ -480,25 +486,15 @@ def dual_logdet_bound(body: SymmetricPolytope, tol: float = 1e-9) -> float:
 
 
 def dikin_precondition(body: SymmetricPolytope):
-    """Map the body by T(y) = H^(1/2) y with H the log-barrier Hessian at
-    the origin, summed over both half-spaces of every row: H = 2 A^T A.
-
-    In the image the radius-1 Dikin ellipsoid at the origin is the unit
-    ball, so unit ball <= image <= sqrt(2 rows) * unit ball. Returns
-    (inv_sqrt, image) with inv_sqrt = H^(-1/2), which maps the image back.
-    """
-    a = body.A
-    # Summed over the half-spaces themselves: 2 A^T A rounds differently.
-    halves = np.vstack([a, -a])
-    hess = halves.T @ halves
-    vals, vecs = np.linalg.eigh(hess)
-    if vals[0] <= 1e-14 * max(vals[-1], 1.0):
-        raise NumericalError(
-            "barrier Hessian is too ill-conditioned to precondition: its "
-            f"eigenvalues run from {vals[0]:.1e} to {vals[-1]:.1e}"
-        )
-    inv_sqrt = (vecs * (1.0 / np.sqrt(vals))) @ vecs.T
-    return inv_sqrt, SymmetricPolytope(a @ inv_sqrt, body.anchor.copy())
+    """Map the body by v = T y, T = sqrt(2) R for the R of the rows
+    (:func:`_qr_factor`): T^T T = 2 A^T A = H, the log-barrier Hessian at
+    the origin over both half-spaces of every row, is never formed. In the
+    image the radius-1 Dikin ellipsoid at the origin is the unit ball, so
+    unit ball <= image <= sqrt(2 rows) * unit ball. Returns T^-1, which maps
+    the image back (not the symmetric H^(-1/2)), and the image, rows A T^-1.
+    Raises NumericalError only when the rows are singular."""
+    inv = _qr_factor(body.A, "barrier Hessian 2 A^T A of the rows")[1] / np.sqrt(2.0)
+    return inv, SymmetricPolytope(body.A @ inv, body.anchor.copy())
 
 
 @dataclass(frozen=True)
@@ -545,16 +541,16 @@ def separation_oracle_mve(x_mat: np.ndarray, body: SymmetricPolytope) -> OracleA
                         value=-float(np.log(vals).sum()), rows=vals_rows)
 
 
-def _vaidya_answer(body: SymmetricPolytope, inv_sqrt_h: np.ndarray,
+def _vaidya_answer(body: SymmetricPolytope, t_inv: np.ndarray,
                    point: np.ndarray, gap: float):
-    """(ellipsoid, gap bound, problem) of a cutting-plane point: the matrix
-    it maps back to, by one eigh, fitted inside every row of the body
+    """(ellipsoid, gap bound, problem) of a cutting-plane point X: T^-1 X T^-T,
+    factored by one eigh, fitted inside every row of the body
     (:func:`_fit_inside`) and certified by weak duality at the John weights
     of its contacts (:func:`_contact_dyads`). The bound is inf when the
     contacts give no certificate; ``problem`` words the failure for a bound
     above ``gap``. Raises NumericalError when the matrix is not positive
     definite or the factor is not finite."""
-    shape = inv_sqrt_h @ vec_to_sym(point, body.n) @ inv_sqrt_h
+    shape = t_inv @ vec_to_sym(point, body.n) @ t_inv.T
     vals, vecs = np.linalg.eigh(0.5 * (shape + shape.T))
     if vals[0] <= 0.0:
         raise NumericalError("cutting-plane matrix is not positive definite")
@@ -573,44 +569,44 @@ def _vaidya_answer(body: SymmetricPolytope, inv_sqrt_h: np.ndarray,
 def _solve_mve_vaidya(body: SymmetricPolytope, gap: float) -> JohnSolution:
     n = body.n
     reduced = SymmetricPolytope._derived(body.distinct, body.anchor)
-    inv_sqrt_h, image = dikin_precondition(reduced)
+    t_inv, image = dikin_precondition(reduced)
     # Any feasible X has spectral norm <= the image's half-space count.
     rho = float(2 * image.rows)
-    level = np.log2(4.0 / gap) + 1.0
+    # Clamped at gap 4: unclamped, a gap past about 1e5 leaves no budget.
+    level = np.log2(4.0 / min(gap, 4.0)) + 1.0
 
     # _fit_inside only shrinks the factor F, so a contact a_i of _contact_dyads
     # has |F^T a_i|^2 >= (1 - slack)^2, which is a^T X a for its image row a;
     # one more slack covers rounding.
     near = max(0.0, 1.0 - 2.0 * max(_CONTACT_SLACK, gap / (2 * n))) ** 2
-    answered = [None, None]  # the point the oracle last answered, its row values
+    rows = [None]  # the row values of the oracle's last answer
 
     def oracle(v: np.ndarray):
         ans = separation_oracle_mve(vec_to_sym(v, n), image)
-        answered[:] = v, ans.rows
+        rows[0] = ans.rows
         return ans.value, ans.cut
 
-    last = [None, None]  # the point the engine last asked about, its answer
+    answer = [None]  # the stop test's last built answer
 
     def certified(v: np.ndarray) -> bool:
-        last[:] = v, None
-        # With fewer than n rows near contact _contact_dyads would find none.
-        if answered[0] is v and np.count_nonzero(answered[1] >= near) < n:
+        # v was just answered feasible; with fewer than n of its rows near
+        # contact _contact_dyads would find none.
+        if np.count_nonzero(rows[0] >= near) < n:
             return False
         try:
-            last[1] = _vaidya_answer(body, inv_sqrt_h, v, gap)
+            answer[0] = _vaidya_answer(body, t_inv, v, gap)
         except NumericalError:
             return False
-        return last[1][1] <= gap
+        return answer[0][1] <= gap
 
     # The engine raises SolverError when it finds no feasible matrix. It
     # stops at the first improving point that certifies the gap; a run that
-    # ends otherwise returns its best point, the last one asked about, whose
-    # answer is built again only to raise what the stop test caught or skipped.
+    # ends otherwise returns its best point, whose answer is built again
+    # only to raise what the stop test caught or skipped.
     result = _vaidya.vaidya_minimize(oracle, sym_dim(n), level, rho, stop=certified)
-    point, answer = last
-    if point is not result.point or answer is None:
-        answer = _vaidya_answer(body, inv_sqrt_h, result.point, gap)
-    ell, gap_bound, problem = answer
+    if result.status != "certified":
+        answer[0] = _vaidya_answer(body, t_inv, result.point, gap)
+    ell, gap_bound, problem = answer[0]
     sol = JohnSolution(
         ellipsoid=ell,
         logdet_gap=gap_bound,

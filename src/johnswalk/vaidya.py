@@ -113,7 +113,8 @@ class MinimizeResult:
 def iteration_bound(d: int, level: float, rho: float) -> int:
     """Oracle-call budget T for dimension d, precision exponent ``level``
     (target volumes below that of the 2^-level ball are certified small)
-    and starting box half-width ``rho`` (natural logarithms throughout)."""
+    and starting box half-width ``rho`` (natural logarithms throughout).
+    Raises ValueError for d < 1, rho <= 0 or a budget below 1."""
     if d < 1 or rho <= 0.0:
         raise ValueError("need d >= 1 and rho > 0")
     bracket = (
@@ -124,7 +125,10 @@ def iteration_bound(d: int, level: float, rho: float) -> int:
         + 2.0 * math.log(rho)
         - math.log(2.0)
     )
-    return int(math.ceil(d * bracket / DELTA_V))
+    budget = int(math.ceil(d * bracket / DELTA_V))
+    if budget < 1:
+        raise ValueError(f"level {level} and rho {rho} leave a budget of {budget} calls")
+    return budget
 
 
 class _IterateOutside(NumericalError):

@@ -407,6 +407,10 @@ class TestMveCommand:
         assert "input error" not in capsys.readouterr().err
 
 
+    def test_loose_gap_on_the_cutting_plane_route(self, square, capsys):
+        assert main(["mve", "--polytope", square, "--solver", "vaidya", "--gap", "1e6"]) == 0
+        assert capsys.readouterr().out.startswith("solver=vaidya ")
+
     @pytest.mark.parametrize("gap", ["nan", "inf"])
     def test_non_finite_gap_exits_two(self, square, capsys, gap):
         assert main(["mve", "--solver", "vaidya", "--gap", gap, "--polytope", square]) == 2

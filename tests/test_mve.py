@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from johnswalk.errors import (
     GeometryError,
     NumericalError,
+    SolverError,
     UnboundedPolytopeError,
 )
 from johnswalk.geometry import (
@@ -594,9 +595,9 @@ class TestSolveMveHardBodies:
             assert_inscribed_and_certified(each, solve_mve(each, gap=gap), gap)
 
     @pytest.mark.xfail(strict=True, raises=NumericalError, reason=(
-        "dikin_precondition takes eigh of the formed 2 A^T A, which squares the "
-        "2.5e8 condition number of the reduced rows: their smallest singular value "
-        "is 1.7e-2, but the smallest eigenvalue comes back as -1.5e-3"))
+        "the engine ends at its volume stop after 400 calls with 5 image rows at "
+        "contact, but mapped back by the Dikin map's T^-1 (condition number "
+        "2.5e8) the answer keeps only 1 touch direction within slack 1e-6"))
     def test_scaled_body_on_the_cutting_plane_route(self):
         body = scaled_seed7_body()
         assert_inscribed_and_certified(body, solve_mve(body, method="vaidya", gap=1e-5), 1e-5)
@@ -608,6 +609,35 @@ class TestSolveMveHardBodies:
         body = data.draw(hard_bodies(st.just(2), shape))
         sol = solve_mve(body, method="vaidya", gap=1e-5)
         assert_inscribed_and_certified(body, sol, 1e-5)
+
+
+class TestLooseGap:
+    """A gap past about 1e5 once gave the cutting-plane engine a negative
+    budget: it made no oracle call and raised "no feasible iterate found".
+    Both routes certify such a gap at once."""
+
+    @pytest.mark.parametrize("gap", [10.0, 1e6, 1e300])
+    @pytest.mark.parametrize("method", ["oracle", "vaidya"])
+    @pytest.mark.parametrize("poly", [cube(2), unit_normal_polytope(3, 9, 0)],
+                             ids=["square", "rand3x9"])
+    def test_both_routes_certify(self, poly, method, gap):
+        body = _at_center(poly)
+        assert_inscribed_and_certified(body, solve_mve(body, method=method, gap=gap), gap)
+
+
+class TestUncertifiedRun:
+    def test_call_cap_raises_with_the_best_answer(self, monkeypatch):
+        # A run cut off by the call cap ends uncertified; its best point's
+        # answer is rebuilt, checked inside every row and carried by the error.
+        monkeypatch.setattr(mve._vaidya, "_CALL_CAP", 20)
+        body = centered_body(cube(3))
+        with pytest.raises(SolverError) as err:
+            solve_mve(body, method="vaidya", gap=1e-5)
+        best = err.value.best
+        assert isinstance(best, mve.JohnSolution) and best.solver_tag == "vaidya"
+        assert best.iterations <= 20
+        assert np.linalg.norm(body.A @ best.ellipsoid.mat, axis=1).max() <= 1.0
+        assert best.logdet_gap > 1e-5
 
 
 class TestSolveMveVaidyaBreakdown:
@@ -704,6 +734,11 @@ class TestCuttingPlaneCertificate:
         exact = exact_weak_dual_bound(rows, weights)
         got = mve._weak_dual_bound(rows, weights)
         assert abs(got - exact) <= 16 * np.finfo(float).eps * (1.0 + abs(exact))
+
+    def test_dual_bound_names_singular_rows(self):
+        rows = np.array([[1.0, 0.0], [2.0, 0.0], [-3.0, 0.0]])
+        with pytest.raises(NumericalError, match="dual moment matrix is singular"):
+            mve._weak_dual_bound(rows, np.ones(3))
 
     def test_tall_body_certifies_the_walks_default_gap(self):
         body = _at_center(unit_normal_polytope(5, 1000, 0))
@@ -853,13 +888,27 @@ class TestDistinctRows:
 class TestDikinPrecondition:
     def test_cube_rows(self):
         body = centered_body(cube(2))
-        inv_sqrt, image = dikin_precondition(body)
+        inv, image = dikin_precondition(body)
         # The 2-cube symmetrization lists +-e_i, and each row bounds two
         # half-spaces, so H = 2 A^T A = 4I; rows of the image are +-e_i / 2,
         # so the image box is |v_i| <= 2.
-        assert np.allclose(inv_sqrt @ (2.0 * body.A.T @ body.A) @ inv_sqrt, np.eye(2))
+        assert np.allclose(inv.T @ (2.0 * body.A.T @ body.A) @ inv, np.eye(2))
         widths = 1.0 / np.abs(image.A).max(axis=1)
         assert np.allclose(widths, 2.0)
+
+    def test_map_is_the_triangular_factor(self, rng):
+        body = centered_body(random_symmetric_polytope(3, 6, rng))
+        inv, image = dikin_precondition(body)
+        assert np.array_equal(inv, np.triu(inv)) and (inv.diagonal() > 0.0).all()
+        assert np.array_equal(image.A, body.A @ inv)
+        assert np.allclose(inv.T @ (2.0 * body.A.T @ body.A) @ inv, np.eye(3))
+
+    def test_ill_conditioned_rows_precondition(self):
+        # The eigh of the formed 2 A^T A refused these reduced rows, of
+        # condition number 2.5e8; the image rows' half-spaces sum to I.
+        body = scaled_seed7_body()
+        image = dikin_precondition(SymmetricPolytope(body.distinct, body.anchor))[1]
+        assert np.abs(2.0 * image.A.T @ image.A - np.eye(body.n)).max() <= 1e-6
 
     def test_unit_ball_inside_image(self, rng):
         poly = random_symmetric_polytope(3, 6, rng)
@@ -880,7 +929,7 @@ class TestDikinPrecondition:
 
     def test_singular_hessian_raises(self):
         a = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="barrier Hessian .* is singular"):
             dikin_precondition(SymmetricPolytope(a, np.zeros(2)))
 
 

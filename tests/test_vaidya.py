@@ -104,6 +104,11 @@ class TestIterationBound:
     def test_keyword_arguments(self):
         assert iteration_bound(3, rho=8.0, level=11.0) == 256829
 
+    def test_budget_below_one_raises(self):
+        # log2(4 / 1e6) + 1 made this bracket negative: a budget of no calls.
+        with pytest.raises(ValueError, match="budget"):
+            iteration_bound(6, math.log2(4e-6) + 1.0, 24.0)
+
 
 class TestEngine:
     def test_recentering_reaches_newton_tol(self):
