@@ -60,7 +60,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgeqp3, dgeqrf, dorgqr, dpotrf, dpotrs, dtrtri
+from scipy.linalg.lapack import dgeqp3, dgeqrf, dorgqr, dpotrf, dpotrs, dsyevd, dtrtri
 from scipy.optimize import nnls
 
 from . import vaidya as _vaidya
@@ -490,11 +490,12 @@ def dikin_precondition(body: SymmetricPolytope):
     (:func:`_qr_factor`): T^T T = 2 A^T A = H, the log-barrier Hessian at
     the origin over both half-spaces of every row, is never formed. In the
     image the radius-1 Dikin ellipsoid at the origin is the unit ball, so
-    unit ball <= image <= sqrt(2 rows) * unit ball. Returns T^-1, which maps
-    the image back (not the symmetric H^(-1/2)), and the image, rows A T^-1.
-    Raises NumericalError only when the rows are singular."""
-    inv = _qr_factor(body.A, "barrier Hessian 2 A^T A of the rows")[1] / np.sqrt(2.0)
-    return inv, SymmetricPolytope(body.A @ inv, body.anchor.copy())
+    unit ball <= image <= sqrt(2 rows) * unit ball. Returns T, T^-1, which
+    maps the image back (not the symmetric H^(-1/2)), and the image, rows
+    A T^-1. Raises NumericalError only when the rows are singular."""
+    r, r_inv = _qr_factor(body.A, "barrier Hessian 2 A^T A of the rows")
+    inv = r_inv / np.sqrt(2.0)
+    return r * np.sqrt(2.0), inv, SymmetricPolytope(body.A @ inv, body.anchor.copy())
 
 
 @dataclass(frozen=True)
@@ -523,15 +524,18 @@ def separation_oracle_mve(x_mat: np.ndarray, body: SymmetricPolytope) -> OracleA
     n = body.n
     if x_mat.shape != (n, n):
         raise GeometryError("matrix dimension does not match the body")
-    scale = max(1.0, float(np.abs(x_mat).max()))
-    if np.abs(x_mat - x_mat.T).max() > 1e-10 * scale:
-        raise GeometryError("separation oracle expects a symmetric matrix")
-    vals_rows = np.einsum("ij,jk,ik->i", body.A, x_mat, body.A)
+    if not (x_mat == x_mat.T).all():  # as vec_to_sym builds it
+        scale = max(1.0, float(np.abs(x_mat).max()))
+        if np.abs(x_mat - x_mat.T).max() > 1e-10 * scale:
+            raise GeometryError("separation oracle expects a symmetric matrix")
+    vals_rows = np.einsum("ij,ij->i", body.A @ x_mat, body.A)
     violated = np.nonzero(vals_rows > 1.0)[0]
     if violated.size:
         row = body.A[int(violated[0])]
         return OracleAnswer(kind="constraint", cut=sym_to_vec(np.outer(row, row)))
-    vals, vecs = np.linalg.eigh(x_mat)
+    vals, vecs, info = dsyevd(x_mat, lower=1)  # numpy's eigh wrapper outcosts it at n <= 3
+    if info:
+        raise NumericalError("eigendecomposition of X did not converge")
     if vals[0] < 1.0 / n:
         v = vecs[:, 0]
         return OracleAnswer(kind="psd", cut=sym_to_vec(-np.outer(v, v)))
@@ -541,23 +545,22 @@ def separation_oracle_mve(x_mat: np.ndarray, body: SymmetricPolytope) -> OracleA
                         value=-float(np.log(vals).sum()), rows=vals_rows)
 
 
-def _vaidya_answer(body: SymmetricPolytope, t_inv: np.ndarray,
+def _vaidya_answer(body: SymmetricPolytope, t: np.ndarray, t_inv: np.ndarray,
                    point: np.ndarray, gap: float):
-    """(ellipsoid, gap bound, problem) of a cutting-plane point X: T^-1 X T^-T,
-    factored by one eigh, fitted inside every row of the body
+    """(ellipsoid, gap bound, problem) of a cutting-plane point X = V L V^T:
+    the factor F = T^-1 V L^(1/2), so T^-1 X T^-T, of condition number about
+    cond(T)^2, is never formed, fitted inside every row of the body
     (:func:`_fit_inside`) and certified by weak duality at the John weights
     of its contacts (:func:`_contact_dyads`). The bound is inf when the
     contacts give no certificate; ``problem`` words the failure for a bound
-    above ``gap``. Raises NumericalError when the matrix is not positive
-    definite or the factor is not finite."""
-    shape = t_inv @ vec_to_sym(point, body.n) @ t_inv.T
-    vals, vecs = np.linalg.eigh(0.5 * (shape + shape.T))
-    if vals[0] <= 0.0:
-        raise NumericalError("cutting-plane matrix is not positive definite")
+    above ``gap``. Raises NumericalError when X is not positive definite or
+    the factor is not finite."""
+    vals, vecs, info = dsyevd(vec_to_sym(point, body.n), lower=1)
+    if info or vals[0] <= 0.0:
+        raise NumericalError("cutting-plane matrix has no positive definite eigendecomposition")
     radii = np.sqrt(vals)
-    mat = (vecs * radii) @ vecs.T
-    ell = _fit_inside(body, 0.5 * (mat + mat.T), (vecs / radii) @ vecs.T,
-                      np.sum(np.log(radii)))
+    ell = _fit_inside(body, t_inv @ (vecs * radii), (vecs / radii).T @ t,
+                      np.log(radii).sum() - np.log(t.diagonal()).sum())
     try:
         rows, _, weights = _contact_dyads(ell, body, gap)
         gap_bound = max(0.0, _weak_dual_bound(rows, weights) - ell.logdet)
@@ -569,7 +572,7 @@ def _vaidya_answer(body: SymmetricPolytope, t_inv: np.ndarray,
 def _solve_mve_vaidya(body: SymmetricPolytope, gap: float) -> JohnSolution:
     n = body.n
     reduced = SymmetricPolytope._derived(body.distinct, body.anchor)
-    t_inv, image = dikin_precondition(reduced)
+    t, t_inv, image = dikin_precondition(reduced)
     # Any feasible X has spectral norm <= the image's half-space count.
     rho = float(2 * image.rows)
     # Clamped at gap 4: unclamped, a gap past about 1e5 leaves no budget.
@@ -594,7 +597,7 @@ def _solve_mve_vaidya(body: SymmetricPolytope, gap: float) -> JohnSolution:
         if np.count_nonzero(rows[0] >= near) < n:
             return False
         try:
-            answer[0] = _vaidya_answer(body, t_inv, v, gap)
+            answer[0] = _vaidya_answer(body, t, t_inv, v, gap)
         except NumericalError:
             return False
         return answer[0][1] <= gap
@@ -605,15 +608,11 @@ def _solve_mve_vaidya(body: SymmetricPolytope, gap: float) -> JohnSolution:
     # only to raise what the stop test caught or skipped.
     result = _vaidya.vaidya_minimize(oracle, sym_dim(n), level, rho, stop=certified)
     if result.status != "certified":
-        answer[0] = _vaidya_answer(body, t_inv, result.point, gap)
+        answer[0] = _vaidya_answer(body, t, t_inv, result.point, gap)
     ell, gap_bound, problem = answer[0]
-    sol = JohnSolution(
-        ellipsoid=ell,
-        logdet_gap=gap_bound,
-        solver_tag="vaidya",
-        iterations=result.oracle_calls,
-        newton_steps=result.state.newton_steps,
-    )
+    sol = JohnSolution(ellipsoid=ell, logdet_gap=gap_bound, solver_tag="vaidya",
+                       iterations=result.oracle_calls,
+                       newton_steps=result.state.newton_steps)
     if gap_bound > gap:
         raise SolverError(f"cutting-plane solution {problem}", best=sol)
     return sol
@@ -674,7 +673,8 @@ def _contact_dyads(ell: Ellipsoid, body: SymmetricPolytope, gap: float):
             f"within slack {slack:.1e} (need at least {body.n})"
         )
     rows, units = rows[tight], images[tight] / norms[tight, None]
-    design = np.column_stack([sym_to_vec(np.outer(u, u)) for u in units])
+    iu, ju, w = _triu_indices(body.n)
+    design = (units[:, iu] * units[:, ju] * w).T  # column k is sym_to_vec(u_k u_k^T)
     dyad_weights, _ = nnls(design, sym_to_vec(np.eye(body.n)))
     kept = dyad_weights > 0.0
     if not kept.any():

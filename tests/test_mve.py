@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.optimize import nnls
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
@@ -594,11 +595,11 @@ class TestSolveMveHardBodies:
         for each in (body, twin):
             assert_inscribed_and_certified(each, solve_mve(each, gap=gap), gap)
 
-    @pytest.mark.xfail(strict=True, raises=NumericalError, reason=(
-        "the engine ends at its volume stop after 400 calls with 5 image rows at "
-        "contact, but mapped back by the Dikin map's T^-1 (condition number "
-        "2.5e8) the answer keeps only 1 touch direction within slack 1e-6"))
     def test_scaled_body_on_the_cutting_plane_route(self):
+        # The reduced rows' T has condition number 2.5e8. The factor is
+        # T^-1 V L^(1/2) from the eigh of the engine's X = V L V^T: an eigh
+        # of T^-1 X T^-T rounded a row at contact 10% outside and kept only
+        # 1 touch direction within slack 1e-6.
         body = scaled_seed7_body()
         assert_inscribed_and_certified(body, solve_mve(body, method="vaidya", gap=1e-5), 1e-5)
 
@@ -799,14 +800,14 @@ class TestStopTestSkip:
         for x in (analytic_center(poly),
                   interior_points(poly, 1, np.random.default_rng([n, m]), shrink=0.5)[0]):
             body = symmetrize(poly, x)
-            inv_sqrt_h = dikin_precondition(
-                SymmetricPolytope(body.distinct, body.anchor))[0]
+            t, t_inv, _ = dikin_precondition(
+                SymmetricPolytope(body.distinct, body.anchor))
             calls = stop_tests(monkeypatch, body, gap)
             for point, skip in calls:
                 if not skip:
                     continue
                 try:
-                    bound = mve._vaidya_answer(body, inv_sqrt_h, point, gap)[1]
+                    bound = mve._vaidya_answer(body, t, t_inv, point, gap)[1]
                 except NumericalError:
                     continue
                 assert bound > gap
@@ -888,7 +889,7 @@ class TestDistinctRows:
 class TestDikinPrecondition:
     def test_cube_rows(self):
         body = centered_body(cube(2))
-        inv, image = dikin_precondition(body)
+        _, inv, image = dikin_precondition(body)
         # The 2-cube symmetrization lists +-e_i, and each row bounds two
         # half-spaces, so H = 2 A^T A = 4I; rows of the image are +-e_i / 2,
         # so the image box is |v_i| <= 2.
@@ -898,8 +899,10 @@ class TestDikinPrecondition:
 
     def test_map_is_the_triangular_factor(self, rng):
         body = centered_body(random_symmetric_polytope(3, 6, rng))
-        inv, image = dikin_precondition(body)
+        t, inv, image = dikin_precondition(body)
         assert np.array_equal(inv, np.triu(inv)) and (inv.diagonal() > 0.0).all()
+        assert np.array_equal(t, np.triu(t)) and np.allclose(t @ inv, np.eye(3))
+        assert np.allclose(t.T @ t, 2.0 * body.A.T @ body.A)
         assert np.array_equal(image.A, body.A @ inv)
         assert np.allclose(inv.T @ (2.0 * body.A.T @ body.A) @ inv, np.eye(3))
 
@@ -907,18 +910,18 @@ class TestDikinPrecondition:
         # The eigh of the formed 2 A^T A refused these reduced rows, of
         # condition number 2.5e8; the image rows' half-spaces sum to I.
         body = scaled_seed7_body()
-        image = dikin_precondition(SymmetricPolytope(body.distinct, body.anchor))[1]
+        image = dikin_precondition(SymmetricPolytope(body.distinct, body.anchor))[2]
         assert np.abs(2.0 * image.A.T @ image.A - np.eye(body.n)).max() <= 1e-6
 
     def test_unit_ball_inside_image(self, rng):
         poly = random_symmetric_polytope(3, 6, rng)
-        _, image = dikin_precondition(centered_body(poly))
+        *_, image = dikin_precondition(centered_body(poly))
         pts = sphere_points(3, 1000, rng)
         assert np.all(image.A @ pts.T <= 1.0 + 1e-9)
 
     def test_image_inside_sqrt_rows_ball(self, rng):
         poly = random_symmetric_polytope(3, 6, rng)
-        _, image = dikin_precondition(centered_body(poly))
+        *_, image = dikin_precondition(centered_body(poly))
         dirs = sphere_points(3, 1000, rng)
         # boundary point along each direction
         t = 1.0 / np.max(image.A @ dirs.T, axis=0)
@@ -963,6 +966,48 @@ class TestSeparationOracle:
         body = centered_body(cube(2))
         with pytest.raises(GeometryError):
             separation_oracle_mve(np.array([[1.0, 0.1], [0.0, 1.0]]), body)
+
+    def test_exactly_symmetric_matrix_skips_the_tolerance_test(self, monkeypatch):
+        # np.abs runs only in the tolerance test, which an exactly symmetric
+        # X, as vec_to_sym builds it, never reaches; X asymmetric by 1e-12
+        # reaches it and passes.
+        body, calls = centered_body(cube(2)), []
+        x = vec_to_sym(sym_to_vec(np.array([[1.0, 0.3], [0.3, 0.8]])), 2)
+        monkeypatch.setattr(np, "abs", lambda *a: calls.append(1) or np.absolute(*a))
+        assert separation_oracle_mve(x, body).kind == "feasible"
+        assert not calls
+        x[0, 1] += 1e-12
+        assert separation_oracle_mve(x, body).kind == "feasible"
+        assert calls
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_answer_matches_eigh_reference(self, seed):
+        # An oracle built on np.linalg.eigh and the three-operand einsum
+        # gives the same kind of answer, and its value, cut and row values
+        # agree to rounding.
+        rng = np.random.default_rng([29, seed])
+        n = int(rng.integers(2, 6))
+        body = centered_body(unit_normal_polytope(n, 3 * n, seed))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        x = vec_to_sym(sym_to_vec((q * rng.uniform(0.2 / n, 2.0 / n, size=n)) @ q.T), n)
+        x *= rng.uniform(0.5, 1.5) / np.einsum("ij,jk,ik->i", body.A, x, body.A).max()
+        ans = separation_oracle_mve(x, body)
+        rows = np.einsum("ij,jk,ik->i", body.A, x, body.A)
+        vals, vecs = np.linalg.eigh(x)
+        if (rows > 1.0).any():
+            row = body.A[int(np.argmax(rows > 1.0))]
+            assert ans.kind == "constraint"
+            assert np.array_equal(ans.cut, sym_to_vec(np.outer(row, row)))
+        elif vals[0] < 1.0 / n:
+            assert ans.kind == "psd"
+            reference = sym_to_vec(-np.outer(vecs[:, 0], vecs[:, 0]))
+            assert np.abs(ans.cut - reference).max() <= 1e-12
+        else:
+            assert ans.kind == "feasible"
+            inv = (vecs / vals) @ vecs.T
+            assert ans.value == pytest.approx(-np.log(vals).sum(), rel=1e-12, abs=1e-14)
+            assert np.abs(ans.cut + sym_to_vec(inv)).max() <= 1e-12 * np.abs(inv).max()
+            assert np.allclose(ans.rows, rows, rtol=1e-13, atol=0.0)
 
     def test_constraint_cut_precedes_psd_cut(self):
         # Both a violated row and a small eigenvalue: row cut wins.
@@ -1038,6 +1083,22 @@ class TestContactExtraction:
         # The cutting-plane route stops at its first certified answer, whose
         # contact weights meet the John conditions only to about sqrt(gap).
         assert max(res) <= (1e-8 if method == "oracle" else np.sqrt(gap))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10])
+    def test_design_matches_vectorized_dyads(self, monkeypatch, n):
+        # The NNLS design, built in one expression, is bitwise the column
+        # stack of sym_to_vec(u u^T) over the unit contact directions.
+        designs = []
+        monkeypatch.setattr(mve, "nnls", lambda a, b: designs.append(a) or nnls(a, b))
+        body = centered_body(unit_normal_polytope(n, 3 * n, n))
+        sol = solve_mve(body, gap=1e-9)
+        mve._contact_dyads(sol.ellipsoid, body, 1e-9)
+        images = body.distinct @ sol.ellipsoid.mat
+        norms = np.linalg.norm(images, axis=1)
+        tight = np.nonzero(1.0 - norms <= max(mve._CONTACT_SLACK, 1e-9 / (2 * n)))[0]
+        units = images[tight] / norms[tight, None]
+        expected = np.column_stack([sym_to_vec(np.outer(u, u)) for u in units])
+        assert len(designs) == 1 and np.array_equal(designs[0], expected)
 
     def test_rank_deficient_contact_set(self):
         body = centered_body(cube(2))

@@ -192,6 +192,19 @@ class TestEngine:
             assert np.array_equal(engine.state.h_offs, h_offs)
         assert engine.state.peak_rows > 4 * d
 
+    def test_drop_leaves_the_iterate(self, rng):
+        # A drop removes a row and nothing else: the iterate object stays and
+        # no Newton system is solved; the next cut recenters from it.
+        engine = _Engine(3, 1.0)
+        for _ in range(6):
+            engine.add_cut(rng.standard_normal(3))
+        x, steps, rows = engine.state.iterate, engine.state.newton_steps, engine.state.rows
+        assert engine.drop_min_leverage(None)
+        assert engine.state.iterate is x and engine.state.newton_steps == steps
+        assert engine.state.rows == rows - 1 and engine.state.drops == 1
+        engine.add_cut(rng.standard_normal(3))
+        assert engine.state.newton_steps > steps
+
     def test_singular_barrier_hessian_leaves_iterate(self):
         # Rows +-e_1 only: H = w^T w is singular, and its factor fails.
         engine = _Engine(2, 1.0)
@@ -453,7 +466,7 @@ def cube_mve_program(n, gap=1e-5):
     the n-cube at ``gap``: (oracle, d, level, rho). The oracle keeps every
     query as (point, value), value None at an infeasible point."""
     body = symmetrize(cube(n), np.zeros(n))
-    image = dikin_precondition(SymmetricPolytope(body.distinct, body.anchor))[1]
+    image = dikin_precondition(SymmetricPolytope(body.distinct, body.anchor))[2]
     queries = []
 
     def oracle(v):
