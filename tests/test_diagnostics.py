@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
+import johnswalk
 from johnswalk.diagnostics import (
     LemmaReport,
     TvEstimate,
@@ -175,6 +180,40 @@ class TestUniformityChiSquare:
             uniformity_chi_square(poly, samples, 2,
                                   (np.full(2, 2.0), np.full(2, 3.0)), rng=rng)
 
+    def test_sample_outside_box_rejected(self):
+        # Counted in the edge cells, the samples outside [-0.5, 0.5]^2 would
+        # give p = 0.0, where those inside alone give 0.60.
+        rng = np.random.default_rng(0)
+        samples = rng.uniform(-1.0, 1.0, size=(4_000, 2))
+        first = int(np.flatnonzero(np.abs(samples).max(axis=1) > 0.5)[0])
+        box = (np.full(2, -0.5), np.full(2, 0.5))
+        with pytest.raises(GeometryError, match=f"sample row {first} "):
+            uniformity_chi_square(cube(2), samples, 4, box)
+        inside = samples[np.abs(samples).max(axis=1) <= 0.5]
+        assert uniformity_chi_square(cube(2), inside, 4, box) > 0.001
+
+    def test_nan_sample_rejected(self):
+        samples = np.random.default_rng(3).uniform(-1.0, 1.0, size=(400, 2))
+        samples[17, 1] = np.nan
+        with pytest.raises(GeometryError, match="sample row 17 "):
+            uniformity_chi_square(cube(2), samples, 2,
+                                  (np.full(2, -1.0), np.ones(2)))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("grid", [2, 4])
+    def test_p_value_matches_scipy_stats(self, n, grid):
+        # With the box equal to the cube every cell mass is exact (powers
+        # of two), so the p-value must be scipy.stats.chisquare's, bitwise.
+        box = (np.full(n, -1.0), np.ones(n))
+        cells = grid**n
+        for seed in range(5):
+            samples = np.random.default_rng(seed).uniform(
+                -1.0, 1.0, size=(2_000, n))
+            counts, _ = np.histogramdd(samples, bins=grid,
+                                       range=list(zip(*box)))
+            want = chisquare(counts.ravel(), 2_000 / cells).pvalue
+            assert uniformity_chi_square(cube(n), samples, grid, box) == want
+
     def test_shape_validation(self):
         poly = cube(2)
         good_box = (np.full(2, -1.0), np.ones(2))
@@ -185,6 +224,21 @@ class TestUniformityChiSquare:
         with pytest.raises(GeometryError):
             uniformity_chi_square(poly, np.zeros((10, 2)), 2,
                                   (np.ones(2), np.full(2, -1.0)))
+
+
+def test_package_does_not_import_scipy_stats():
+    # scipy.stats costs about 0.3 s and 20 MB at the start of every
+    # process; only the p-value above needed it.
+    src = os.path.dirname(os.path.dirname(johnswalk.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, johnswalk.cli, johnswalk.diagnostics; "
+         "print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 class TestEss:
