@@ -230,8 +230,8 @@ def _cmd_mve(args) -> int:
     point = analytic_center(poly) if args.point is None else _parse_vector(args.point, poly)
     body = symmetrize(poly, point)
     sol = solve_mve(body, method=args.solver, gap=args.gap)
-    contacts = extract_contacts(sol, body, args.gap)
-    resid = verify_john_conditions(contacts, poly.n)
+    contacts = extract_contacts(sol, body)
+    resid = verify_john_conditions(contacts)
     print(f"solver={sol.solver_tag} logdet={sol.ellipsoid.logdet:.12g} "
           f"logdet_gap<={sol.logdet_gap:.3g} iterations={sol.iterations} "
           f"newton_steps={sol.newton_steps}")

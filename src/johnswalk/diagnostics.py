@@ -27,6 +27,7 @@ from .geometry import (
     Ellipsoid,
     Polytope,
     analytic_center,
+    ball_point,
     ball_points,
     contains,
     cross_ratio,
@@ -98,7 +99,7 @@ def check_step_lemmas(
     min_eig_dev = 0.0
     violations = 0
     for _ in range(n_trials):
-        y = r * ball_points(n, 1, rng)[0]
+        y = r * ball_point(n, rng)
         ell_y = _ellipsoid_at(normalized, y, config)
         det_y = math.exp(ell_y.logdet)
         eig_min = float(np.linalg.svd(ell_y.mat, compute_uv=False)[-1])  # semi-axis

@@ -32,9 +32,10 @@ Two routes that share no solver are provided, so each checks the other:
   It certifies by weak duality at the John weights of the reduced rows
   within slack max(1e-6, gap/(2n)) of the boundary (:func:`_contact_dyads`),
   and the engine stops at the first improving point whose own certificate
-  meets the requested gap (:func:`_vaidya_answer` builds it), so the answer
-  certifies just under the request; only with n rows near contact by the
-  oracle's row values a_i^T X a_i does the stop test build it.
+  meets the requested gap (:func:`_vaidya_answer` builds it from the
+  oracle's eigendecomposition of X), so the answer certifies just under the
+  request; only with n rows near contact by the oracle's row values
+  a_i^T X a_i does the stop test build it.
   Symmetric matrices travel through the engine as vectors of the upper
   triangle with off-diagonal entries scaled by sqrt(2), so the Frobenius
   inner product of matrices equals the dot product of their vectors.
@@ -50,7 +51,7 @@ an unbounded body before any solver work; a symmetrized body takes both
 from its polytope, computed once. Both return an ellipsoid checked against
 every row of the body, shrunk if rounding left it outside one, together
 with an upper bound ``logdet_gap`` on how far its log volume can sit below
-the optimum.
+the optimum, and the requested ``gap``, which sets the contacts' slack.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ class ContactSet:
 @dataclass(frozen=True)
 class JohnSolution:
     """Inscribed ellipsoid, centered at the body's anchor, plus a bound on
-    the log-volume gap and the solver that produced it.
+    the log-volume gap, the requested ``gap`` and the solver that produced it.
 
     ``iterations`` counts the solver's work: weight-ascent iterations on the
     oracle route, separation-oracle calls on the cutting-plane route.
@@ -160,6 +161,7 @@ class JohnSolution:
     ellipsoid: Ellipsoid
     logdet_gap: float
     solver_tag: str
+    gap: float
     iterations: int = 0
     newton_steps: int = 0
 
@@ -454,7 +456,7 @@ def _solve_mve_oracle(body: SymmetricPolytope, gap: float) -> JohnSolution:
     # Any shrink _fit_inside applied widens the gap by the log det it cost.
     gap_bound = max(0.0, 0.5 * n * np.log(g_max / n)) + (logdet - ell.logdet)
     return JohnSolution(
-        ellipsoid=ell, logdet_gap=gap_bound, solver_tag="oracle",
+        ellipsoid=ell, logdet_gap=gap_bound, solver_tag="oracle", gap=gap,
         iterations=iterations, newton_steps=steps,
     )
 
@@ -503,8 +505,9 @@ class OracleAnswer:
     """Answer of the inscribed-ellipsoid separation oracle at a symmetric
     matrix X, already vectorized for the cutting-plane engine.
 
-    kind is "feasible" (value = -logdet X, cut = its gradient -X^-1, and
-    ``rows`` the values a_i^T X a_i of every row), "constraint"
+    kind is "feasible" (value = -logdet X, cut = its gradient -X^-1,
+    ``rows`` the values a_i^T X a_i of every row, and ``vals``, ``vecs``
+    the eigendecomposition X = V diag(vals) V^T), "constraint"
     (cut = a_i a_i^T for the first violated row i) or "psd" (cut = -v v^T
     for an eigenvector v with eigenvalue below 1/n).
     """
@@ -513,6 +516,8 @@ class OracleAnswer:
     cut: np.ndarray
     value: Optional[float] = None
     rows: Optional[np.ndarray] = None
+    vals: Optional[np.ndarray] = None
+    vecs: Optional[np.ndarray] = None
 
 
 def separation_oracle_mve(x_mat: np.ndarray, body: SymmetricPolytope) -> OracleAnswer:
@@ -542,23 +547,21 @@ def separation_oracle_mve(x_mat: np.ndarray, body: SymmetricPolytope) -> OracleA
     # Every eigenvalue is at least 1/n here: the eigh gives logdet X and X^-1.
     inv = (vecs / vals) @ vecs.T
     return OracleAnswer(kind="feasible", cut=sym_to_vec(-inv),
-                        value=-float(np.log(vals).sum()), rows=vals_rows)
+                        value=-float(np.log(vals).sum()), rows=vals_rows,
+                        vals=vals, vecs=vecs)
 
 
 def _vaidya_answer(body: SymmetricPolytope, t: np.ndarray, t_inv: np.ndarray,
-                   point: np.ndarray, gap: float):
-    """(ellipsoid, gap bound, problem) of a cutting-plane point X = V L V^T:
-    the factor F = T^-1 V L^(1/2), so T^-1 X T^-T, of condition number about
-    cond(T)^2, is never formed, fitted inside every row of the body
-    (:func:`_fit_inside`) and certified by weak duality at the John weights
-    of its contacts (:func:`_contact_dyads`). The bound is inf when the
-    contacts give no certificate; ``problem`` words the failure for a bound
-    above ``gap``. Raises NumericalError when X is not positive definite or
-    the factor is not finite."""
-    vals, vecs, info = dsyevd(vec_to_sym(point, body.n), lower=1)
-    if info or vals[0] <= 0.0:
-        raise NumericalError("cutting-plane matrix has no positive definite eigendecomposition")
-    radii = np.sqrt(vals)
+                   ans: OracleAnswer, gap: float):
+    """(ellipsoid, gap bound, problem) of the point X = V L V^T of a
+    feasible oracle answer ``ans``, L >= I/n: the factor F = T^-1 V L^(1/2),
+    so T^-1 X T^-T, of condition number about cond(T)^2, is never formed,
+    fitted inside every row of the body (:func:`_fit_inside`) and certified
+    by weak duality at the John weights of its contacts
+    (:func:`_contact_dyads`). The bound is inf when the contacts give no
+    certificate; ``problem`` words the failure for a bound above ``gap``.
+    Raises NumericalError when the factor is not finite."""
+    vecs, radii = ans.vecs, np.sqrt(ans.vals)
     ell = _fit_inside(body, t_inv @ (vecs * radii), (vecs / radii).T @ t,
                       np.log(radii).sum() - np.log(t.diagonal()).sum())
     try:
@@ -582,36 +585,34 @@ def _solve_mve_vaidya(body: SymmetricPolytope, gap: float) -> JohnSolution:
     # has |F^T a_i|^2 >= (1 - slack)^2, which is a^T X a for its image row a;
     # one more slack covers rounding.
     near = max(0.0, 1.0 - 2.0 * max(_CONTACT_SLACK, gap / (2 * n))) ** 2
-    rows = [None]  # the row values of the oracle's last answer
+    latest = best = built = None  # oracle answers; the answer built from best
 
     def oracle(v: np.ndarray):
-        ans = separation_oracle_mve(vec_to_sym(v, n), image)
-        rows[0] = ans.rows
-        return ans.value, ans.cut
-
-    answer = [None]  # the stop test's last built answer
+        nonlocal latest
+        latest = separation_oracle_mve(vec_to_sym(v, n), image)
+        return latest.value, latest.cut
 
     def certified(v: np.ndarray) -> bool:
-        # v was just answered feasible; with fewer than n of its rows near
-        # contact _contact_dyads would find none.
-        if np.count_nonzero(rows[0] >= near) < n:
+        # v was just answered feasible and lowers the best value; with fewer
+        # than n of its rows near contact _contact_dyads would find none.
+        nonlocal best, built
+        best, built = latest, None
+        if np.count_nonzero(best.rows >= near) < n:
             return False
         try:
-            answer[0] = _vaidya_answer(body, t, t_inv, v, gap)
+            built = _vaidya_answer(body, t, t_inv, best, gap)
         except NumericalError:
             return False
-        return answer[0][1] <= gap
+        return built[1] <= gap
 
     # The engine raises SolverError when it finds no feasible matrix. It
     # stops at the first improving point that certifies the gap; a run that
-    # ends otherwise returns its best point, whose answer is built again
-    # only to raise what the stop test caught or skipped.
+    # ends otherwise returns its best point, the stop test's last, whose
+    # answer is built here only if the stop test skipped or caught it.
     result = _vaidya.vaidya_minimize(oracle, sym_dim(n), level, rho, stop=certified)
-    if result.status != "certified":
-        answer[0] = _vaidya_answer(body, t, t_inv, result.point, gap)
-    ell, gap_bound, problem = answer[0]
+    ell, gap_bound, problem = built or _vaidya_answer(body, t, t_inv, best, gap)
     sol = JohnSolution(ellipsoid=ell, logdet_gap=gap_bound, solver_tag="vaidya",
-                       iterations=result.oracle_calls,
+                       gap=gap, iterations=result.oracle_calls,
                        newton_steps=result.state.newton_steps)
     if gap_bound > gap:
         raise SolverError(f"cutting-plane solution {problem}", best=sol)
@@ -682,23 +683,20 @@ def _contact_dyads(ell: Ellipsoid, body: SymmetricPolytope, gap: float):
     return rows[kept], units[kept], dyad_weights[kept]
 
 
-def extract_contacts(
-    solution: JohnSolution, body: SymmetricPolytope, gap: float = 1e-9
-) -> ContactSet:
-    """Contact points +-u_k of the inscribed ellipsoid, solved at ``gap``,
-    with their John weights (:func:`_contact_dyads`), each split evenly so
-    sum c_i u_i is exactly 0."""
-    _, units, weights = _contact_dyads(solution.ellipsoid, body, gap)
+def extract_contacts(solution: JohnSolution, body: SymmetricPolytope) -> ContactSet:
+    """Contact points +-u_k of the inscribed ellipsoid, at the slack of the
+    gap it was solved at, with their John weights (:func:`_contact_dyads`),
+    each split evenly so sum c_i u_i is exactly 0."""
+    _, units, weights = _contact_dyads(solution.ellipsoid, body, solution.gap)
     points = np.stack([units, -units], axis=1).reshape(-1, body.n)
     return ContactSet(points, np.repeat(0.5 * weights, 2))
 
 
-def verify_john_conditions(contacts: ContactSet, n: int) -> JohnConditions:
-    """Residuals of the John decomposition conditions for a contact set in
+def verify_john_conditions(contacts: ContactSet) -> JohnConditions:
+    """Residuals of the John decomposition conditions for contact points in
     R^n: ||sum c u u^T - I||_F, |sum c - n| and |sum c u|."""
     pts, wts = contacts.points, contacts.weights
-    if pts.shape[1] != n:
-        raise GeometryError("contact dimension does not match n")
+    n = pts.shape[1]
     moment = pts.T @ (pts * wts[:, None])
     frob = float(np.linalg.norm(moment - np.eye(n)))
     weight_sum = abs(float(wts.sum()) - n)

@@ -75,7 +75,7 @@ def test_criterion_01_john_conditions_on_cubes():
     for n in range(2, 7):
         body = symmetrize(cube(n), np.zeros(n))
         sol = solve_mve(body)
-        resid = verify_john_conditions(extract_contacts(sol, body), n)
+        resid = verify_john_conditions(extract_contacts(sol, body))
         worst = max(worst, resid.frobenius, resid.weight_sum, resid.balance)
     elapsed = time.perf_counter() - t0
     report(1, "john conditions, cubes n=2..6",

@@ -333,6 +333,26 @@ class TestSampleCommand:
         assert "non-finite entries" in capsys.readouterr().err
         assert list(tmp_path.glob("b.*")) == []
 
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda spec: "{not json", "is not valid JSON", id="not-json"),
+        pytest.param(lambda spec: "[]", "must hold a JSON object", id="array"),
+        pytest.param(lambda spec: json.dumps({**spec, "start": "abc"}),
+                     "is not a vector", id="start-string"),
+        pytest.param(lambda spec: json.dumps({**spec, "start": [[1.0], [2.0, 3.0]]}),
+                     "is not a vector", id="start-ragged"),
+    ])
+    def test_unreadable_manifest_writes_nothing(self, square, tmp_path, capsys,
+                                                edit, message):
+        assert main(["sample", "--polytope", square, "--steps", "5",
+                     "--out", str(tmp_path / "a")]) == 0
+        path = tmp_path / "a.manifest.json"
+        path.write_text(edit(json.loads(path.read_text())))
+        capsys.readouterr()
+        code = main(["sample", "--manifest", str(path), "--out", str(tmp_path / "b")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.glob("b.*")) == []
+
     def test_reused_parser_carries_no_state(self, square, tmp_path):
         # The parser is built once per process: a call that sets every walk
         # flag must leave the next call's defaults as they were.
@@ -378,6 +398,21 @@ class TestSampleCommand:
         ])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("a, b, message", [
+        pytest.param([[1, 0], [-1, 0], [0, 1], [0, -1]], [-1, -1, 1, 1],
+                     "no strictly interior point found", id="empty"),
+        pytest.param([[1, 0], [0, 1], [0, -1]], [1, 1, 1],
+                     "analytic center failed to converge", id="strip"),
+    ])
+    def test_no_start_point_exits_three_and_writes_nothing(self, tmp_path, capsys,
+                                                           a, b, message):
+        path = write_polytope(tmp_path / "p.json", a, b)
+        code = main(["sample", "--polytope", path, "--out", str(tmp_path / "r")])
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.glob("r.*")) == []
 
 
 class TestMveCommand:

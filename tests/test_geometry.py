@@ -342,6 +342,48 @@ class TestAnalyticCenter:
             analytic_center(p)
 
 
+    # Every failure to find a start point must keep its error when the
+    # phase-1 LP is replaced.
+    @pytest.mark.parametrize("a, b, message", [
+        pytest.param([[1, 0], [-1, 0], [0, 1], [0, -1]], [-1, -1, 1, 1],
+                     "no strictly interior point found", id="empty"),
+        pytest.param([[1, 0], [0, 1], [0, -1]], [1, 1, 1],
+                     "analytic center failed to converge", id="strip"),
+    ])
+    def test_no_start_point_raises(self, a, b, message):
+        with pytest.raises(NumericalError, match=message):
+            analytic_center(Polytope(np.array(a, dtype=float), np.array(b, dtype=float)))
+
+
+SQUARE = cube(2)
+DISK = Ellipsoid(np.eye(2), np.zeros(2))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: chord(SQUARE, np.zeros(2), np.zeros(2)),
+                 "chord direction must be nonzero", id="chord-zero-direction"),
+    pytest.param(lambda: chord(SQUARE, np.zeros(2), np.ones(3)),
+                 "direction dimension mismatch", id="chord-direction-dimension"),
+    pytest.param(lambda: cross_ratio(SQUARE, np.zeros(2), np.array([5.0, 5.0])),
+                 "endpoint y is not strictly interior", id="cross-ratio-y-outside"),
+    pytest.param(lambda: local_norm(DISK, np.zeros(3)),
+                 "point has shape", id="local-norm-shape"),
+    pytest.param(lambda: Polytope(np.ones(2), np.ones(2)),
+                 "A must be a 2-d array", id="polytope-1d"),
+    pytest.param(lambda: Polytope(np.empty((2, 0)), np.ones(2)),
+                 "dimension >= 1", id="polytope-no-columns"),
+    pytest.param(lambda: SymmetricPolytope(np.eye(2), np.zeros(3)),
+                 "dimensions disagree", id="symmetric-anchor"),
+    pytest.param(lambda: Ellipsoid(np.ones((2, 3)), np.zeros(2)),
+                 "factor must be square", id="ellipsoid-non-square"),
+    pytest.param(lambda: Ellipsoid(np.eye(2), np.zeros(3)),
+                 "center dimension mismatch", id="ellipsoid-center"),
+])
+def test_input_refused(call, message):
+    with pytest.raises(GeometryError, match=message):
+        call()
+
+
 # The log barrier of the interval [0, 4], minimized at x = 2.
 INTERVAL_NEWTON, INTERVAL_INSIDE = _log_barrier(
     np.array([[1.0], [-1.0]]), np.array([4.0, 0.0])

@@ -641,6 +641,51 @@ class TestUncertifiedRun:
         assert best.logdet_gap > 1e-5
 
 
+def record_eigendecompositions(monkeypatch):
+    """From here on, append each dsyevd call's arguments and each oracle
+    answer's kind to the two lists returned."""
+    calls, kinds = [], []
+    dsyevd, oracle = mve.dsyevd, mve.separation_oracle_mve
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return dsyevd(*args, **kwargs)
+
+    def answering(*args):
+        ans = oracle(*args)
+        kinds.append(ans.kind)
+        return ans
+
+    monkeypatch.setattr(mve, "dsyevd", counting)
+    monkeypatch.setattr(mve, "separation_oracle_mve", answering)
+    return calls, kinds
+
+
+class TestOneEigendecompositionPerPoint:
+    """A cutting-plane answer is built from the eigendecomposition the
+    separation oracle made of its X, so dsyevd runs once per oracle answer
+    that is not a row cut. Each built answer once decomposed X again: 59,
+    138 and 429 calls for 54, 123 and 410 such answers on these bodies."""
+
+    @pytest.mark.parametrize("n, m, gap", [(3, 9, 1e-5), (5, 15, 1e-3), (8, 24, 1e-5)])
+    def test_certified_run(self, monkeypatch, n, m, gap):
+        body = _at_center(unit_normal_polytope(n, m, 0))
+        calls, kinds = record_eigendecompositions(monkeypatch)
+        solve_mve(body, method="vaidya", gap=gap)
+        assert kinds[-1] == "feasible"
+        assert len(calls) == sum(kind != "constraint" for kind in kinds)
+
+    def test_uncertified_run(self, monkeypatch):
+        # The final answer of a run cut off by the call cap comes from the
+        # kept oracle answer of its best point.
+        monkeypatch.setattr(mve._vaidya, "_CALL_CAP", 20)
+        calls, kinds = record_eigendecompositions(monkeypatch)
+        with pytest.raises(SolverError):
+            solve_mve(centered_body(cube(3)), method="vaidya", gap=1e-5)
+        assert len(kinds) == 20
+        assert len(calls) == sum(kind != "constraint" for kind in kinds)
+
+
 class TestSolveMveVaidyaBreakdown:
     """Bodies whose localization polytope, run on to the engine's volume
     stop, grew too ill-conditioned to factor: the engine stopped "stagnated"
@@ -800,17 +845,15 @@ class TestStopTestSkip:
         for x in (analytic_center(poly),
                   interior_points(poly, 1, np.random.default_rng([n, m]), shrink=0.5)[0]):
             body = symmetrize(poly, x)
-            t, t_inv, _ = dikin_precondition(
+            t, t_inv, image = dikin_precondition(
                 SymmetricPolytope(body.distinct, body.anchor))
             calls = stop_tests(monkeypatch, body, gap)
             for point, skip in calls:
                 if not skip:
                     continue
-                try:
-                    bound = mve._vaidya_answer(body, t, t_inv, point, gap)[1]
-                except NumericalError:
-                    continue
-                assert bound > gap
+                ans = separation_oracle_mve(vec_to_sym(point, n), image)
+                assert ans.kind == "feasible"
+                assert mve._vaidya_answer(body, t, t_inv, ans, gap)[1] > gap
             skipped += sum(skip for _, skip in calls)
             total += len(calls)
         assert 2 * skipped >= total > 0
@@ -1043,7 +1086,7 @@ class TestContactExtraction:
             contacts = extract_contacts(sol, body)
             assert len(contacts) == 2 * n
             assert np.allclose(contacts.weights, 0.5)
-            res = verify_john_conditions(contacts, n)
+            res = verify_john_conditions(contacts)
             assert res.frobenius <= 1e-9
             assert res.weight_sum <= 1e-9
             assert res.balance <= 1e-9
@@ -1062,7 +1105,7 @@ class TestContactExtraction:
             body = centered_body(poly)
             sol = solve_mve(body, gap=1e-12)
             contacts = extract_contacts(sol, body)
-            res = verify_john_conditions(contacts, 3)
+            res = verify_john_conditions(contacts)
             assert res.frobenius <= 1e-4
             assert res.weight_sum <= 1e-4
             # balance bound from the decomposition: |sum c u| <= sqrt(n)
@@ -1079,10 +1122,21 @@ class TestContactExtraction:
         assert sol.logdet_gap <= gap
         reach = np.linalg.norm(a @ sol.ellipsoid.mat, axis=1)
         assert np.all(1.0 - reach[:2] <= 1e-6)
-        res = verify_john_conditions(extract_contacts(sol, body, gap), 2)
+        res = verify_john_conditions(extract_contacts(sol, body))
         # The cutting-plane route stops at its first certified answer, whose
         # contact weights meet the John conditions only to about sqrt(gap).
         assert max(res) <= (1e-8 if method == "oracle" else np.sqrt(gap))
+
+    @pytest.mark.parametrize("method, gap", [("vaidya", 1e-3), ("vaidya", 1e-1),
+                                             ("oracle", 1e-1)])
+    def test_contacts_at_the_solved_gap(self, method, gap):
+        # The contact slack follows the gap the solve was asked for. At the
+        # default gap's slack of 1e-6 these answers touch in 0, 0 and 1
+        # directions.
+        body = _at_center(unit_normal_polytope(5, 15, 0))
+        sol = solve_mve(body, method=method, gap=gap)
+        assert sol.gap == gap
+        assert len(extract_contacts(sol, body)) >= 2 * 5
 
     @pytest.mark.parametrize("n", [2, 3, 5, 10])
     def test_design_matches_vectorized_dyads(self, monkeypatch, n):
@@ -1107,7 +1161,8 @@ class TestContactExtraction:
 
         with pytest.raises(NumericalError, match="rank-deficient"):
             extract_contacts(
-                JohnSolution(ellipsoid=shrunk, logdet_gap=0.0, solver_tag="oracle"),
+                JohnSolution(ellipsoid=shrunk, logdet_gap=0.0, solver_tag="oracle",
+                             gap=1e-9),
                 body,
             )
 
@@ -1115,7 +1170,7 @@ class TestContactExtraction:
         body = centered_body(cross_polytope(3))
         sol = solve_mve(body, gap=1e-10)
         contacts = extract_contacts(sol, body)
-        res = verify_john_conditions(contacts, 3)
+        res = verify_john_conditions(contacts)
         assert res.weight_sum <= 1e-6
 
 
@@ -1132,14 +1187,14 @@ class TestContactSetValidation:
 class TestVerifyJohnConditions:
     def test_cube_exact(self):
         pts = np.vstack([np.eye(3), -np.eye(3)])
-        res = verify_john_conditions(ContactSet(pts, np.full(6, 0.5)), 3)
+        res = verify_john_conditions(ContactSet(pts, np.full(6, 0.5)))
         assert res == (0.0, 0.0, 0.0)
 
     def test_single_point_closed_form(self):
         for n in (2, 4):
             pts = np.zeros((1, n))
             pts[0, 0] = 1.0
-            res = verify_john_conditions(ContactSet(pts, np.array([float(n)])), n)
+            res = verify_john_conditions(ContactSet(pts, np.array([float(n)])))
             assert np.isclose(res.frobenius, np.sqrt((n - 1) ** 2 + (n - 1)))
 
     def test_weight_perturbation_linear(self):
@@ -1148,7 +1203,7 @@ class TestVerifyJohnConditions:
         delta = 0.125
         bumped = base.copy()
         bumped[0] += delta
-        res = verify_john_conditions(ContactSet(pts, bumped), 2)
+        res = verify_john_conditions(ContactSet(pts, bumped))
         assert np.isclose(res.weight_sum, delta)
 
     def test_residual_accessors(self):
