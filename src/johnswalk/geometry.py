@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import GeometryError, NumericalError, UnboundedPolytopeError
 
@@ -382,14 +381,14 @@ def _log_unit_ball_volume(n: int) -> float:
     return 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0)
 
 
-def _log_barrier(A: np.ndarray, b: np.ndarray):
-    """(newton, inside) of the log barrier -sum_i log(b_i - a_i.x) for
-    ``_damped_newton``: the Newton step with its decrement, and the test
-    that x lies in the open polytope."""
+def _log_barrier(A: np.ndarray, b: np.ndarray, cost=0.0):
+    """(newton, inside) of cost.x - sum_i log(b_i - a_i.x), the log barrier
+    plus an optional linear term, for ``_damped_newton``: the Newton step
+    with its decrement, and the test that x lies in the open polytope."""
 
     def newton(x: np.ndarray):
         w = A / (b - A @ x)[:, None]
-        grad = w.sum(axis=0)
+        grad = w.sum(axis=0) + cost
         try:
             step = -np.linalg.solve(w.T @ w, grad)
         except np.linalg.LinAlgError as exc:
@@ -432,13 +431,13 @@ def analytic_center(poly: Polytope) -> np.ndarray:
     -sum_i log(b_i - a_i.x), found by at most 200 damped Newton steps
     1 / (1 + lambda), stopping once half the Newton decrement is below 1e-12.
 
-    A phase-1 LP supplies the strictly interior starting point when the
-    origin is not interior. Raises NumericalError when Newton fails to
+    The descent starts at the origin when it is interior, else at the point
+    :func:`_phase_one` finds. Raises NumericalError when Newton fails to
     converge (for example on an unbounded body, where no center exists).
     """
     x = np.zeros(poly.n)
     if np.any(poly.slacks(x) <= 0.0):
-        x = _interior_point_lp(poly)
+        x = _phase_one(poly)
     newton, inside = _log_barrier(poly.A, poly.b)
     x, converged = _damped_newton(x, newton, inside, 2e-12, 200)
     if not converged:
@@ -448,18 +447,21 @@ def analytic_center(poly: Polytope) -> np.ndarray:
     return x
 
 
-def _interior_point_lp(poly: Polytope) -> np.ndarray:
-    """Strictly interior point via a max-slack LP, used to seed Newton."""
-    m, n = poly.m, poly.n
-    # Variables (x, t): maximize t subject to Ax + t * |a_i| <= b.
+def _phase_one(poly: Polytope) -> np.ndarray:
+    """Strictly interior point by a barrier phase 1 (Boyd & Vandenberghe,
+    Convex Optimization, 2004, 11.4): the margin t of the lifted body
+    {(x, t) : a_i.x + t |a_i| <= b_i} grows under damped Newton on
+    -tau t - sum_i log(b_i - a_i.x - t |a_i|), tau = 10^k / (1 - t_0) for
+    k = 0, 1, ..., from (0, 2 t_0 - 1), t_0 <= 0 the origin's margin. It
+    returns the first centered x that is strictly interior; after 20
+    centerings of at most 50 steps it raises NumericalError."""
     norms = np.linalg.norm(poly.A, axis=1)
-    a_ub = np.hstack([poly.A, norms[:, None]])
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    bounds = [(-1e8, 1e8)] * n + [(None, 1e8)]
-    res = linprog(c, A_ub=a_ub, b_ub=poly.b, bounds=bounds, method="highs")
-    if not res.success or res.x[-1] <= 0.0:
-        raise NumericalError(
-            "no strictly interior point found (polytope may be empty)"
-        )
-    return np.asarray(res.x[:n], dtype=float)
+    lifted = np.hstack([poly.A, norms[:, None]])
+    depth = float((poly.b / norms).min())
+    z = np.append(np.zeros(poly.n), 2.0 * depth - 1.0)
+    for k in range(20):
+        cost = np.append(np.zeros(poly.n), -(10.0 ** k) / (1.0 - depth))
+        z, _ = _damped_newton(z, *_log_barrier(lifted, poly.b, cost), 1e-6, 50)
+        if (poly.slacks(z[:-1]) > 0.0).all():
+            return z[:-1]
+    raise NumericalError("no strictly interior point found (polytope may be empty)")

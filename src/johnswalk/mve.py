@@ -61,8 +61,8 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgeqp3, dgeqrf, dorgqr, dpotrf, dpotrs, dsyevd, dtrtri
-from scipy.optimize import nnls
+from scipy.linalg.lapack import (dgeqp3, dgeqrf, dorgqr, dpotrf, dpotrs, dsyevd, dtrtri,
+                                 dtrtrs)
 
 from . import vaidya as _vaidya
 from .errors import GeometryError, NumericalError, SolverError
@@ -662,7 +662,7 @@ def _contact_dyads(ell: Ellipsoid, body: SymmetricPolytope, gap: float):
     tolerance at that gap, touch at the unit points +-u_i,
     u_i = E a_i / |E a_i|, and each gives one dyad u_i u_i^T. Returns
     (rows, units, weights) of the dyads that get a positive weight c_k in
-    the nonnegative least-squares solution of sum_k c_k u_k u_k^T = I."""
+    the :func:`_nnls` solution of sum_k c_k u_k u_k^T = I."""
     slack = max(_CONTACT_SLACK, gap / (2 * body.n))
     rows = body.distinct
     images = rows @ ell.mat  # row i is (F^T a_i)^T
@@ -676,11 +676,45 @@ def _contact_dyads(ell: Ellipsoid, body: SymmetricPolytope, gap: float):
     rows, units = rows[tight], images[tight] / norms[tight, None]
     iu, ju, w = _triu_indices(body.n)
     design = (units[:, iu] * units[:, ju] * w).T  # column k is sym_to_vec(u_k u_k^T)
-    dyad_weights, _ = nnls(design, sym_to_vec(np.eye(body.n)))
+    dyad_weights = _nnls(design, sym_to_vec(np.eye(body.n)))
     kept = dyad_weights > 0.0
     if not kept.any():
         raise NumericalError("all contact weights vanished in NNLS")
     return rows[kept], units[kept], dyad_weights[kept]
+
+
+def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin |a x - b| over x >= 0 by the active-set method of Lawson &
+    Hanson (Solving Least Squares Problems, 1974, ch. 23). The column of
+    largest gradient a_j.(b - a x), if above rounding, joins the passive
+    set P; the least-squares solution z on P, from the R of one QR of
+    [a_P | b], whose last column holds Q^T b, replaces x if positive, else
+    x moves toward z until a weight reaches 0 and its column leaves P.
+    Raises NumericalError if 3k columns join without an optimum."""
+    d, k = a.shape
+    x, passive = np.zeros(k), np.zeros(k, dtype=bool)
+    tol = 10.0 * max(d, k) * _EPS * np.linalg.norm(a, axis=0).max() * np.linalg.norm(b)
+    for _ in range(3 * k):
+        w = a.T @ (b - a @ x)
+        w[passive] = 0.0
+        j = int(w.argmax())
+        if not w[j] > tol:
+            return x
+        passive[j] = True
+        while True:
+            qr = dgeqrf(np.column_stack([a[:, passive], b]))[0]
+            p = qr.shape[1] - 1
+            z = np.zeros(k)
+            z[passive] = dtrtrs(qr[:p, :p], qr[:p, p])[0]
+            neg = np.flatnonzero(passive & (z <= 0.0))
+            if not neg.size:
+                break
+            ratios = x[neg] / (x[neg] - z[neg])
+            x += ratios.min() * (z - x)
+            x[neg[ratios.argmin()]] = 0.0
+            passive &= x > 0.0
+        x = z
+    raise NumericalError("NNLS of the contact dyads did not converge")
 
 
 def extract_contacts(solution: JohnSolution, body: SymmetricPolytope) -> ContactSet:

@@ -405,6 +405,10 @@ class TestSampleCommand:
                      "no strictly interior point found", id="empty"),
         pytest.param([[1, 0], [0, 1], [0, -1]], [1, 1, 1],
                      "analytic center failed to converge", id="strip"),
+        pytest.param([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, -1, 1, 1],
+                     "no strictly interior point found", id="flat"),
+        pytest.param([[-1, 0], [0, 1], [0, -1]], [-2, 1, 1],
+                     "analytic center failed to converge", id="unbounded-away"),
     ])
     def test_no_start_point_exits_three_and_writes_nothing(self, tmp_path, capsys,
                                                            a, b, message):

@@ -226,9 +226,10 @@ class TestUniformityChiSquare:
                                   (np.ones(2), np.full(2, -1.0)))
 
 
-def test_package_does_not_import_scipy_stats():
-    # scipy.stats costs about 0.3 s and 20 MB at the start of every
-    # process; only the p-value above needed it.
+def test_package_does_not_import_scipy_stats_or_optimize():
+    # scipy.stats cost about 0.3 s and 20 MB at the start of every process,
+    # for the p-value above; scipy.optimize about 0.2 s and 17 MB more, for
+    # the phase-1 LP and the NNLS that the package now does itself.
     src = os.path.dirname(os.path.dirname(johnswalk.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -236,9 +237,9 @@ def test_package_does_not_import_scipy_stats():
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, johnswalk.cli, johnswalk.diagnostics; "
-         "print('scipy.stats' in sys.modules)"],
+         "print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]
 
 
 class TestEss:

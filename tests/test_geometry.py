@@ -349,10 +349,47 @@ class TestAnalyticCenter:
                      "no strictly interior point found", id="empty"),
         pytest.param([[1, 0], [0, 1], [0, -1]], [1, 1, 1],
                      "analytic center failed to converge", id="strip"),
+        # Phase 1 runs on both: the box x = 1, |y| <= 1 has no interior, and
+        # x >= 2, |y| <= 1 has one but no center.
+        pytest.param([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, -1, 1, 1],
+                     "no strictly interior point found", id="flat"),
+        pytest.param([[-1, 0], [0, 1], [0, -1]], [-2, 1, 1],
+                     "analytic center failed to converge", id="unbounded-away"),
     ])
     def test_no_start_point_raises(self, a, b, message):
         with pytest.raises(NumericalError, match=message):
             analytic_center(Polytope(np.array(a, dtype=float), np.array(b, dtype=float)))
+
+    # Each shift leaves the origin outside, so phase 1 finds the start. The
+    # 2-box at 2e8 was once refused as empty by the LP's bounds of 1e8.
+    @pytest.mark.parametrize("make, shift", [
+        pytest.param(lambda: cube(3), [5.0, 0.0, 0.0], id="cube3-5"),
+        pytest.param(lambda: cube(3), [1e6, 0.0, 0.0], id="cube3-1e6"),
+        pytest.param(lambda: cube(2), [2e8, 0.0], id="cube2-2e8"),
+        # The stop at a decrement of 2e-12 leaves a center of this body up to
+        # about 1e-7 from the true one, wherever the descent started
+        # (test_shift_within_the_stop), so it is shifted far.
+        pytest.param(lambda: random_polytope(3, 5, np.random.default_rng(32)),
+                     [1e4, -5e3, 2.5e3], id="random-1e4"),
+    ])
+    def test_commutes_with_shift(self, make, shift):
+        poly, shift = make(), np.array(shift)
+        assert not (poly.slacks(-shift) > 0.0).all()
+        moved = analytic_center(Polytope(poly.A, poly.b + poly.A @ shift))
+        want = analytic_center(poly) + shift
+        assert np.linalg.norm(moved - want) <= 1e-9 * np.linalg.norm(want)
+
+    def test_shift_within_the_stop(self):
+        # A decrement lambda^2 < 2e-12 puts each center within about 1.5e-6
+        # of the true one in the local norm of the barrier Hessian H.
+        poly = random_polytope(3, 5, np.random.default_rng(32))
+        shift = np.array([3.0, -1.5, 0.75])
+        assert not (poly.slacks(-shift) > 0.0).all()
+        moved = analytic_center(Polytope(poly.A, poly.b + poly.A @ shift)) - shift
+        center = analytic_center(poly)
+        w = poly.A / poly.slacks(center)[:, None]
+        diff = w @ (moved - center)
+        assert np.sqrt(diff @ diff) <= 3e-6
 
 
 SQUARE = cube(2)

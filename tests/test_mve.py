@@ -612,6 +612,31 @@ class TestSolveMveHardBodies:
         assert_inscribed_and_certified(body, sol, 1e-5)
 
 
+class TestSolveIsAFunctionOfThePoint:
+    # The Metropolis filter is exact only if E_z is the same whichever state
+    # proposed z: no solve may carry state into the next.
+    @pytest.mark.parametrize("method", ["oracle", "vaidya"])
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: random_polytope(3, 5, np.random.default_rng(32)), id="random3x5"),
+        pytest.param(lambda: cube(2), id="square"),
+    ])
+    def test_same_answer_after_other_solves(self, method, make):
+        poly = make()
+        gap = _effective_gap(None, poly.n)
+        z, *others = interior_points(poly, 4, np.random.default_rng(7))
+
+        def solve(x):
+            return solve_mve(symmetrize(poly, x), method=method, gap=gap)
+
+        first = solve(z)
+        for x in others:
+            solve(x)
+        again = solve(z)
+        assert np.array_equal(first.ellipsoid.mat, again.ellipsoid.mat)
+        assert np.array_equal(first.ellipsoid.center, again.ellipsoid.center)
+        assert (first.logdet_gap, first.gap) == (again.logdet_gap, again.gap)
+
+
 class TestLooseGap:
     """A gap past about 1e5 once gave the cutting-plane engine a negative
     budget: it made no oracle call and raised "no feasible iterate found".
@@ -1143,7 +1168,8 @@ class TestContactExtraction:
         # The NNLS design, built in one expression, is bitwise the column
         # stack of sym_to_vec(u u^T) over the unit contact directions.
         designs = []
-        monkeypatch.setattr(mve, "nnls", lambda a, b: designs.append(a) or nnls(a, b))
+        real = mve._nnls
+        monkeypatch.setattr(mve, "_nnls", lambda a, b: designs.append(a) or real(a, b))
         body = centered_body(unit_normal_polytope(n, 3 * n, n))
         sol = solve_mve(body, gap=1e-9)
         mve._contact_dyads(sol.ellipsoid, body, 1e-9)
@@ -1172,6 +1198,51 @@ class TestContactExtraction:
         contacts = extract_contacts(sol, body)
         res = verify_john_conditions(contacts)
         assert res.weight_sum <= 1e-6
+
+
+def unit_dyad_design(n, k, rng):
+    """The (n(n+1)/2 x k) design _contact_dyads builds: column j is
+    sym_to_vec(u_j u_j^T) for a unit direction u_j, here drawn at random."""
+    units = rng.standard_normal((k, n))
+    units /= np.linalg.norm(units, axis=1)[:, None]
+    iu, ju, w = mve._triu_indices(n)
+    return (units[:, iu] * units[:, ju] * w).T
+
+
+class TestNnls:
+    # The package's active-set NNLS against scipy.optimize.nnls, which the
+    # package no longer imports. On a full-column-rank design the optimum is
+    # unique; with a nonzero residual its weights move by about
+    # cond^2 * eps, so these designs are checked to be well conditioned.
+    @pytest.mark.parametrize("n", [2, 3, 5, 10])
+    @pytest.mark.parametrize("shape", ["fewer", "equal", "more"])
+    def test_matches_scipy(self, n, shape):
+        d = sym_dim(n)
+        k = {"fewer": d // 2 + 1, "equal": d, "more": 2 * d}[shape]
+        rng = np.random.default_rng([32, n, k])
+        b = sym_to_vec(np.eye(n))
+        for _ in range(5):
+            a = unit_dyad_design(n, k, rng)
+            x = mve._nnls(a, b)
+            want, rnorm = nnls(a, b)
+            assert (x >= 0.0).all()
+            assert abs(np.linalg.norm(a @ x - b) - rnorm) <= 1e-13
+            if k <= d:
+                assert np.linalg.cond(a[:, want > 0.0]) < 100.0
+                assert np.array_equal(x > 0.0, want > 0.0)
+                assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10])
+    def test_duplicated_columns(self, n):
+        # A rank-deficient design: the weight of a repeated column may split
+        # between its copies, but the residual is the same.
+        rng = np.random.default_rng([32, n])
+        a = unit_dyad_design(n, sym_dim(n) - 1, rng)
+        a = np.hstack([a, a[:, :2], a[:, :1]])
+        b = sym_to_vec(np.eye(n))
+        x = mve._nnls(a, b)
+        assert (x >= 0.0).all()
+        assert abs(np.linalg.norm(a @ x - b) - nnls(a, b)[1]) <= 1e-13
 
 
 class TestContactSetValidation:
