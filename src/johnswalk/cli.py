@@ -27,8 +27,8 @@ import numpy as np
 from . import __version__
 from .diagnostics import check_step_lemmas
 from .errors import InputDataError, NumericalError
-from .geometry import Polytope, analytic_center, symmetrize
-from .mve import extract_contacts, solve_mve, verify_john_conditions
+from .geometry import Polytope, analytic_center, refuse_outside, symmetrize
+from .mve import ROUTES, extract_contacts, solve_mve, verify_john_conditions
 from .walk import WalkConfig, run_ball_walk, run_chain, run_hit_and_run
 
 
@@ -163,8 +163,7 @@ def _check_point(values, poly: Polytope) -> np.ndarray:
         raise InputDataError(f"point has {vec.size} entries, expected {poly.n}")
     if not np.all(np.isfinite(vec)):
         raise InputDataError(f"point {values} has non-finite entries")
-    if np.any(poly.slacks(vec) <= 0.0):
-        raise InputDataError(f"point {values} is not strictly interior")
+    refuse_outside(poly.slacks(vec), f"point {values}")
     return vec
 
 
@@ -298,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--c", type=float, default=0.5)
     p_sample.add_argument("--lazy", action=argparse.BooleanOptionalAction, default=True)
-    p_sample.add_argument("--solver", choices=("oracle", "vaidya"), default="oracle")
+    p_sample.add_argument("--solver", choices=tuple(ROUTES), default="oracle")
     p_sample.add_argument("--gap", type=float, default=None)
     p_sample.add_argument("--start", default=None,
                           help="comma-separated start point; default analytic center")
@@ -311,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mve = sub.add_parser("mve", help="inscribed ellipsoid at a point")
     p_mve.add_argument("--polytope", required=True)
     p_mve.add_argument("--point", default=None)
-    p_mve.add_argument("--solver", choices=("oracle", "vaidya"), default="oracle")
+    p_mve.add_argument("--solver", choices=tuple(ROUTES), default="oracle")
     p_mve.add_argument("--gap", type=float, default=1e-9)
     p_mve.set_defaults(func=_cmd_mve)
 

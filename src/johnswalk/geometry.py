@@ -257,6 +257,15 @@ def contains(poly: Polytope, x: np.ndarray) -> bool:
     return bool((s >= poly._min_slack).all())
 
 
+def refuse_outside(slacks: np.ndarray, what: str) -> None:
+    """Raise GeometryError naming the row of least slack unless every slack
+    is positive: the one strict-interior test, which a NaN slack fails."""
+    if not (slacks > 0.0).all():
+        row = int(np.argmin(slacks))  # a NaN row when there is one
+        raise GeometryError(f"{what} is not strictly interior: "
+                            f"row {row} has slack {slacks[row]:.6e}")
+
+
 def symmetrize(poly: Polytope, x: np.ndarray,
                slacks: np.ndarray | None = None) -> SymmetricPolytope:
     """Intersect the body with its reflection through the interior point x.
@@ -266,16 +275,13 @@ def symmetrize(poly: Polytope, x: np.ndarray,
     |a_i . y| <= s_i; ``distinct`` comes from ``poly.row_facts`` if they
     span. Given ``slacks`` must be ``poly.slacks(x)``. The rows of a
     validated polytope are not validated again. Two checks remain, each
-    raising GeometryError naming the row: x must be strictly interior, and
-    no row may overflow when divided by a tiny slack.
+    raising GeometryError naming the row: x must be strictly interior
+    (:func:`refuse_outside`), and no row may overflow when divided by a
+    tiny slack.
     """
     x = np.asarray(x, dtype=float)
     s = poly.slacks(x) if slacks is None else slacks
-    if not (s > 0.0).all():
-        row = int(np.argmin(s))
-        raise GeometryError(
-            f"point is not strictly interior: row {row} has slack {s[row]:.6e}"
-        )
+    refuse_outside(s, "point")
     rows = poly.A / s[:, None]
     if not np.isfinite(rows).all():
         row = int(np.argmin(np.isfinite(rows).all(axis=1)))
@@ -314,12 +320,7 @@ def chord(poly: Polytope, x: np.ndarray, direction: np.ndarray):
     if dnorm == 0.0:
         raise GeometryError("chord direction must be nonzero")
     s = poly.slacks(x)
-    if not (s > 0.0).all():
-        row = int(np.argmin(s))
-        raise GeometryError(
-            f"chord base point is not strictly interior "
-            f"(row {row}, slack {s[row]:.6e})"
-        )
+    refuse_outside(s, "chord base point")
     speed = poly.A @ direction
     fwd = speed > 0.0
     bwd = speed < 0.0
@@ -338,8 +339,7 @@ def cross_ratio(poly: Polytope, x: np.ndarray, y: np.ndarray) -> float:
     diff = y - x
     if float(np.linalg.norm(diff)) == 0.0:
         raise GeometryError("cross-ratio is undefined for coincident points")
-    if not (poly.slacks(y) > 0.0).all():
-        raise GeometryError("cross-ratio endpoint y is not strictly interior")
+    refuse_outside(poly.slacks(y), "cross-ratio endpoint y")
     p, q = chord(poly, x, diff)
     num = np.linalg.norm(x - y) * np.linalg.norm(p - q)
     den = np.linalg.norm(p - x) * np.linalg.norm(y - q)
@@ -436,7 +436,7 @@ def analytic_center(poly: Polytope) -> np.ndarray:
     converge (for example on an unbounded body, where no center exists).
     """
     x = np.zeros(poly.n)
-    if np.any(poly.slacks(x) <= 0.0):
+    if not (poly.slacks(x) > 0.0).all():
         x = _phase_one(poly)
     newton, inside = _log_barrier(poly.A, poly.b)
     x, converged = _damped_newton(x, newton, inside, 2e-12, 200)

@@ -137,7 +137,7 @@ class ContactSet:
         norms = np.linalg.norm(pts, axis=1)
         if pts.shape[0] and np.abs(norms - 1.0).max() > 1e-8:
             raise GeometryError("contact points must be unit vectors")
-        if np.any(wts <= 0.0):
+        if not (wts > 0.0).all():
             raise GeometryError("contact weights must be strictly positive")
         object.__setattr__(self, "points", np.ascontiguousarray(pts))
         object.__setattr__(self, "weights", np.ascontiguousarray(wts))
@@ -619,6 +619,10 @@ def _solve_mve_vaidya(body: SymmetricPolytope, gap: float) -> JohnSolution:
     return sol
 
 
+# The certified solver routes by name, each called as route(body, gap).
+ROUTES = {"oracle": _solve_mve_oracle, "vaidya": _solve_mve_vaidya}
+
+
 def solve_mve(
     body: SymmetricPolytope,
     method: str = "oracle",
@@ -628,8 +632,8 @@ def solve_mve(
 
     Args:
         body: the symmetric body {y : |Ay| <= 1}, one row per constraint pair.
-        method: "oracle" for the Khachiyan polar route, "vaidya" for the
-            volumetric cutting-plane route.
+        method: a key of ``ROUTES``, "oracle" for the Khachiyan polar
+            route, "vaidya" for the volumetric cutting-plane route.
         gap: required upper bound on (optimal logdet - achieved logdet).
 
     Returns:
@@ -644,11 +648,9 @@ def solve_mve(
     """
     if not 0.0 < gap < np.inf:
         raise GeometryError(f"gap must be positive and finite, not {gap}")
-    if method == "oracle":
-        return _solve_mve_oracle(body, gap)
-    if method == "vaidya":
-        return _solve_mve_vaidya(body, gap)
-    raise GeometryError(f"unknown solver method {method!r}")
+    if method not in ROUTES:
+        raise GeometryError(f"unknown solver method {method!r}")
+    return ROUTES[method](body, gap)
 
 
 # ---------------------------------------------------------------------------

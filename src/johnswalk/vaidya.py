@@ -12,16 +12,18 @@ one: far looser than the proximity the method was analysed with, and no
 certificate rests on it. Each system gets one LAPACK Cholesky factor. The
 factor L of H at an iterate serves the last Newton step, the drop test and
 the next cut. The leverages are the squared column norms of one solve
-L^-1 w^T (``dtrtrs``): under two BLAS threads it does not fight numpy's
-products, and the solver tests take 4.4 s on a 2-core Xeon (4.7 s with the
-d x d inverse it replaced). The slacks h - Gz of a trial point serve its
-domain test and step. Each round either drops the constraint of smallest
-leverage (below ``EPS``), leaving the iterate for the next cut's recenter,
-or queries the oracle and adds the returned cut through the current
-iterate, backing the iterate off by half a Dikin radius so it stays
-strictly interior. The cuts, and the feasible points each cut is checked
-against, live in buffers that double when full; a drop shifts the later
-rows up, so the rows keep the order ``np.delete`` gives.
+L^-1 w^T (``dtrtrs``), which under two BLAS threads does not fight numpy's
+products. The slacks h - Gz of a trial point serve its domain test and
+step. Each round either drops the cut of smallest leverage, leaving the
+iterate for the next cut's recenter, or queries the oracle and adds the
+returned cut through the current iterate, backing the iterate off by half
+a Dikin radius so it stays strictly interior. The drop rule is one test:
+below 201 d rows a cut goes when its leverage is below EPS = 0.005, and at
+201 d rows the weakest cut goes whatever its leverage; the 2d box rows,
+which 201 d rows always outnumber, never go. The cuts, and the feasible
+points each cut is checked against, live in buffers that double when full;
+a drop shifts the later rows up, so the rows keep the order ``np.delete``
+gives.
 
 The conformance constants are fixed module constants: EPS = 0.005,
 TAU = 0.007, DELTA_V = 0.00037, and at most MAX_CONSTRAINTS_FACTOR = 201
@@ -170,7 +172,7 @@ class _Engine:
         if self._memo[0] is x and self._memo[1] is rows:
             return self._memo[2]
         s = self._slacks(x)
-        if (s <= 0.0).any():
+        if not (s > 0.0).all():
             raise _IterateOutside("iterate left the localization polytope")
         w = rows / s[:, None]
         chol, info = dpotrf(w.T @ w, lower=1)
@@ -232,9 +234,9 @@ class _Engine:
         self.state.peak_rows = max(self.state.peak_rows, k + 1)
         self._recenter()
 
-    def drop_min_leverage(self, threshold: Optional[float]) -> bool:
-        """Drop the cut of smallest leverage, without moving the iterate.
-        With a threshold, only drop when that leverage falls below it. The
+    def drop_min_leverage(self, threshold: float) -> bool:
+        """Drop the cut of smallest leverage, without moving the iterate,
+        when that leverage is below ``threshold`` (always, for math.inf). The
         starting box rows are the first 2d rows, since cuts are appended
         after them; they are never dropped, so the localization stays bounded."""
         box = 2 * self.d
@@ -242,7 +244,7 @@ class _Engine:
             return False
         sigma = self._barrier(self.state.iterate)[2][box:]
         i = int(np.argmin(sigma))
-        if threshold is not None and sigma[i] >= threshold:
+        if sigma[i] >= threshold:
             return False
         k, j = self.state.rows, box + i
         self._g[j:k - 1], self._h[j:k - 1] = self._g[j + 1:k], self._h[j + 1:k]
@@ -307,13 +309,7 @@ def vaidya_minimize(
     status = "budget"
     try:
         while calls < budget:
-            if engine.drop_min_leverage(EPS):
-                continue
-            if engine.state.rows >= cap:
-                # Never-dropped box rows weaken the automatic <= 201 d argument, so
-                # enforce the cap directly before adding.
-                if not engine.drop_min_leverage(None):
-                    raise NumericalError("constraint cap reached with no droppable row")
+            if engine.drop_min_leverage(EPS if engine.state.rows < cap else math.inf):
                 continue
             if calls % _VOLUME_CHECK_EVERY == 0 and calls > 0:
                 if engine.log_volume_bound() < log_threshold:

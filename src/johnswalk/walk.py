@@ -35,9 +35,10 @@ from .geometry import (
     chord,
     contains,
     local_norm,
+    refuse_outside,
     symmetrize,
 )
-from .mve import solve_mve
+from .mve import ROUTES, solve_mve
 
 
 def radius(n: int, c: float) -> float:
@@ -63,7 +64,7 @@ class WalkConfig:
             raise GeometryError(f"need a finite c > 0, not c={self.c}")
         if self.gap is not None and not 0.0 < self.gap < math.inf:
             raise GeometryError(f"gap must be positive and finite, not {self.gap}")
-        if self.solver not in ("oracle", "vaidya"):
+        if self.solver not in ROUTES:
             raise GeometryError(f"unknown solver method {self.solver!r}")
         if self.seed < 0:
             raise GeometryError(f"seed must be nonnegative, not {self.seed}")
@@ -138,7 +139,7 @@ def john_step(poly: Polytope, state: WalkState, config: WalkConfig) -> WalkState
         return state
     z = propose(state.ellipsoid, r, rng)
     s = poly.slacks(z)
-    if (s <= 0.0).any():
+    if not (s > 0.0).all():
         tallies.reject_outside += 1
         return state
     ell_z = _ellipsoid_at(poly, z, config, s)
@@ -159,8 +160,7 @@ def _start(poly: Polytope, x0: np.ndarray, steps: int) -> np.ndarray:
     if steps < 0:
         raise GeometryError("steps must be nonnegative")
     x = np.asarray(x0, dtype=float)
-    if not (poly.slacks(x) > 0.0).all():
-        raise GeometryError(f"start point {x.tolist()} is not strictly interior")
+    refuse_outside(poly.slacks(x), f"start point {x.tolist()}")
     return x
 
 

@@ -403,6 +403,11 @@ DISK = Ellipsoid(np.eye(2), np.zeros(2))
                  "direction dimension mismatch", id="chord-direction-dimension"),
     pytest.param(lambda: cross_ratio(SQUARE, np.zeros(2), np.array([5.0, 5.0])),
                  "endpoint y is not strictly interior", id="cross-ratio-y-outside"),
+    # A NaN point has NaN slacks, which fail the one interior test.
+    pytest.param(lambda: symmetrize(SQUARE, np.array([np.nan, 0.0])),
+                 "not strictly interior", id="symmetrize-nan"),
+    pytest.param(lambda: chord(SQUARE, np.array([np.nan, 0.0]), np.ones(2)),
+                 "not strictly interior", id="chord-nan"),
     pytest.param(lambda: local_norm(DISK, np.zeros(3)),
                  "point has shape", id="local-norm-shape"),
     pytest.param(lambda: Polytope(np.ones(2), np.ones(2)),

@@ -187,7 +187,7 @@ class TestEngine:
                 sigma = engine._barrier(engine.state.iterate)[2][box:]
                 i = box + int(np.argmin(sigma))
                 g_rows, h_offs = np.delete(g_rows, i, axis=0), np.delete(h_offs, i)
-                assert engine.drop_min_leverage(None)
+                assert engine.drop_min_leverage(math.inf)
             assert np.array_equal(engine.state.g_rows, g_rows)
             assert np.array_equal(engine.state.h_offs, h_offs)
         assert engine.state.peak_rows > 4 * d
@@ -199,7 +199,7 @@ class TestEngine:
         for _ in range(6):
             engine.add_cut(rng.standard_normal(3))
         x, steps, rows = engine.state.iterate, engine.state.newton_steps, engine.state.rows
-        assert engine.drop_min_leverage(None)
+        assert engine.drop_min_leverage(math.inf)
         assert engine.state.iterate is x and engine.state.newton_steps == steps
         assert engine.state.rows == rows - 1 and engine.state.drops == 1
         engine.add_cut(rng.standard_normal(3))

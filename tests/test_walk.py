@@ -33,7 +33,7 @@ from johnswalk.walk import (
     transition_density,
 )
 
-from conftest import box, cube, random_polytope, unit_normal_polytope
+from conftest import box, cube, interior_points, random_polytope, unit_normal_polytope
 
 
 def interval() -> Polytope:
@@ -399,6 +399,24 @@ class TestAffineInvariance:
             assert image_tallies == tallies
             assert np.abs(images - (scale * samples + shift)).max() <= 1e-12
 
+    def test_cutting_plane_ellipsoid_commutes_within_its_gap(self, rng):
+        # The chain above does not commute pathwise on the cutting-plane
+        # route: its answer is the engine's first certified point, so two
+        # points 3e-9 apart can get factors 1e-3 apart, and the chains part.
+        # What holds is the certificate: log det E_(Tz) - n log s - log det E_z
+        # lies in [-gap at Tz, gap at z], since the optimum commutes exactly.
+        n, scale = 3, 3.0
+        poly = random_polytope(n, 2, rng)
+        shift = rng.normal(size=n)
+        mapped = Polytope(poly.A / scale, poly.b + poly.A @ shift / scale)
+        gap = 2.0 * n ** -10.0
+        for z in [0.3 * rng.uniform(-1.0, 1.0, n), *interior_points(poly, 4, rng)]:
+            e = solve_mve(symmetrize(poly, z), method="vaidya", gap=gap)
+            f = solve_mve(symmetrize(mapped, scale * z + shift), method="vaidya", gap=gap)
+            moved = f.ellipsoid.logdet - n * np.log(scale) - e.ellipsoid.logdet
+            assert -f.logdet_gap - 1e-12 <= moved <= e.logdet_gap + 1e-12
+            assert max(e.logdet_gap, f.logdet_gap) <= gap
+
 
 class TestTransitionDensity:
     def test_symmetric_in_arguments(self, rng):
@@ -411,6 +429,26 @@ class TestTransitionDensity:
             pxy = transition_density(poly, x, y, config)
             pyx = transition_density(poly, y, x, config)
             assert abs(pxy - pyx) <= 1e-10 * max(pxy, 1.0)
+
+    @pytest.mark.parametrize("gap", [None, 1e-1], ids=["default-gap", "gap-1e-1"])
+    def test_symmetric_on_the_cutting_plane_route(self, gap):
+        # Criterion 7's construction on the cutting-plane route: its E_x is a
+        # function of x, at any gap, so the kernel stays symmetric.
+        rng = np.random.default_rng(3007)
+        config = WalkConfig(lazy=False, solver="vaidya", gap=gap)
+        worst, positive = 0.0, 0
+        for poly in (cube(2), random_polytope(3, 5, rng)):
+            r = radius(poly.n, config.c)
+            for _ in range(50):
+                x = interior_points(poly, 1, rng)[0]
+                y = x + rng.uniform(0.2, 2.0) * r * rng.standard_normal(poly.n)
+                if not np.all(poly.slacks(y) > 0.0):
+                    continue
+                pxy = transition_density(poly, x, y, config)
+                pyx = transition_density(poly, y, x, config)
+                worst, positive = max(worst, abs(pxy - pyx)), positive + (pxy > 0.0)
+        assert worst <= 1e-10
+        assert positive >= 10
 
     def test_far_pair_is_zero(self):
         config = WalkConfig()
