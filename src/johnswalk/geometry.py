@@ -346,31 +346,14 @@ def cross_ratio(poly: Polytope, x: np.ndarray, y: np.ndarray) -> float:
     return float(num / den)
 
 
-def sphere_points(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` independent uniform points on the unit sphere in R^n."""
-    z = rng.standard_normal((count, n))
-    norms = np.linalg.norm(z, axis=1)
-    while not norms.all():  # probability zero, but keep it total
-        bad = norms == 0.0
-        z[bad] = rng.standard_normal((int(bad.sum()), n))
-        norms = np.linalg.norm(z, axis=1)
-    return z / norms[:, None]
-
-
-def ball_points(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` independent uniform points in the unit ball in R^n."""
-    u = sphere_points(n, count, rng)
-    radii = rng.random(count) ** (1.0 / n)
-    return u * radii[:, None]
-
-
 def ball_point(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One uniform point in the unit ball in R^n: bitwise
-    ``ball_points(n, 1, rng)[0]`` from the same generator, without the
-    bookkeeping of a batch, for the walks' one draw per step."""
+    """One uniform point in the unit ball in R^n, for the walks' one draw
+    per step: a standard normal direction scaled to radius U^(1/n). The
+    test suite's batch sampler ``ball_points(n, 1, rng)[0]`` draws the same
+    bits from the same generator and is its reference."""
     z = rng.standard_normal(n)
     norm = np.sqrt(np.add.reduce(z * z))
-    while not norm:  # probability zero, as in sphere_points
+    while not norm:  # probability zero, but keep the draw total
         z = rng.standard_normal(n)
         norm = np.sqrt(np.add.reduce(z * z))
     return z / norm * (rng.random(1) ** (1.0 / n))

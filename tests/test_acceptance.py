@@ -8,12 +8,7 @@ import time
 import numpy as np
 
 from johnswalk.cli import main
-from johnswalk.diagnostics import (
-    check_step_lemmas,
-    ess,
-    estimate_tv_overlap,
-    uniformity_chi_square,
-)
+from johnswalk.diagnostics import check_step_lemmas, ess
 from johnswalk.geometry import (
     Ellipsoid,
     Polytope,
@@ -21,7 +16,6 @@ from johnswalk.geometry import (
     analytic_center,
     cross_ratio,
     local_norm,
-    sphere_points,
     symmetrize,
 )
 from johnswalk.mve import extract_contacts, solve_mve, verify_john_conditions
@@ -37,6 +31,7 @@ from conftest import (
     random_polytope,
     random_symmetric_polytope,
 )
+from stats import estimate_tv_overlap, sphere_points, uniformity_chi_square
 
 
 def report(num: int, label: str, ok: bool, detail: str = "") -> None:

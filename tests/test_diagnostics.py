@@ -8,19 +8,13 @@ import pytest
 from scipy.stats import chisquare
 
 import johnswalk
-from johnswalk.diagnostics import (
-    LemmaReport,
-    TvEstimate,
-    check_step_lemmas,
-    ess,
-    estimate_tv_overlap,
-    uniformity_chi_square,
-)
+from johnswalk.diagnostics import LemmaReport, check_step_lemmas, ess
 from johnswalk.errors import GeometryError, InputDataError, NumericalError
 from johnswalk.geometry import Ellipsoid
 from johnswalk.walk import radius
 
 from conftest import cube, interior_points, random_symmetric_polytope, unit_normal_polytope
+from stats import TvEstimate, estimate_tv_overlap, uniformity_chi_square
 
 
 def unit_ball(n: int, center=None) -> Ellipsoid:
@@ -226,10 +220,12 @@ class TestUniformityChiSquare:
                                   (np.ones(2), np.full(2, -1.0)))
 
 
-def test_package_does_not_import_scipy_stats_or_optimize():
+def test_package_does_not_import_scipy_stats_optimize_or_special():
     # scipy.stats cost about 0.3 s and 20 MB at the start of every process,
     # for the p-value above; scipy.optimize about 0.2 s and 17 MB more, for
-    # the phase-1 LP and the NNLS that the package now does itself.
+    # the phase-1 LP and the NNLS that the package now does itself; and
+    # scipy.special about 3 MB, for the same p-value, which now runs only
+    # in tests/stats.py.
     src = os.path.dirname(os.path.dirname(johnswalk.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -237,9 +233,10 @@ def test_package_does_not_import_scipy_stats_or_optimize():
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, johnswalk.cli, johnswalk.diagnostics; "
-         "print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)"],
+         "print([m in sys.modules for m in "
+         "('scipy.stats', 'scipy.optimize', 'scipy.special')])"],
         env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.strip() == "[False, False, False]"
 
 
 class TestEss:

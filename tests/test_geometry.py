@@ -14,17 +14,16 @@ from johnswalk.geometry import (
     _log_barrier,
     analytic_center,
     ball_point,
-    ball_points,
     chord,
     contains,
     cross_ratio,
     local_norm,
-    sphere_points,
     symmetrize,
 )
 from johnswalk.mve import solve_mve
 
 from conftest import box, cube, interior_points, random_polytope, unit_normal_polytope
+from stats import ball_points, sphere_points
 
 
 class TestPolytope:

@@ -20,7 +20,6 @@ from johnswalk.geometry import (
     Polytope,
     SymmetricPolytope,
     analytic_center,
-    sphere_points,
     symmetrize,
 )
 from johnswalk import mve
@@ -50,6 +49,7 @@ from conftest import (
     random_symmetric_polytope,
     unit_normal_polytope,
 )
+from stats import sphere_points
 
 
 def centered_body(poly):

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from johnswalk import geometry, walk
-from johnswalk.diagnostics import ess, uniformity_chi_square
+from johnswalk.diagnostics import ess
 from johnswalk.errors import GeometryError
 from johnswalk.geometry import (
     Ellipsoid,
@@ -34,6 +34,7 @@ from johnswalk.walk import (
 )
 
 from conftest import box, cube, interior_points, random_polytope, unit_normal_polytope
+from stats import uniformity_chi_square
 
 
 def interval() -> Polytope:
