@@ -403,7 +403,7 @@ def _damped_newton(x: np.ndarray, newton, inside, tol: float, max_steps: int):
             return x, False
         previous = decrement
         trial = x + 1.0 / (1.0 + math.sqrt(decrement)) * step
-        if not inside(trial) or np.array_equal(trial, x):
+        if not inside(trial) or (trial == x).all():
             return x, False
         x = trial
     return x, False

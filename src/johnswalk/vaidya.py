@@ -9,21 +9,26 @@ search, with 2Q for Hess V: Q = w^T diag(sigma) w, the matrix Vaidya's
 method steps with, and Q <= Hess V <= 3Q (Anstreicher, Math. Oper. Res.
 1997). It stops at a decrement of 1/4 in 2Q, within a factor 2 of the true
 one: far looser than the proximity the method was analysed with, and no
-certificate rests on it. Each system gets one LAPACK Cholesky factor. The
-factor L of H at an iterate serves the last Newton step, the drop test and
-the next cut. The leverages are the squared column norms of one solve
-L^-1 w^T (``dtrtrs``), which under two BLAS threads does not fight numpy's
+certificate rests on it. Under the drop rule below, stops from 1/16 to 1/4
+certify the 4- and 6-cube and a (5, 1000) body, and at 1/2 all three fail;
+the tighter stops save calls on tall bodies but cost time on small ones.
+Each system gets one LAPACK Cholesky factor. The factor L of H
+at an iterate serves the last Newton step, the drop test and the next cut.
+The leverages are the squared column norms of one solve L^-1 w^T
+(``dtrtrs``), which under two BLAS threads does not fight numpy's
 products. The slacks h - Gz of a trial point serve its domain test and
 step. Each round either drops the cut of smallest leverage, leaving the
 iterate for the next cut's recenter, or queries the oracle and adds the
 returned cut through the current iterate, backing the iterate off by half
 a Dikin radius so it stays strictly interior. The drop rule is one test:
-below 201 d rows a cut goes when its leverage is below EPS = 0.005, and at
-201 d rows the weakest cut goes whatever its leverage; the 2d box rows,
-which 201 d rows always outnumber, never go. The cuts, and the feasible
-points each cut is checked against, live in buffers that double when full;
-a drop shifts the later rows up, so the rows keep the order ``np.delete``
-gives.
+below 201 d rows a cut goes when its leverage is below _DROP_BELOW = 0.2,
+a practical threshold well above the analysed EPS = 0.005 (Anstreicher,
+SIAM J. Optim. 1999), and at 201 d rows the weakest cut goes whatever its
+leverage; the 2d box rows, which 201 d rows always outnumber, never go. A
+drop updates H, L and the leverages at the unchanged iterate instead of
+rebuilding them. The cuts, and the feasible points each cut is checked
+against, live in buffers that double when full; a drop shifts the later
+rows up, so the rows keep the order ``np.delete`` gives.
 
 The conformance constants are fixed module constants: EPS = 0.005,
 TAU = 0.007, DELTA_V = 0.00037, and at most MAX_CONSTRAINTS_FACTOR = 201
@@ -36,7 +41,9 @@ natural logarithms:
 
 A run makes at most min(T, 20000) oracle calls and stops when an iterate
 has no strict slack left, or at the first improving feasible iterate that
-the caller's own stop test certifies.
+the caller's own stop test certifies. A run without a stop test also ends
+at small volume, which it checks every _VOLUME_CHECK_EVERY calls; a caller
+with one accepts only a certified end, so the check is skipped.
 A feasibility search is the minimization of the
 zero function, which ends at the first accepted point. Small volume is
 certified only by a bound: at the analytic center of an N-row polytope the
@@ -63,6 +70,7 @@ _NEWTON_TOL = 0.25
 _NEWTON_MAX_STEPS = 60
 _VOLUME_CHECK_EVERY = 20
 _CALL_CAP = 20_000
+_DROP_BELOW = 0.2
 
 EPS = 0.005
 TAU = 0.007
@@ -142,6 +150,14 @@ class _IterateOutside(NumericalError):
     Hessian there is too ill-conditioned to factor in binary64."""
 
 
+def _cholesky(mat: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor of ``mat``; _IterateOutside(what) if not PD."""
+    chol, info = dpotrf(mat, lower=1)
+    if info != 0:
+        raise _IterateOutside(what)
+    return chol
+
+
 def _with_room(buf: np.ndarray, k: int) -> np.ndarray:
     """``buf``, or a copy twice as long when it has no row k."""
     return buf if k < len(buf) else np.concatenate([buf, np.empty_like(buf)])
@@ -152,7 +168,7 @@ class _Engine:
         self.d = d
         self._g, self._h = np.vstack([np.eye(d), -np.eye(d)]), np.full(2 * d, float(rho))
         self.state = CutState(self._g[:], self._h[:], np.zeros(d), peak_rows=2 * d)
-        self._memo = self._slack_memo = (None, None, None)
+        self._slack_memo, self._memo = (None, None, None), (None, None, None, None)
         self._recenter()
 
     # -- barrier quantities -------------------------------------------------
@@ -167,7 +183,8 @@ class _Engine:
     def _barrier(self, x: np.ndarray):
         """(w, chol, sigma) at x: the rows over their slacks, the lower
         Cholesky factor L of H = w^T w and the leverages, the squared column
-        norms of L^-1 w^T; kept until the iterate object or the rows change."""
+        norms of L^-1 w^T; kept, with H, until the iterate object or the rows
+        change, and updated in place by a drop."""
         rows = self.state.g_rows
         if self._memo[0] is x and self._memo[1] is rows:
             return self._memo[2]
@@ -175,11 +192,11 @@ class _Engine:
         if not (s > 0.0).all():
             raise _IterateOutside("iterate left the localization polytope")
         w = rows / s[:, None]
-        chol, info = dpotrf(w.T @ w, lower=1)
-        if info != 0:
-            raise _IterateOutside("barrier Hessian not PD at the iterate")
+        gram = w.T @ w
+        chol = _cholesky(gram, "barrier Hessian not PD at the iterate")
         half = dtrtrs(chol, w.T, lower=1)[0]
-        self._memo = (x, rows, (w, chol, np.sum(half * half, axis=0)))
+        half *= half
+        self._memo = (x, rows, (w, chol, np.add.reduce(half, axis=0)), gram)
         return self._memo[2]
 
     def _volumetric(self, x: np.ndarray):
@@ -193,10 +210,7 @@ class _Engine:
         """Newton step on V with 2Q for its Hessian, and its decrement in 2Q."""
         self.state.newton_steps += 1
         grad, hess = self._volumetric(x)
-        chol, info = dpotrf(hess, lower=1)
-        if info != 0:
-            raise _IterateOutside("volumetric barrier Hessian not PD")
-        solved = dpotrs(chol, grad, lower=1)[0]
+        solved = dpotrs(_cholesky(hess, "volumetric barrier Hessian not PD"), grad, lower=1)[0]
         return -solved, float(grad @ solved)
 
     def _recenter(self):
@@ -216,7 +230,7 @@ class _Engine:
         """Add the central cut direction^T (z - x) <= 0 through the current
         iterate, then re-enter the interior and recenter."""
         x = self.state.iterate
-        norm = float(np.linalg.norm(direction))
+        norm = math.sqrt(direction @ direction)
         if norm == 0.0:
             raise NumericalError("oracle returned a zero cut direction")
         w_row = direction / norm
@@ -238,17 +252,25 @@ class _Engine:
         """Drop the cut of smallest leverage, without moving the iterate,
         when that leverage is below ``threshold`` (always, for math.inf). The
         starting box rows are the first 2d rows, since cuts are appended
-        after them; they are never dropped, so the localization stays bounded."""
-        box = 2 * self.d
-        if self.state.rows == box:
+        after them; they are never dropped, so the localization stays bounded.
+        The barrier memo follows the drop in O(N d + d^3): H' = H - w_j w_j^T
+        is factored anew, and sigma'_i = sigma_i + (w_i^T H^-1 w_j)^2 / (1 -
+        sigma_j) (Sherman-Morrison)."""
+        box, k, x = 2 * self.d, self.state.rows, self.state.iterate
+        if k == box:
             return False
-        sigma = self._barrier(self.state.iterate)[2][box:]
-        i = int(np.argmin(sigma))
-        if sigma[i] >= threshold:
+        w, chol, sigma = self._barrier(x)
+        j = box + int(np.argmin(sigma[box:]))
+        if sigma[j] >= threshold:
             return False
-        k, j = self.state.rows, box + i
-        self._g[j:k - 1], self._h[j:k - 1] = self._g[j + 1:k], self._h[j + 1:k]
+        gram = self._memo[3] - np.outer(w[j], w[j])
+        cross = w @ dpotrs(chol, w[j], lower=1)[0]
+        chol = _cholesky(gram, "barrier Hessian not PD at the iterate")
+        sigma += cross * cross / (1.0 - sigma[j])
+        for buf in (self._g, self._h, w, sigma):
+            buf[j:k - 1] = buf[j + 1:k]
         self.state.g_rows, self.state.h_offs = self._g[:k - 1], self._h[:k - 1]
+        self._memo = (x, self.state.g_rows, (w[:k - 1], chol, sigma[:k - 1]), gram)
         self.state.drops += 1
         return True
 
@@ -292,9 +314,9 @@ def vaidya_minimize(
     its iterate immediately. ``stop(x)``, when given, is asked at each feasible
     iterate that lowers the best value, and the first iterate it holds at is
     returned with status "certified": the caller's own certificate ends the
-    run. Without it, or while it does not hold, the run ends at small
-    volume, at an iterate with no strict slack left, or at the budget, and
-    returns its best iterate. Raises SolverError carrying the volume
+    run. Otherwise the run ends at an iterate with no strict slack left, at
+    the budget or, only without ``stop``, at small volume, and returns its
+    best iterate. Raises SolverError carrying the volume
     certificate when no feasible iterate was ever seen.
     """
     engine = _Engine(d, rho)
@@ -309,9 +331,9 @@ def vaidya_minimize(
     status = "budget"
     try:
         while calls < budget:
-            if engine.drop_min_leverage(EPS if engine.state.rows < cap else math.inf):
+            if engine.drop_min_leverage(_DROP_BELOW if engine.state.rows < cap else math.inf):
                 continue
-            if calls % _VOLUME_CHECK_EVERY == 0 and calls > 0:
+            if stop is None and calls % _VOLUME_CHECK_EVERY == 0 and calls > 0:
                 if engine.log_volume_bound() < log_threshold:
                     status = "small_volume"
                     break
@@ -320,15 +342,15 @@ def vaidya_minimize(
             calls += 1
             w = np.asarray(cut, dtype=float)
             if value is None:
-                tol = 1e-9 * (1.0 + float(np.linalg.norm(w)))
-                if np.any((seen[:feasible] - x) @ w > tol):
+                tol = 1e-9 * (1.0 + math.sqrt(w @ w))
+                if ((seen[:feasible] - x) @ w > tol).any():
                     raise OracleInconsistencyError("cut excludes a previously feasible point")
             else:
                 value = float(value)
                 seen = _with_room(seen, feasible)
                 seen[feasible] = x
                 feasible += 1
-                if float(np.linalg.norm(w)) == 0.0:
+                if math.sqrt(w @ w) == 0.0:
                     # zero subgradient: this iterate is optimal over the target set
                     return MinimizeResult(x, value, calls, "optimal_subgradient", engine.state)
                 if value < best_value:

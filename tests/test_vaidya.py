@@ -192,6 +192,31 @@ class TestEngine:
             assert np.array_equal(engine.state.h_offs, h_offs)
         assert engine.state.peak_rows > 4 * d
 
+    def test_drop_updates_the_barrier_memo(self):
+        # A drop at an unchanged iterate updates the barrier memo (H less one
+        # dyad, its factor, Sherman-Morrison leverages) in place of a rebuild;
+        # after runs of one to four drops the memo matches a fresh _barrier.
+        rng = np.random.default_rng(31)
+        d, box = 3, 6
+        engine = _Engine(d, 1.0)
+        drops = 0
+        for _ in range(12):
+            for _ in range(rng.integers(3, 7)):
+                engine.add_cut(rng.standard_normal(d))
+            for _ in range(min(rng.integers(1, 5), engine.state.rows - box)):
+                assert engine.drop_min_leverage(math.inf)
+                drops += 1
+                x, memo = engine.state.iterate, engine._memo
+                assert memo[0] is x and memo[1] is engine.state.g_rows
+                engine._memo = (None, None, None, None)
+                fresh = engine._barrier(x)
+                for kept, rebuilt in zip(memo[2], fresh):
+                    assert np.allclose(kept, rebuilt, rtol=1e-10,
+                                       atol=1e-10 * np.abs(rebuilt).max())
+                assert np.allclose(memo[3], engine._memo[3], rtol=1e-10, atol=0.0)
+                engine._memo = memo
+        assert drops > 20 and engine.state.peak_rows > 4 * d
+
     def test_drop_leaves_the_iterate(self, rng):
         # A drop removes a row and nothing else: the iterate object stays and
         # no Newton system is solved; the next cut recenters from it.
@@ -479,7 +504,11 @@ def cube_mve_program(n, gap=1e-5):
 
 
 class TestStop:
-    def test_never_holding_stop_changes_nothing(self):
+    def test_never_holding_stop_changes_nothing(self, monkeypatch):
+        # A given stop also turns the small-volume check off (the square's
+        # plain run ends at small volume after 80 calls); with that check
+        # off in the plain run too, a stop that never holds changes nothing.
+        monkeypatch.setattr(vaidya, "_VOLUME_CHECK_EVERY", vaidya._CALL_CAP + 1)
         plain = vaidya_minimize(*cube_mve_program(2))
         asked = []
         never = vaidya_minimize(*cube_mve_program(2), stop=lambda x: asked.append(x) or False)
@@ -488,6 +517,26 @@ class TestStop:
         assert np.array_equal(never.point, plain.point)
         assert never.status == plain.status
         assert never.state.newton_steps == plain.state.newton_steps
+
+    def test_given_stop_skips_the_small_volume_check(self, monkeypatch):
+        # On the mve route only a certified end returns, so a run given a
+        # stop never bounds the volume; a run without one bounds it before
+        # every _VOLUME_CHECK_EVERY-th oracle call.
+        bound, checked = _Engine.log_volume_bound, []
+
+        def counting(engine):
+            checked.append(len(program[0].queries))
+            return bound(engine)
+
+        monkeypatch.setattr(_Engine, "log_volume_bound", counting)
+        program = cube_mve_program(2)
+        never = vaidya_minimize(*program, stop=lambda x: False)
+        assert checked == [] and never.status != "small_volume"
+        program = cube_mve_program(2)
+        plain = vaidya_minimize(*program)
+        every = vaidya._VOLUME_CHECK_EVERY
+        assert plain.status == "small_volume"
+        assert checked == list(range(every, plain.oracle_calls + 1, every))
 
     def test_asked_only_at_improving_feasible_iterates(self):
         # On the 3-cube 8 of the 119 feasible iterates do not improve.
