@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import GeometryError, InputDataError
 from .geometry import Polytope, analytic_center, ball_point, cross_ratio
-from .walk import WalkConfig, _ellipsoid_at, radius
+from .walk import WalkConfig, radius, solution_at
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def check_step_lemmas(
     config = WalkConfig(c=c)
     n = poly.n
     base = np.asarray(x, dtype=float) if x is not None else analytic_center(poly)
-    e_mat = _ellipsoid_at(poly, base, config).mat
+    e_mat = solution_at(poly, base, config).ellipsoid.mat
     # Normalized frame: original point = base + E_x @ w.
     normalized = Polytope(poly.A @ e_mat, poly.b - poly.A @ base)
     r = radius(n, c)
@@ -82,7 +82,7 @@ def check_step_lemmas(
     violations = 0
     for _ in range(n_trials):
         y = r * ball_point(n, rng)
-        ell_y = _ellipsoid_at(normalized, y, config)
+        ell_y = solution_at(normalized, y, config).ellipsoid
         det_y = math.exp(ell_y.logdet)
         eig_min = float(np.linalg.svd(ell_y.mat, compute_uv=False)[-1])  # semi-axis
         max_det_dev = max(max_det_dev, abs(det_y - 1.0) * n * n)

@@ -317,8 +317,8 @@ def chord(poly: Polytope, x: np.ndarray, direction: np.ndarray):
     if direction.shape != (poly.n,):
         raise GeometryError("direction dimension mismatch")
     dnorm = np.linalg.norm(direction)
-    if dnorm == 0.0:
-        raise GeometryError("chord direction must be nonzero")
+    if not 0.0 < dnorm < math.inf:
+        raise GeometryError(f"chord direction must be nonzero and finite, not norm {dnorm}")
     s = poly.slacks(x)
     refuse_outside(s, "chord base point")
     speed = poly.A @ direction

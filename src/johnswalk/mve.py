@@ -135,7 +135,7 @@ class ContactSet:
         if pts.ndim != 2 or wts.ndim != 1 or pts.shape[0] != wts.shape[0]:
             raise GeometryError("contact points and weights disagree in shape")
         norms = np.linalg.norm(pts, axis=1)
-        if pts.shape[0] and np.abs(norms - 1.0).max() > 1e-8:
+        if not (np.abs(norms - 1.0) <= 1e-8).all():
             raise GeometryError("contact points must be unit vectors")
         if not (wts > 0.0).all():
             raise GeometryError("contact weights must be strictly positive")

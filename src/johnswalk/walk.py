@@ -2,7 +2,8 @@
 
 The main walk is a lazy Metropolis chain whose proposal at x is uniform on
 the inscribed John ellipsoid of the symmetrization at x, shrunk to local
-radius r = c * n^(-5/2):
+radius r = c * n^(-5/2). ``solution_at`` returns that solve's whole
+``JohnSolution``, which ``WalkState.solution`` keeps at x. A step does:
 
 1. toss a fair coin; on heads hold (no solver work),
 2. on tails propose z uniform on the shrunk ellipsoid at x,
@@ -38,7 +39,7 @@ from .geometry import (
     refuse_outside,
     symmetrize,
 )
-from .mve import ROUTES, solve_mve
+from .mve import ROUTES, JohnSolution, solve_mve
 
 
 def radius(n: int, c: float) -> float:
@@ -85,11 +86,11 @@ class Tallies:
 
 @dataclass
 class WalkState:
-    """Current point, the walk's ellipsoid there, the chain's generator and
-    the tallies of step outcomes; ``john_step`` updates it in place."""
+    """Current point, the walk's solve record there, the chain's generator
+    and the tallies of step outcomes; ``john_step`` updates it in place."""
 
     x: np.ndarray
-    ellipsoid: Ellipsoid
+    solution: JohnSolution
     rng: np.random.Generator
     tallies: Tallies = field(default_factory=Tallies)
 
@@ -99,14 +100,13 @@ def _effective_gap(gap: Optional[float], n: int) -> float:
     return gap if gap is not None else 2.0 * float(n) ** -10
 
 
-def _ellipsoid_at(poly: Polytope, point: np.ndarray, config: WalkConfig,
-                  slacks: Optional[np.ndarray] = None) -> Ellipsoid:
-    """The walk's ellipsoid at ``point``: the inscribed ellipsoid of the body
+def solution_at(poly: Polytope, point: np.ndarray, config: WalkConfig,
+                slacks: Optional[np.ndarray] = None) -> JohnSolution:
+    """The walk's solve at ``point``: the inscribed ellipsoid of the body
     symmetrized there (from the point's ``slacks`` when given), centered at
-    the point."""
-    body = symmetrize(poly, point, slacks)
-    return solve_mve(body, method=config.solver,
-                     gap=_effective_gap(config.gap, poly.n)).ellipsoid
+    the point, with its iterations and gaps."""
+    return solve_mve(symmetrize(poly, point, slacks), method=config.solver,
+                     gap=_effective_gap(config.gap, poly.n))
 
 
 def init_state(
@@ -118,13 +118,13 @@ def init_state(
     stream keyed by (seed, 0)."""
     x0 = np.asarray(x0, dtype=float)
     rng = np.random.default_rng([config.seed, 0])
-    return WalkState(x=x0, ellipsoid=_ellipsoid_at(poly, x0, config), rng=rng)
+    return WalkState(x=x0, solution=solution_at(poly, x0, config), rng=rng)
 
 
 def propose(ell: Ellipsoid, r: float, rng: np.random.Generator) -> np.ndarray:
     """Uniform draw from the ellipsoid shrunk by factor r about its center."""
-    if r <= 0.0:
-        raise GeometryError("proposal radius must be positive")
+    if not 0.0 < r < math.inf:
+        raise GeometryError(f"proposal radius must be positive and finite, not {r}")
     u = ball_point(ell.n, rng)
     return ell.center + r * (ell.mat @ u)
 
@@ -137,19 +137,19 @@ def john_step(poly: Polytope, state: WalkState, config: WalkConfig) -> WalkState
     if config.lazy and rng.random() < 0.5:
         tallies.lazy_hold += 1
         return state
-    z = propose(state.ellipsoid, r, rng)
+    z = propose(state.solution.ellipsoid, r, rng)
     s = poly.slacks(z)
     if not (s > 0.0).all():
         tallies.reject_outside += 1
         return state
-    ell_z = _ellipsoid_at(poly, z, config, s)
-    log_ratio = state.ellipsoid.logdet - ell_z.logdet
-    if local_norm(ell_z, state.x) > r:
+    sol_z = solution_at(poly, z, config, s)
+    log_ratio = state.solution.ellipsoid.logdet - sol_z.ellipsoid.logdet
+    if local_norm(sol_z.ellipsoid, state.x) > r:
         tallies.reject_reversibility += 1
     elif log_ratio < 0.0 and rng.random() >= math.exp(log_ratio):
         tallies.reject_filter += 1
     else:
-        state.x, state.ellipsoid = z, ell_z
+        state.x, state.solution = z, sol_z
         tallies.accept += 1
     return state
 
@@ -201,8 +201,8 @@ def transition_density(
     if not np.any(x != y):
         raise GeometryError("transition density is defined off the diagonal")
     r = radius(poly.n, config.c)
-    ell_x = _ellipsoid_at(poly, x, config)
-    ell_y = _ellipsoid_at(poly, y, config)
+    ell_x = solution_at(poly, x, config).ellipsoid
+    ell_y = solution_at(poly, y, config).ellipsoid
     if local_norm(ell_x, y) > r or local_norm(ell_y, x) > r:
         return 0.0
     n = poly.n

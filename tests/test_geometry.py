@@ -398,6 +398,12 @@ DISK = Ellipsoid(np.eye(2), np.zeros(2))
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: chord(SQUARE, np.zeros(2), np.zeros(2)),
                  "chord direction must be nonzero", id="chord-zero-direction"),
+    # A NaN or infinite direction has no chord; it is refused before the
+    # ray tests, which would read a NaN speed as an unbounded ray.
+    pytest.param(lambda: chord(SQUARE, np.zeros(2), np.array([np.nan, 0.0])),
+                 "chord direction must be nonzero and finite", id="chord-nan-direction"),
+    pytest.param(lambda: chord(SQUARE, np.zeros(2), np.array([np.inf, 0.0])),
+                 "chord direction must be nonzero and finite", id="chord-inf-direction"),
     pytest.param(lambda: chord(SQUARE, np.zeros(2), np.ones(3)),
                  "direction dimension mismatch", id="chord-direction-dimension"),
     pytest.param(lambda: cross_ratio(SQUARE, np.zeros(2), np.array([5.0, 5.0])),

@@ -1250,6 +1250,14 @@ class TestContactSetValidation:
         with pytest.raises(GeometryError):
             ContactSet(np.array([[2.0, 0.0]]), np.array([1.0]))
 
+    @pytest.mark.parametrize("points", [[[np.nan, 0.0]], [[1.0, 0.0], [np.nan, 0.0]]],
+                             ids=["alone", "beside-a-unit-row"])
+    def test_nan_points_rejected(self, points):
+        # A NaN norm fails every comparison, so only a test that every norm
+        # is near 1 refuses it.
+        with pytest.raises(GeometryError, match="unit vectors"):
+            ContactSet(np.array(points), np.ones(len(points)))
+
     def test_nonpositive_weights_rejected(self):
         with pytest.raises(GeometryError):
             ContactSet(np.array([[1.0, 0.0]]), np.array([0.0]))

@@ -1,5 +1,6 @@
+import collections
 import copy
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from johnswalk.walk import (
     run_ball_walk,
     run_chain,
     run_hit_and_run,
+    solution_at,
     transition_density,
 )
 
@@ -99,6 +101,12 @@ class TestPropose:
         cov = np.cov(pts.T)
         assert np.allclose(cov, np.eye(n) / (n + 2), atol=4e-3)
 
+    @pytest.mark.parametrize("r", [np.nan, np.inf])
+    def test_non_finite_radius_refused(self, rng, r):
+        # NaN fails every comparison, so one two-sided test refuses both.
+        with pytest.raises(GeometryError, match="positive and finite"):
+            propose(Ellipsoid(np.eye(2), np.zeros(2)), r, rng)
+
 
 class TestJohnStep:
     def test_lazy_hold_uses_no_solver(self):
@@ -116,7 +124,7 @@ class TestJohnStep:
         state.rng = HeadsOnly()
         out = john_step(poly, state, config)
         assert np.array_equal(out.x, state.x)
-        assert out.ellipsoid is state.ellipsoid
+        assert out.solution is state.solution
         assert out.tallies.lazy_hold == 1
         assert out.tallies.total == 1
 
@@ -160,6 +168,66 @@ class TestJohnStep:
             assert t.accept / non_lazy > 0.5
 
 
+# Non-lazy square chains at c = 8 take every non-lazy branch on both routes.
+ROUTE_CONFIGS = [
+    pytest.param(WalkConfig(c=8.0, lazy=False, seed=3), id="oracle"),
+    pytest.param(WalkConfig(c=8.0, lazy=False, solver="vaidya", gap=1e-5, seed=3),
+                 id="vaidya"),
+]
+
+
+class TestSolutionAt:
+    @pytest.mark.parametrize("config", ROUTE_CONFIGS)
+    def test_state_keeps_the_solve_at_x(self, config):
+        # An accepted step keeps the solve it made at z, which is bit for bit
+        # the solve at the new x.
+        poly = cube(2)
+        state = init_state(poly, np.zeros(2), config)
+        for _ in range(40):
+            accepted = state.tallies.accept
+            john_step(poly, state, config)
+            if state.tallies.accept == accepted:
+                continue
+            kept, again = state.solution, solution_at(poly, state.x, config)
+            assert np.array_equal(kept.ellipsoid.mat, again.ellipsoid.mat)
+            assert np.array_equal(kept.ellipsoid.center, state.x)
+            assert kept.ellipsoid.logdet == again.ellipsoid.logdet
+            assert kept.logdet_gap == again.logdet_gap
+            assert kept.iterations == again.iterations
+        assert state.tallies.accept > 5
+
+    @pytest.mark.parametrize("config", ROUTE_CONFIGS)
+    def test_one_solve_per_inside_proposal(self, monkeypatch, config):
+        # One symmetrization and one solve for the start, then one of each
+        # per proposal that lands inside, and none for an outside reject.
+        calls = collections.Counter()
+
+        def counted(name):
+            call = getattr(walk, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return call(*args, **kwargs)
+            return wrapper
+
+        for name in ("symmetrize", "solve_mve"):
+            monkeypatch.setattr(walk, name, counted(name))
+        steps = 60
+        _, tallies = run_chain(cube(2), np.zeros(2), steps, config)
+        assert min(astuple(tallies)[1:]) > 0 and tallies.lazy_hold == 0
+        inside = steps - tallies.reject_outside
+        assert calls == {"symmetrize": 1 + inside, "solve_mve": 1 + inside}
+
+    @pytest.mark.parametrize("solver", ["oracle", "vaidya"])
+    @pytest.mark.parametrize("gap", [None, 1e-3])
+    def test_solution_records_the_resolved_gap(self, solver, gap):
+        poly = random_polytope(3, 5, np.random.default_rng(36))
+        config = WalkConfig(solver=solver, gap=gap)
+        sol = init_state(poly, analytic_center(poly), config).solution
+        assert sol.gap == walk._effective_gap(gap, 3)
+        assert sol.logdet_gap <= sol.gap
+
+
 def uniformity_p_values():
     """Chi-square p-values, on a 4 x 4 grid, of non-lazy John chains of
     10,000 steps at c = 16, where outside, guard and filter rejects all
@@ -180,10 +248,10 @@ def uniformity_p_values():
         yield uniformity_chi_square(poly, chain[::stride], 4, bounds), tallies
 
 
-def with_scaled_logdet(ell, scale):
-    out = copy.copy(ell)
-    object.__setattr__(out, "logdet", scale * ell.logdet)
-    return out
+def with_scaled_logdet(sol, scale):
+    ell = copy.copy(sol.ellipsoid)
+    object.__setattr__(ell, "logdet", scale * ell.logdet)
+    return replace(sol, ellipsoid=ell)
 
 
 class TestUniformityPower:
@@ -200,8 +268,8 @@ class TestUniformityPower:
             # Equal volumes pass every guarded proposal; negated log volumes
             # accept with min(1, det E_z / det E_x).
             scale = 0.0 if mutant == "no_filter" else -1.0
-            solve = walk._ellipsoid_at
-            monkeypatch.setattr(walk, "_ellipsoid_at",
+            solve = walk.solution_at
+            monkeypatch.setattr(walk, "solution_at",
                                 lambda *args: with_scaled_logdet(solve(*args), scale))
         # Without the guard the triangle chain runs into a corner where the
         # solver gives up, so stop at the first body the statistic rejects.
@@ -373,10 +441,10 @@ class TestAffineInvariance:
             for _ in range(5):
                 x = 0.5 * rng.uniform(-0.5, 0.5, n)
                 z = x + r * rng.uniform(-0.5, 0.5, n)
-                e_x = init_state(poly, x, config).ellipsoid
-                e_z = init_state(poly, z, config).ellipsoid
-                f_x = init_state(mapped, lin @ x + shift, config).ellipsoid
-                f_z = init_state(mapped, lin @ z + shift, config).ellipsoid
+                e_x = solution_at(poly, x, config).ellipsoid
+                e_z = solution_at(poly, z, config).ellipsoid
+                f_x = solution_at(mapped, lin @ x + shift, config).ellipsoid
+                f_z = solution_at(mapped, lin @ z + shift, config).ellipsoid
                 assert abs(
                     local_norm(f_z, lin @ x + shift) - local_norm(e_z, x)
                 ) <= 1e-9
@@ -407,16 +475,16 @@ class TestAffineInvariance:
         # What holds is the certificate: log det E_(Tz) - n log s - log det E_z
         # lies in [-gap at Tz, gap at z], since the optimum commutes exactly.
         n, scale = 3, 3.0
+        config = WalkConfig(solver="vaidya")
         poly = random_polytope(n, 2, rng)
         shift = rng.normal(size=n)
         mapped = Polytope(poly.A / scale, poly.b + poly.A @ shift / scale)
-        gap = 2.0 * n ** -10.0
         for z in [0.3 * rng.uniform(-1.0, 1.0, n), *interior_points(poly, 4, rng)]:
-            e = solve_mve(symmetrize(poly, z), method="vaidya", gap=gap)
-            f = solve_mve(symmetrize(mapped, scale * z + shift), method="vaidya", gap=gap)
+            e = solution_at(poly, z, config)
+            f = solution_at(mapped, scale * z + shift, config)
             moved = f.ellipsoid.logdet - n * np.log(scale) - e.ellipsoid.logdet
             assert -f.logdet_gap - 1e-12 <= moved <= e.logdet_gap + 1e-12
-            assert max(e.logdet_gap, f.logdet_gap) <= gap
+            assert max(e.logdet_gap, f.logdet_gap) <= e.gap == f.gap
 
 
 class TestTransitionDensity:
