@@ -45,7 +45,7 @@ def load_polytope(path: str) -> Polytope:
         raise InputDataError(f'polytope file {path} must hold keys "A" and "b"')
     try:
         return Polytope(np.asarray(data["A"], dtype=float), np.asarray(data["b"], dtype=float))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise InputDataError(f"polytope file {path} is invalid: {exc}") from exc
 
 
@@ -53,7 +53,8 @@ def emit_samples(samples: np.ndarray, path: str) -> None:
     """Write samples as CSV with header x1..xn and 17-significant-digit
     floats (exact binary64 round trip). A chain repeats its state at every
     lazy hold and rejection, so each run of bitwise equal rows is formatted
-    once; the bits decide, since -0.0 == 0.0 prints differently."""
+    once; the bits decide, since -0.0 == 0.0 prints differently. A path
+    that cannot be written raises InputDataError."""
     samples = np.ascontiguousarray(samples, dtype=float)
     n = samples.shape[1]
     row = ",".join(["%.17g"] * n) + "\n"  # np.savetxt's lines, without its wrappers
@@ -62,10 +63,13 @@ def emit_samples(samples: np.ndarray, path: str) -> None:
     fresh[1:] = (bits[1:] != bits[:-1]).any(axis=1)
     starts = np.flatnonzero(fresh)
     repeats = np.diff(np.append(starts, samples.shape[0]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(f"x{j + 1}" for j in range(n)) + "\n")
-        fh.writelines((row % tuple(values)) * k
-                      for values, k in zip(samples[starts].tolist(), repeats.tolist()))
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(f"x{j + 1}" for j in range(n)) + "\n")
+            fh.writelines((row % tuple(values)) * k
+                          for values, k in zip(samples[starts].tolist(), repeats.tolist()))
+    except OSError as exc:
+        raise InputDataError(f"cannot write samples {path}: {exc}") from exc
 
 
 # Annotation of a scalar manifest field -> (accepted JSON value types, wording).
@@ -231,14 +235,14 @@ def _cmd_mve(args) -> int:
     sol = solve_mve(body, method=args.solver, gap=args.gap)
     contacts = extract_contacts(sol, body)
     resid = verify_john_conditions(contacts)
-    print(f"solver={sol.solver_tag} logdet={sol.ellipsoid.logdet:.12g} "
-          f"logdet_gap<={sol.logdet_gap:.3g} iterations={sol.iterations} "
+    print(f"solver={sol.solver_tag} logdet={sol.ellipsoid.logdet:.17g} "
+          f"logdet_gap<={sol.logdet_gap:.17g} iterations={sol.iterations} "
           f"newton_steps={sol.newton_steps}")
     for row in sol.ellipsoid.mat:
-        print("  " + " ".join(f"{v: .12g}" for v in row))
-    print(f"contacts={len(contacts)} frobenius_residual={resid.frobenius:.3g} "
-          f"weight_sum_residual={resid.weight_sum:.3g} "
-          f"balance_residual={resid.balance:.3g}")
+        print("  " + " ".join(f"{v: .17g}" for v in row))
+    print(f"contacts={len(contacts)} frobenius_residual={resid.frobenius:.17g} "
+          f"weight_sum_residual={resid.weight_sum:.17g} "
+          f"balance_residual={resid.balance:.17g}")
     return 0
 
 

@@ -106,12 +106,15 @@ def ess(series: np.ndarray) -> float:
     Autocorrelations are summed in adjacent pairs and truncated at the
     first nonpositive pair sum; ESS = N / tau with
     tau = -1 + 2 * sum of the kept pair sums, clipped to [1, N]. A constant
-    series returns 1.0.
+    series returns 1.0. A series shorter than 10 or with a non-finite entry
+    raises InputDataError.
     """
     x = np.asarray(series, dtype=float).ravel()
     n = x.size
     if n < 10:
         raise InputDataError(f"series too short for ESS: {n} < 10")
+    if not np.isfinite(x).all():
+        raise InputDataError("series for ESS has non-finite entries")
     x = x - x.mean()
     var0 = float(x @ x) / n
     if var0 <= 0.0 or not np.isfinite(var0):

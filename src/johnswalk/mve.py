@@ -529,6 +529,8 @@ def separation_oracle_mve(x_mat: np.ndarray, body: SymmetricPolytope) -> OracleA
     n = body.n
     if x_mat.shape != (n, n):
         raise GeometryError("matrix dimension does not match the body")
+    if not np.isfinite(x_mat).all():
+        raise GeometryError("separation oracle expects a finite matrix")
     if not (x_mat == x_mat.T).all():  # as vec_to_sym builds it
         scale = max(1.0, float(np.abs(x_mat).max()))
         if np.abs(x_mat - x_mat.T).max() > 1e-10 * scale:

@@ -66,6 +66,11 @@ class TestLoadPolytope:
         with pytest.raises(InputDataError):
             load_polytope(path)
 
+    def test_object_as_matrix(self, tmp_path):
+        path = write_polytope(tmp_path / "p.json", {"x": 1}, [1])
+        with pytest.raises(InputDataError, match="p.json is invalid"):
+            load_polytope(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputDataError, match="cannot read"):
             load_polytope(str(tmp_path / "absent.json"))
@@ -228,6 +233,13 @@ class TestSampleCommand:
                      "--out", str(tmp_path / "absent" / "r")])
         assert code == 2
         assert "cannot write manifest" in capsys.readouterr().err
+
+    def test_unwritable_samples_path_exits_two(self, square, tmp_path, capsys):
+        (tmp_path / "r.samples.csv").mkdir()
+        code = main(["sample", "--polytope", square, "--steps", "5",
+                     "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "cannot write samples" in capsys.readouterr().err
 
     def test_vaidya_solver_run(self, square, tmp_path, capsys):
         # The walk on approximate ellipsoids from the cutting-plane route.

@@ -269,6 +269,13 @@ class TestEss:
         with pytest.raises(InputDataError):
             ess(np.arange(9))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_series_rejected(self, bad):
+        series = np.arange(20.0)
+        series[7] = bad
+        with pytest.raises(InputDataError, match="non-finite"):
+            ess(series)
+
 
 class TestFeasibleMatrixProperty:
     def test_random_instances(self, rng):

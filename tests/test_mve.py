@@ -1035,6 +1035,15 @@ class TestSeparationOracle:
         with pytest.raises(GeometryError):
             separation_oracle_mve(np.array([[1.0, 0.1], [0.0, 1.0]]), body)
 
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, entry, bad):
+        body = centered_body(cube(2))
+        x = np.eye(2)
+        x[entry] = x[entry[::-1]] = bad
+        with pytest.raises(GeometryError, match="finite"):
+            separation_oracle_mve(x, body)
+
     def test_exactly_symmetric_matrix_skips_the_tolerance_test(self, monkeypatch):
         # np.abs runs only in the tolerance test, which an exactly symmetric
         # X, as vec_to_sym builds it, never reaches; X asymmetric by 1e-12
