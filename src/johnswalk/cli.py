@@ -5,7 +5,9 @@ Every sampling run writes its manifest JSON before the samples CSV; the
 manifest records the resolved configuration (including the resolved start
 point), so re-running from the manifest reproduces the CSV byte for byte.
 Parameters are checked when the manifest is built, so a refused run writes
-nothing.
+nothing. A samples path that cannot be written is refused only after the
+walk, and the run then removes the manifest it wrote; a numerical failure
+keeps its manifest.
 Floats are written with 17 significant digits, which round-trips binary64
 exactly.
 
@@ -18,6 +20,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
@@ -205,6 +208,7 @@ def _cmd_sample(args) -> int:
             start=[float(v) for v in start],
             **outputs,
         )
+    made = not os.path.exists(manifest.manifest_path)
     manifest.write()
     start = np.asarray(manifest.start, dtype=float)
     if manifest.walk == "john":
@@ -221,7 +225,12 @@ def _cmd_sample(args) -> int:
     else:
         samples = run_hit_and_run(poly, start, manifest.steps, seed=manifest.seed)
         summary = ""
-    emit_samples(samples, manifest.samples_path)
+    try:
+        emit_samples(samples, manifest.samples_path)
+    except InputDataError:
+        if made:  # a refused run leaves no file behind, but keeps one it rewrote
+            os.remove(manifest.manifest_path)
+        raise
     print(f"wrote {manifest.manifest_path} and {manifest.samples_path}")
     if summary:
         print(summary)

@@ -108,6 +108,11 @@ def ess(series: np.ndarray) -> float:
     tau = -1 + 2 * sum of the kept pair sums, clipped to [1, N]. A constant
     series returns 1.0. A series shorter than 10 or with a non-finite entry
     raises InputDataError.
+
+    The ESS is invariant under scaling the series. The series is first
+    scaled by the power of two that brings its largest entry into [0.5, 1),
+    so no sum of squares can overflow; that scaling is exact unless it takes
+    an entry below the normal range.
     """
     x = np.asarray(series, dtype=float).ravel()
     n = x.size
@@ -115,9 +120,10 @@ def ess(series: np.ndarray) -> float:
         raise InputDataError(f"series too short for ESS: {n} < 10")
     if not np.isfinite(x).all():
         raise InputDataError("series for ESS has non-finite entries")
+    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
     x = x - x.mean()
     var0 = float(x @ x) / n
-    if var0 <= 0.0 or not np.isfinite(var0):
+    if var0 <= 0.0:
         return 1.0
     size = 1 << (2 * n - 1).bit_length()
     f = np.fft.rfft(x, size)

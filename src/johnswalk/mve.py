@@ -4,24 +4,15 @@ Two routes that share no solver are provided, so each checks the other:
 
 * ``method="oracle"``: the inscribed ellipsoid of {y : |a_i . y| <= 1} is the
   polar of the minimum-volume enclosing ellipsoid of the point set {+-a_i}.
-  That centered MVEE problem is solved in two phases on the simplex of
-  weights. A Khachiyan-style multiplicative weight ascent with Wolfe-Atwood
-  away steps starts from a core set, weight 1/n on n of the m points
-  (Kumar & Yildirim, JOTA 2005), and runs until the largest leverage is
-  within 10% of its optimal value n. The core set is picked greedily in the
-  frame that whitens the points (:func:`_core_start`), so it depends only
-  on the points and is invariant under linear maps of them; E stays a
-  deterministic, affine-invariant function of the body. Between exact
-  recomputes of the moment matrix the ascent updates the matrix inverse and
-  the leverages by Sherman-Morrison rank-one formulas in O(mn) per
-  iteration (Todd & Yildirim, Discrete Appl. Math. 2007). Newton
-  steps on the support of the weights, at most n(n+1) of them, then
-  replace the ascent's linear tail. When they do not certify, the ascent
-  resumes from their best weights, so the result never depends on the
-  Newton phase converging. Either phase certifies only on an exact
-  recompute (:func:`_exact_moments`), one QR shared by both: its R, with
-  M = R^T R, gives the leverages, a rigorous bound on the log-volume gap
-  and the inscribed factor R^-1 / sqrt(g_max).
+  That centered MVEE problem is solved on the simplex of weights in the
+  three phases :func:`_khachiyan_ascent` states, from a core set: weight
+  1/n on n of the m points (Kumar & Yildirim, JOTA 2005), picked greedily
+  in the frame that whitens the points (:func:`_core_start`), so it depends
+  only on the points and is invariant under linear maps of them; E stays a
+  deterministic, affine-invariant function of the body. Every phase
+  certifies only on an exact recompute (:func:`_exact_moments`), one QR:
+  its R, with M = R^T R, gives the leverages, a rigorous bound on the
+  log-volume gap and the inscribed factor R^-1 / sqrt(g_max).
 
 * ``method="vaidya"``: the log-det program over the matrix variable X = E^2,
       minimize -log det X
@@ -188,118 +179,119 @@ class _Moments(NamedTuple):
 
 
 def _khachiyan_ascent(points: np.ndarray, tol: float):
-    """Maximize log det sum_i u_i p_i p_i^T over the simplex in two phases:
-    a coarse multiplicative-weight ascent with away steps (Khachiyan, Math.
-    Oper. Res. 1996), then Newton steps on the support of the weights
-    (:func:`_newton_polish`).
+    """Maximize log det M(u), M(u) = sum_i u_i p_i p_i^T, over the simplex
+    until the leverages g_i = p_i^T M^-1 p_i have max_i g_i <= n (1 + tol),
+    in three phases:
 
-    The ascent starts from weight 1/n on the n points :func:`_core_start`
-    picks, the core set the rank-one ascent of Todd & Yildirim is built to
-    run from; with m == n that is the uniform start. A uniform start spends
-    an away step on each point the optimum does not use; at the center of a
-    random (10, 60) body the core start cut the ascent from 78 to 16
-    iterations.
+    1. Khachiyan rounds (:func:`_ascent_rounds`) from the core start until
+       max_i g_i / n - 1 <= max(tol, ``_NEWTON_FROM``);
+    2. if that did not certify tol, Newton steps on the support of the
+       weights (:func:`_newton_polish`), which hand back their best exact
+       state;
+    3. if the polish did not certify either, rounds from its weights to
+       tol, so the result never depends on the Newton phase converging.
 
-    Each ascent iteration moves the weights to u' = (1 - beta) u + beta e_j,
-    clips u'_j, the one weight rounding can take below 0, at 0 and
-    renormalizes them to sum 1. An away step that drops point j sets u_j to
-    exactly 0: rounding would leave about 1e-19, which keeps j in the
-    support of the Newton polish. Between exact recomputes the moment
-    inverse M^-1 and the leverages g_i = p_i^T M^-1 p_i follow by the
-    Sherman-Morrison formula in O(mn), in place
-    (Todd & Yildirim, Discrete Appl. Math. 2007): with v = M^-1 p_j,
-    w = P v and c = beta / (1 - beta + beta g_j),
+    The core start is weight 1/n on the n points :func:`_core_start` picks
+    (uniform when m == n). A uniform start spends an away step on each point
+    the optimum does not use: at the center of a random (10, 60) body the
+    core start cut the ascent from 78 to 16 iterations.
 
-        g <- (g - c w^2) / (1 - beta),   M^-1 <- (M^-1 - c v v^T) / (1 - beta),
-
-    both also scaled by the renormalizing sum. Every ``_EXACT_EVERY``
-    iterations, and whenever the updated g meets the tolerance or, before
-    the polish has run, ``_NEWTON_FROM``, R and g are recomputed exactly
-    from u (:func:`_exact_moments`, shared with the polish), and M^-1
-    restarts from R^-1 R^-T; only such an exact recompute certifies, so
-    rounding in the updates never reaches it.
-
-    The first exact recompute with max_i g_i / n - 1 <= ``_NEWTON_FROM``
-    (10%) hands the weights and their exact moments to the Newton polish,
-    once. The polish hands back its best exact state: when it certified,
-    the ascent returns it without a further recompute, and otherwise it
-    resumes from those weights.
-
-    Stops once max_i p_i^T M^-1 p_i <= n (1 + tol), within
-    ``_ASCENT_MAX_ITER`` ascent iterations. Returns (u, state, g_max,
-    iterations, newton_steps), ``state`` the certifying exact recompute.
-    The points must span R^n; the solver routes take them from
-    ``body.distinct``, which tests that.
+    Returns (u, state, g_max, iterations, newton_steps), ``state`` the
+    certifying exact recompute (:func:`_exact_moments`). The points must
+    span R^n; the solver routes take them from ``body.distinct``, which
+    tests that.
     """
     pts = np.asarray(points, dtype=float)
     m, n = pts.shape
     u = _core_start(pts) if m > n else np.full(m, 1.0 / m)
     state = _exact_moments(pts, u)
-    g, inv = state.g, None  # copied, then updated in place, by the ascent
-    iterations = 0
+    u, state, iterations = _ascent_rounds(pts, u, state, max(tol, _NEWTON_FROM), 0, tol)
     newton_steps = 0
-    polished = False
-    since_exact = 0  # rank-one updates since `state` was recomputed from u
-    while True:
-        j_add = int(g.argmax())
-        g_add = float(g[j_add])
-        eps_add = g_add / n - 1.0
-        if eps_add <= (tol if polished else max(tol, _NEWTON_FROM)):
-            if since_exact:
-                state = _exact_moments(pts, u)
-                g, inv, since_exact = state.g, None, 0
-            elif eps_add <= tol:
-                return u, state, g_add, iterations, newton_steps
+    if not float(state.g.max()) / n - 1.0 <= tol:
+        u, state, newton_steps = _newton_polish(pts, u, state, tol)
+        u, state, iterations = _ascent_rounds(pts, u, state, tol, iterations, tol)
+    return u, state, float(state.g.max()), iterations, newton_steps
+
+
+def _ascent_rounds(pts: np.ndarray, u: np.ndarray, state: _Moments,
+                   threshold: float, iterations: int, tol: float):
+    """Khachiyan rounds with away steps (Khachiyan, Math. Oper. Res. 1996)
+    from weights u and their exact state ``state`` until an exact recompute
+    has max_i g_i / n - 1 <= ``threshold``.
+
+    A round takes up to ``_EXACT_EVERY`` steps u' = (1 - beta) u + beta e_j,
+    each clipping u'_j, the one weight rounding can take below 0, at 0 and
+    renormalizing the weights to sum 1. An away step that drops point j sets
+    u_j to exactly 0: rounding would leave about 1e-19, which keeps j in the
+    support of the Newton polish. Within a round the moment inverse M^-1,
+    from R^-1 R^-T, and the leverages follow by the Sherman-Morrison formula
+    in O(mn), in place (Todd & Yildirim, Discrete Appl. Math. 2007): with
+    v = M^-1 p_j, w = P v and c = beta / (1 - beta + beta g_j),
+
+        g <- (g - c w^2) / (1 - beta),   M^-1 <- (M^-1 - c v v^T) / (1 - beta),
+
+    both also scaled by the renormalizing sum. A round ends early when the
+    updated g meets the threshold or when 1 - beta + beta g_j <= 0 leaves
+    no positive definite M' to update, and always with an exact recompute
+    of R and g from u (:func:`_exact_moments`). Only that recompute is
+    tested against the threshold, so rounding in the updates never
+    certifies.
+
+    Returns (u, state, iterations), ``iterations`` counted on from the
+    argument. Raises SolverError, naming the solve's ``tol``, when the
+    count would pass ``_ASCENT_MAX_ITER``.
+    """
+    n = pts.shape[1]
+    while not float(state.g.max()) / n - 1.0 <= threshold:
+        g, inv = state.g.copy(), state.r_inv @ state.r_inv.T
+        for k in range(1, _EXACT_EVERY + 1):
+            j_add = int(g.argmax())
+            g_add = float(g[j_add])
+            eps_add = g_add / n - 1.0
+            if eps_add <= threshold:
+                break
+            if iterations == _ASCENT_MAX_ITER:
+                raise SolverError(
+                    f"ellipsoid weight ascent did not certify tolerance {tol:.3e} "
+                    f"within {_ASCENT_MAX_ITER} iterations",
+                    best=None,
+                )
+            j_away = int(np.where(u > 0.0, g, np.inf).argmin())
+            g_away = float(g[j_away])
+            drop = False
+            if eps_add >= 1.0 - g_away / n:
+                j, gj = j_add, g_add
+                beta = (gj - n) / (n * (gj - 1.0))
             else:
-                u, state, newton_steps = _newton_polish(pts, u, state, tol)
-                g, polished = state.g, True
-            continue
-        if iterations == _ASCENT_MAX_ITER:
-            raise SolverError(
-                f"ellipsoid weight ascent did not certify tolerance {tol:.3e} "
-                f"within {_ASCENT_MAX_ITER} iterations",
-                best=None,
-            )
-        j_away = int(np.where(u > 0.0, g, np.inf).argmin())
-        g_away = float(g[j_away])
-        drop = False
-        if eps_add >= 1.0 - g_away / n:
-            j, gj = j_add, g_add
-            beta = (gj - n) / (n * (gj - 1.0))
-        else:
-            j, gj = j_away, g_away
-            uj = float(u[j])
-            floor = -uj / (1.0 - uj) if uj < 1.0 else -1.0
-            if gj <= 1.0:
-                beta = floor
-            else:
-                beta = max((gj - n) / (n * (gj - 1.0)), floor)
-            drop = beta == floor and uj < 1.0
-        u *= 1.0 - beta
-        u[j] = 0.0 if drop else max(u[j] + beta, 0.0)
-        total = float(u.sum())
-        u /= total
-        iterations += 1
-        # det M' = det M (1 - beta)^(n-1) denom, so denom <= 0 leaves no
-        # positive definite M' to update; the exact recompute reports it.
-        denom = 1.0 - beta + beta * gj
-        if since_exact + 1 == _EXACT_EVERY or not denom > 0.0:
-            state = _exact_moments(pts, u)
-            g, inv, since_exact = state.g, None, 0
-            continue
-        if inv is None:
-            inv, g = state.r_inv @ state.r_inv.T, g.copy()
-        v = inv @ pts[j]
-        w = pts @ v
-        c = beta / denom
-        scale = total / (1.0 - beta)
-        w *= w
-        w *= c
-        g -= w
-        g *= scale
-        inv -= (c * v)[:, None] * v
-        inv *= scale
-        since_exact += 1
+                j, gj = j_away, g_away
+                uj = float(u[j])
+                floor = -uj / (1.0 - uj) if uj < 1.0 else -1.0
+                if gj <= 1.0:
+                    beta = floor
+                else:
+                    beta = max((gj - n) / (n * (gj - 1.0)), floor)
+                drop = beta == floor and uj < 1.0
+            u *= 1.0 - beta
+            u[j] = 0.0 if drop else max(u[j] + beta, 0.0)
+            total = float(u.sum())
+            u /= total
+            iterations += 1
+            # det M' = det M (1 - beta)^(n-1) denom.
+            denom = 1.0 - beta + beta * gj
+            if k == _EXACT_EVERY or not denom > 0.0:
+                break
+            v = inv @ pts[j]
+            w = pts @ v
+            c = beta / denom
+            scale = total / (1.0 - beta)
+            w *= w
+            w *= c
+            g -= w
+            g *= scale
+            inv -= (c * v)[:, None] * v
+            inv *= scale
+        state = _exact_moments(pts, u)
+    return u, state, iterations
 
 
 def _qr_factor(rows: np.ndarray, what: str):

@@ -24,11 +24,17 @@ keep every certified gap (ROADMAP item 15).
   ones two threads could split. Its oracle route spins to the iteration cap.
 - tall20, r10, r20: oracle chains whose ascents take steps, on 1000-row
   products and on bodies in general position.
+- ess.txt: the per-coordinate ``diagnostics.ess`` of every chain above, to
+  17 digits, the statistic the benchmark's useful samples per second rest
+  on.
 - mve-*: solves at the center, printed to 17 digits. r8 = (8, 24) is large
   enough that a threaded product over its cuts would change bits. The
   oracle route's exact recompute calls dgeqrf and dtrtri beside numpy
   products. At a loose gap the contacts are taken at the slack of the gap
-  the solve recorded.
+  the solve recorded. On r2 = (2, 100) and r3 = (3, 100) at the default
+  gap the Newton polish does not certify, and the weight ascent resumes
+  from its weights for hundreds and thousands of iterations, many of them
+  past a round of ``_EXACT_EVERY`` rank-one steps.
 """
 
 from __future__ import annotations
@@ -39,14 +45,17 @@ import json
 import os
 import sys
 
+import numpy as np
+
 import johnswalk
 from johnswalk.cli import main
+from johnswalk.diagnostics import ess
 from johnswalk.geometry import Polytope
 
 from conftest import box, unit_normal_polytope
 
-RANDOM = {"r8": (8, 24), "tall": (5, 1000), "tall20": (20, 1000),
-          "r10": (10, 60), "r20": (20, 120)}
+RANDOM = {"r2": (2, 100), "r3": (3, 100), "r8": (8, 24), "tall": (5, 1000),
+          "tall20": (20, 1000), "r10": (10, 60), "r20": (20, 120)}
 WALK = "--polytope square.json --steps 200 --seed 3"
 SAMPLES = {
     "john": WALK,
@@ -66,7 +75,7 @@ SOLVES = [("square", "vaidya", "1e-5"), ("square", "vaidya", "1e-1"),
           ("r8", "vaidya", "1e-5"), ("r8", "vaidya", "1e-3"),
           ("r8", "oracle", None), ("r8", "oracle", "1e-3"),
           ("tall", "vaidya", "2e-7"), ("r10", "oracle", "1e-9"),
-          ("r20", "oracle", "1e-9")]
+          ("r20", "oracle", "1e-9"), ("r2", "oracle", None), ("r3", "oracle", None)]
 
 
 def run(name: str, argv: list) -> None:
@@ -88,6 +97,10 @@ def survey(out: str) -> None:
             json.dump({"A": poly.A.tolist(), "b": poly.b.tolist()}, fh)
     for name, flags in SAMPLES.items():
         run(f"{name}.stdout.txt", ["sample", *flags.split(), "--out", name])
+    with open("ess.txt", "w", encoding="utf-8") as fh:
+        for name in SAMPLES:
+            chain = np.loadtxt(f"{name}.samples.csv", delimiter=",", skiprows=1)
+            fh.write(" ".join([name, *(f"{ess(col):.17g}" for col in chain.T)]) + "\n")
     for body, solver, gap in SOLVES:
         flags = ["--polytope", f"{body}.json", "--solver", solver]
         flags += [] if gap is None else ["--gap", gap]

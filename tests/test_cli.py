@@ -240,6 +240,18 @@ class TestSampleCommand:
                      "--out", str(tmp_path / "r")])
         assert code == 2
         assert "cannot write samples" in capsys.readouterr().err
+        assert not (tmp_path / "r.manifest.json").exists()
+
+    def test_refused_rerun_in_place_keeps_its_manifest(self, square, tmp_path):
+        # Re-run from a manifest onto its own --out: the refusal must not
+        # delete the manifest the run was read from.
+        out = str(tmp_path / "r")
+        assert main(["sample", "--polytope", square, "--steps", "5", "--out", out]) == 0
+        manifest = (tmp_path / "r.manifest.json").read_bytes()
+        (tmp_path / "r.samples.csv").unlink()
+        (tmp_path / "r.samples.csv").mkdir()
+        assert main(["sample", "--manifest", f"{out}.manifest.json", "--out", out]) == 2
+        assert (tmp_path / "r.manifest.json").read_bytes() == manifest
 
     def test_vaidya_solver_run(self, square, tmp_path, capsys):
         # The walk on approximate ellipsoids from the cutting-plane route.

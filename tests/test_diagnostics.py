@@ -265,6 +265,14 @@ class TestEss:
         series = np.tile([1.0, -1.0], 500)
         assert ess(series) == 1_000.0
 
+    def test_scale_invariant_past_overflow(self):
+        # Unscaled, x @ x overflowed past about 1e154 and the ESS read 1.0.
+        expected = ess(np.arange(20.0))
+        assert ess(np.arange(20.0) * 1e200) == pytest.approx(expected, rel=1e-12)
+        series = np.random.default_rng(14).standard_normal(300).cumsum()
+        for power in (-900, -1, 1, 900):
+            assert ess(np.ldexp(series, power)) == ess(series)
+
     def test_short_series_rejected(self):
         with pytest.raises(InputDataError):
             ess(np.arange(9))

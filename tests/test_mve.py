@@ -237,6 +237,28 @@ class TestKhachiyanAscent:
         with pytest.raises(NumericalError, match="singular"):
             _khachiyan_ascent(pts, 1e-9)
 
+    def test_iteration_cap_raises(self, monkeypatch):
+        # The ascent at this center takes 7 iterations.
+        monkeypatch.setattr(mve, "_ASCENT_MAX_ITER", 3)
+        body = _at_center(unit_normal_polytope(10, 60, 0))
+        message = "did not certify tolerance .* within 3 iterations"
+        with pytest.raises(SolverError, match=message) as err:
+            solve_mve(body)
+        assert err.value.best is None
+
+    def test_away_step_at_low_leverage_drops_its_point(self):
+        # g = (2.217, 2.217, 0.044): the third point's leverage is at most 1,
+        # so the away step goes to the floor and sets its weight to exactly 0,
+        # which leaves the optimum (0.5, 0.5) of the two axis points.
+        pts = np.array([[1.0, 0.0], [0.0, 1.0], [0.1, 0.1]])
+        u = np.array([0.45, 0.45, 0.1])
+        state = mve._exact_moments(pts, u)
+        assert state.g[2] <= 1.0
+        u, state, iterations = mve._ascent_rounds(pts, u, state, 1e-9, 0, 1e-9)
+        assert iterations == 1
+        assert np.array_equal(u, [0.5, 0.5, 0.0])
+        assert_exact_certificate(pts, 1e-9, u, state, float(state.g.max()))
+
 
 def assert_exact_certificate(rows, tol, u, state, g_max):
     """The returned state and g_max are bitwise the exact recompute of the
@@ -777,8 +799,8 @@ class TestCuttingPlaneCertificate:
         def unreachable(*args, **kwargs):
             raise AssertionError("the cutting-plane route called the oracle route")
 
-        for name in ("_khachiyan_ascent", "_newton_polish", "_core_start",
-                     "dual_logdet_bound", "_solve_mve_oracle"):
+        for name in ("_khachiyan_ascent", "_ascent_rounds", "_newton_polish",
+                     "_core_start", "dual_logdet_bound", "_solve_mve_oracle"):
             monkeypatch.setattr(mve, name, unreachable)
         body, gap = make(), 1e-5
         sol = solve_mve(body, method="vaidya", gap=gap)
